@@ -50,16 +50,9 @@
 //!   to first order — standard recursive-summation analysis — and FMA
 //!   only removes rounding steps). Softmax is shared scalar code on every
 //!   tier. For a fixed tier, every kernel is deterministic: same inputs,
-//!   same bits, run to run and thread count to thread count.
-//! * **Chunked kernels only partition work.** [`dot_gather_chunked`] /
-//!   [`dot_gather_q_chunked`] split the gather into fixed-size chunks,
-//!   each writing a disjoint output range with the same per-row kernel,
-//!   so results are bit-identical for every worker count and chunk size.
-//!
-//! `UNICAIM_KERNEL_BACKEND=scalar` therefore reproduces the pre-dispatch
-//! kernel layer bit-for-bit.
+//!   same bits, run to run.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::matrix::softmax_in_place;
 
@@ -1181,192 +1174,6 @@ pub fn attend_prefix_q_with<Q: QuantRows, V: Rows>(
     weighted_sum_prefix_with(backend, weights, values, out);
 }
 
-// ---------------------------------------------------------------------
-// Chunked intra-sequence fan-out
-// ---------------------------------------------------------------------
-
-/// Default chunk size (in rows) for the chunked gather kernels — the
-/// granule the decode session splits its resident scan into.
-pub const DEFAULT_SCAN_CHUNK: usize = 128;
-
-/// [`dot_gather`] with the gather split into fixed `chunk_rows`-sized
-/// chunks fanned out over up to `workers` threads. Each chunk writes its
-/// own disjoint range of `out` with the same per-row kernel, so the
-/// result is **bit-identical for every worker count and chunk size**
-/// (only the work partition changes); `workers <= 1` or a gather that
-/// fits one chunk runs inline with no thread traffic.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-pub fn dot_gather_chunked<K: Rows + Sync>(
-    query: &[f32],
-    keys: K,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    dot_gather_chunked_with(
-        active_backend(),
-        query,
-        keys,
-        rows,
-        scale,
-        out,
-        chunk_rows,
-        workers,
-    );
-}
-
-/// [`dot_gather_chunked`] on an explicit tier (the partition is
-/// bit-inert, so the tier alone decides the numerics — same contract as
-/// [`dot_gather_with`]).
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_gather_chunked_with<K: Rows + Sync>(
-    backend: KernelBackend,
-    query: &[f32],
-    keys: K,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    if workers <= 1 || rows.len() <= chunk_rows {
-        dot_gather_with(backend, query, keys, rows, scale, out);
-        return;
-    }
-    let threads = workers.min(rows.len().div_ceil(chunk_rows));
-    let jobs = Mutex::new(rows.chunks(chunk_rows).zip(out.chunks_mut(chunk_rows)));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // A worker panicking mid-chunk poisons the queue but leaves
-                // the iterator consistent; recover and drain the rest (the
-                // panic itself still propagates when the scope joins).
-                let job = jobs
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .next();
-                let Some((rows_c, out_c)) = job else { break };
-                dot_gather_with(backend, query, keys, rows_c, scale, out_c);
-            });
-        }
-    });
-}
-
-/// Per-row quantized scoring with the **resident-scan rescale order**:
-/// `raw · ((query_scale · keys.scale(r)) · scale)` — the association the
-/// decode session has always used, which differs from [`dot_gather_q`]'s
-/// `(scale · query_scale) · keys.scale(r)` in the last bits. Keeping it
-/// pinned here is what lets `UNICAIM_KERNEL_BACKEND=scalar` reproduce
-/// pre-dispatch decode trajectories bit-for-bit.
-fn dot_gather_q_scan<Q: QuantRows>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-) {
-    let dot = dot_i8_fn(backend);
-    for (&r, o) in rows.iter().zip(out.iter_mut()) {
-        *o = dot(query_q, keys.row(r)) as f32 * (query_scale * keys.scale(r) * scale);
-    }
-}
-
-/// Quantized twin of [`dot_gather_chunked`], using the resident-scan
-/// rescale order `(query_scale · keys.scale(r)) · scale` (see the note on
-/// the internal scan kernel: this is the decode session's historical
-/// association, so scalar-tier decode stays bit-compatible with the
-/// pre-dispatch kernel layer). Bit-identical for every worker count and
-/// chunk size, and — because the integer dot is exact and the rescale is
-/// shared scalar code — across every backend tier too.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_gather_q_chunked<Q: QuantRows + Sync>(
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    dot_gather_q_chunked_with(
-        active_backend(),
-        query_q,
-        query_scale,
-        keys,
-        rows,
-        scale,
-        out,
-        chunk_rows,
-        workers,
-    );
-}
-
-/// [`dot_gather_q_chunked`] on an explicit tier (exact integer dots, so
-/// every tier is bit-identical — the twin pins the tier for parity
-/// tests).
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_gather_q_chunked_with<Q: QuantRows + Sync>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    if workers <= 1 || rows.len() <= chunk_rows {
-        dot_gather_q_scan(backend, query_q, query_scale, keys, rows, scale, out);
-        return;
-    }
-    let threads = workers.min(rows.len().div_ceil(chunk_rows));
-    let jobs = Mutex::new(rows.chunks(chunk_rows).zip(out.chunks_mut(chunk_rows)));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // See `dot_gather_chunked_with`: poison recovery keeps the
-                // drain panic-free while the worker's panic still surfaces
-                // at scope join.
-                let job = jobs
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .next();
-                let Some((rows_c, out_c)) = job else { break };
-                dot_gather_q_scan(backend, query_q, query_scale, keys, rows_c, scale, out_c);
-            });
-        }
-    });
-}
-
 /// Indices `0..n` ranked best-first under `cmp` (where `Ordering::Less`
 /// means "ranks earlier"), keeping only the top `k` — selected with
 /// `select_nth_unstable_by` (O(n + k log k)) instead of a full sort.
@@ -1666,51 +1473,6 @@ mod tests {
         for (x, y) in a.iter().zip(&f) {
             assert!((x - y).abs() <= 0.05 * y.abs().max(1.0), "{a:?} vs {f:?}");
         }
-    }
-
-    #[test]
-    fn chunked_gather_is_identical_for_every_worker_count_and_chunk_size() {
-        let dim = 13;
-        let n = 57;
-        let keys: Vec<f32> = (0..n * dim)
-            .map(|i| ((i * 23) % 19) as f32 * 0.15 - 1.2)
-            .collect();
-        let query: Vec<f32> = (0..dim).map(|i| 0.6 - (i as f32) * 0.07).collect();
-        let view = RowView::contiguous(&keys, dim);
-        let rows: Vec<usize> = (0..n).rev().collect();
-        let mut reference = vec![0.0f32; n];
-        dot_gather(&query, view, &rows, 0.5, &mut reference);
-        for workers in [1usize, 2, 4] {
-            for chunk in [1usize, 3, 8, 64] {
-                let mut out = vec![0.0f32; n];
-                dot_gather_chunked(&query, view, &rows, 0.5, &mut out, chunk, workers);
-                assert_eq!(out, reference, "workers {workers} chunk {chunk}");
-            }
-        }
-        // Quantized twin: same partition-invariance, including vs its own
-        // sequential path.
-        let (qkeys, scales) = quantize_arena_i8(&keys, dim);
-        let qview = QuantRowView::contiguous(&qkeys, &scales, dim);
-        let mut qq = vec![0i8; dim];
-        let qscale = quantize_row_i8(&query, &mut qq);
-        let mut q_reference = vec![0.0f32; n];
-        dot_gather_q_chunked(&qq, qscale, qview, &rows, 0.5, &mut q_reference, 64, 1);
-        for workers in [2usize, 4] {
-            for chunk in [1usize, 3, 8] {
-                let mut out = vec![0.0f32; n];
-                dot_gather_q_chunked(&qq, qscale, qview, &rows, 0.5, &mut out, chunk, workers);
-                assert_eq!(out, q_reference, "workers {workers} chunk {chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_gather_handles_empty_rows() {
-        let keys = [1.0f32, 2.0, 3.0, 4.0];
-        let view = RowView::contiguous(&keys, 2);
-        let mut out: Vec<f32> = Vec::new();
-        dot_gather_chunked(&[1.0, 1.0], view, &[], 1.0, &mut out, 16, 4);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -19,9 +19,9 @@
 
 use proptest::prelude::*;
 use unicaim_attention::kernels::{
-    attend_gather_with, dot_gather_chunked, dot_gather_q_with, dot_gather_with, dot_i8_with,
-    dot_prefix_with, dot_with, quantize_arena_i8, quantize_row_cell3_with, quantize_row_i8_with,
-    weighted_sum_gather_with, KernelBackend, QuantRowView, RowView,
+    attend_gather_with, dot_gather_q_with, dot_gather_with, dot_i8_with, dot_prefix_with, dot_with,
+    quantize_arena_i8, quantize_row_cell3_with, quantize_row_i8_with, weighted_sum_gather_with,
+    KernelBackend, QuantRowView, RowView,
 };
 use unicaim_attention::Matrix;
 
@@ -335,29 +335,6 @@ proptest! {
                     backend.label()
                 );
             }
-        }
-    }
-
-    /// The chunked gather is partition-invariant: identical bits for
-    /// every worker count × chunk size, including the sequential path.
-    #[test]
-    fn chunked_gather_partition_invariant(
-        dim in 1usize..48,
-        n in 1usize..64,
-        seed in 0u64..1000,
-        chunk in 1usize..16,
-        workers in 1usize..5,
-    ) {
-        let arena: Vec<f32> = Matrix::random_normal(n, dim, 1.0, seed).as_slice().to_vec();
-        let keys = RowView::contiguous(&arena, dim);
-        let query = deterministic_row(dim, seed ^ 0x33);
-        let rows: Vec<usize> = (0..n).rev().collect();
-        let mut reference = vec![0.0f32; n];
-        dot_gather_chunked(&query, keys, &rows, 0.5, &mut reference, n.max(1), 1);
-        let mut out = vec![0.0f32; n];
-        dot_gather_chunked(&query, keys, &rows, 0.5, &mut out, chunk, workers);
-        for (x, e) in out.iter().zip(&reference) {
-            prop_assert_eq!(x.to_bits(), e.to_bits());
         }
     }
 }

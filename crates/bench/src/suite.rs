@@ -3,10 +3,9 @@
 //!
 //! Cases come in two kinds ([`CaseKind`]):
 //!
-//! * **Timed** — wall-clock benchmarks measured the way the vendored
-//!   criterion measures (fixed warm-up + sample schedule, median ns/iter).
-//!   Machine-dependent, so the gate's tolerance is wide and one-sided
-//!   (only *slower* fails).
+//! * **Timed** — wall-clock benchmarks with a fixed warm-up + sample
+//!   schedule, reported as median ns/iter. Machine-dependent, so the
+//!   gate's tolerance is wide and one-sided (only *slower* fails).
 //! * **Metric** — deterministic figures (virtual-time serving latencies,
 //!   counters) that are bit-identical on every machine, gated with a tight
 //!   per-case tolerance in *both* directions — drift either way is a
@@ -31,10 +30,9 @@
 //! `bench_check --save` records each case's figure (and its per-case
 //! tolerance, when one is set) to `results/baselines/<suite>.json`; a
 //! plain `bench_check` run re-measures and fails when a case leaves its
-//! tolerance band. Keeping the case definitions in library code (rather
-//! than inside the criterion bench binaries) lets the regression gate and
-//! the criterion benches share one source of truth for "what is the hot
-//! path".
+//! tolerance band. This suite is the workspace's one timing harness: its
+//! case names are the baseline keys, and `unicaim-lint` checks that the
+//! registry and `results/baselines/` stay in sync.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -56,7 +54,7 @@ use unicaim_kvcache::{
 /// How a case produces its figure (see the module docs for the gating
 /// semantics of each kind).
 pub enum CaseKind {
-    /// Wall-clock timed, criterion-style; the figure is median ns/iter.
+    /// Wall-clock timed; the figure is median ns/iter.
     Timed {
         /// Iterations per timed sample (higher for cheaper routines).
         iters: u64,
@@ -134,8 +132,7 @@ const SAMPLES: usize = 11;
 
 /// Measures one case. Timed cases run one unrecorded warm-up sample, then
 /// `SAMPLES` (11) timed samples of `iters` iterations each, reported as
-/// the median ns/iter (the same schedule as the vendored criterion);
-/// metric cases just evaluate their figure.
+/// the median ns/iter; metric cases just evaluate their figure.
 pub fn measure(case: &mut Case) -> Measurement {
     match &mut case.kind {
         CaseKind::Timed { iters, run } => {

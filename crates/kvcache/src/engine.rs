@@ -6,8 +6,8 @@
 //!
 //! * [`Sequential`] — the single-threaded round-robin tick loop the
 //!   original `simulate_batch` ran, kept bit-identical (property-tested);
-//! * [`WorkerPool`] — fans the per-sequence decode work across a vendored
-//!   fixed thread pool. Sequences in a batch are fully independent (the
+//! * [`WorkerPool`] — fans the per-sequence decode work across scoped
+//!   worker threads. Sequences in a batch are fully independent (the
 //!   shared slot budget is statically partitioned, and policy state is
 //!   per-sequence), so any schedule produces the same per-sequence
 //!   results; the shared-array peak occupancy is reconstructed from each
@@ -19,7 +19,7 @@
 //! wrappers ([`simulate_decode`](crate::simulate_decode),
 //! [`simulate_batch`](crate::simulate_batch)) are now thin layers over.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::DecodeWorkload;
@@ -101,9 +101,11 @@ impl Scheduler for Sequential {
     }
 }
 
-/// Fans independent per-sequence decode across a fixed worker pool (the
-/// vendored `scoped_threadpool`): each worker claims the next unfinished
-/// session and runs it to completion.
+/// Fans independent per-sequence decode across `workers` threads (the
+/// calling thread plus `workers − 1` scoped threads): each worker claims
+/// the next session and runs it to completion. This is the engine's only
+/// level of decode parallelism; a session's own resident scan always runs
+/// inline on the thread that claimed it.
 ///
 /// Per-sequence results are identical to [`Sequential`]'s because nothing
 /// is shared between sequences mid-run; the throughput win is the
@@ -144,61 +146,47 @@ impl WorkerPool {
     /// shared skeleton under both [`Scheduler::run`] (run to completion)
     /// and [`Scheduler::step_once`] (advance one tick): workers claim the
     /// next session off a queue, and the first error wins and stops the
-    /// claimers. Sessions are `Send` (policies are `Send` by trait bound),
-    /// so handing `&mut DecodeSession` to a scoped worker is safe.
+    /// claimers. The calling thread is one of the workers, so a call with
+    /// one session (or one worker) spawns no thread. Sessions are `Send`
+    /// (policies are `Send` by trait bound), so handing `&mut
+    /// DecodeSession` to a scoped thread is safe. A panicking `run_one`
+    /// re-panics here once every worker has joined.
     fn fan_out<'w, 'p>(
         &self,
         sessions: &mut [DecodeSession<'w, 'p>],
         run_one: impl Fn(&mut DecodeSession<'w, 'p>) -> Result<(), HarnessError> + Sync,
     ) -> Result<(), HarnessError> {
-        // Batch-level parallelism caps at the number of sessions; any
-        // spare threads are granted to the sessions themselves, which fan
-        // their *intra-sequence* resident scans across chunks (bit-inert:
-        // the chunked reduction is partition-invariant, property-tested).
-        // A single long sequence on an 8-thread pool thus scans with all
-        // 8 threads instead of 1.
-        let scan_workers = (self.workers / sessions.len().max(1)).max(1);
-        for session in sessions.iter_mut() {
-            session.set_scan_workers(scan_workers);
-        }
-        let workers = self.workers.min(sessions.len().max(1));
-        if workers <= 1 {
-            // No parallelism to exploit; skip the pool machinery.
-            for session in sessions.iter_mut() {
-                run_one(session)?;
-            }
-            return Ok(());
-        }
+        let workers = self.workers.min(sessions.len());
         // Both mutexes guard single-step state transitions (an iterator
         // `next`, an `Option` insert), so a worker panicking elsewhere
         // cannot leave them mid-update: recover from poisoning rather
-        // than cascading a panic through every pool thread (the original
-        // panic still propagates when the scope joins).
-        use std::sync::PoisonError;
+        // than cascading a panic through every worker (the original panic
+        // still propagates when the scope joins).
         let queue = Mutex::new(sessions.iter_mut());
         let first_error: Mutex<Option<HarnessError>> = Mutex::new(None);
-        let mut pool = scoped_threadpool::Pool::new(workers);
-        pool.scoped(|scope| {
-            for _ in 0..workers {
-                scope.execute(|| loop {
-                    if first_error
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .is_some()
-                    {
-                        break;
-                    }
-                    let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                    let Some(session) = claimed else { break };
-                    if let Err(e) = run_one(session) {
-                        first_error
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .get_or_insert(e);
-                        break;
-                    }
-                });
+        let claim_loop = || loop {
+            if first_error
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .is_some()
+            {
+                break;
             }
+            let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some(session) = claimed else { break };
+            if let Err(e) = run_one(session) {
+                first_error
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(e);
+                break;
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(claim_loop);
+            }
+            claim_loop();
         });
         match first_error
             .into_inner()
@@ -638,6 +626,67 @@ mod tests {
                 token: usize::MAX
             }
         );
+    }
+
+    #[test]
+    fn worker_pool_propagates_a_panicking_policy() {
+        use crate::policy::StepDecision;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use unicaim_attention::Matrix;
+
+        /// Panics the first time it selects.
+        struct PanicsInSelect;
+        impl Policy for PanicsInSelect {
+            fn name(&self) -> &'static str {
+                "panics_in_select"
+            }
+            fn prefill_keep(&mut self, attn: &Matrix, budget: usize) -> Vec<usize> {
+                (0..attn.rows().min(budget)).collect()
+            }
+            fn select(
+                &mut self,
+                _step: usize,
+                _scored: &[(usize, f32)],
+                _k: usize,
+            ) -> StepDecision {
+                panic!("policy bug in select")
+            }
+            fn observe(&mut self, _step: usize, _weights: &[(usize, f32)]) {}
+            fn evict(&mut self, _step: usize, resident: &[usize]) -> Option<usize> {
+                resident.first().copied()
+            }
+        }
+
+        // Four sessions over two workers: the calling thread and one
+        // spawned thread share the queue. Whichever of them claims the
+        // broken session, the call must panic — not hang, not return.
+        let workloads = mixed_batch(4, 64, 8, 13);
+        let engine = DecodeEngine::new(EngineConfig::new(4 * 24, 8));
+        let pool = WorkerPool::new(2);
+        for broken in [0, 3] {
+            for tick in [false, true] {
+                let mut sessions = engine
+                    .admit(&workloads, &mut |i| -> Box<dyn Policy> {
+                        if i == broken {
+                            Box::new(PanicsInSelect)
+                        } else {
+                            Box::new(StreamingLlm::new(2))
+                        }
+                    })
+                    .unwrap();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if tick {
+                        pool.step_once(&mut sessions)
+                    } else {
+                        pool.run(&mut sessions)
+                    }
+                }));
+                assert!(
+                    outcome.is_err(),
+                    "session {broken} (step_once: {tick}) must panic"
+                );
+            }
+        }
     }
 
     #[test]

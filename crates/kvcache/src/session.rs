@@ -159,21 +159,13 @@ pub struct DecodeSession<'w, 'p> {
     /// from (deterministic per sequence, so any schedule reconstructs the
     /// same peak).
     resident_trace: Vec<usize>,
-    /// Worker threads the resident scan may fan its chunks across
-    /// (runtime perf knob set by the scheduler's fan-out; **bit-inert**:
-    /// the chunked kernels are partition-invariant, property-tested).
-    scan_workers: usize,
-    /// Rows per chunk of the fanned-out resident scan (bit-inert, like
-    /// `scan_workers`).
-    scan_chunk: usize,
     // Reused per-step scratch buffers: the steady-state decode step is
     // allocation-free (see the `kernels` module docs).
     scored: Vec<(usize, f32)>,
     /// Slots of the resident tokens, in `scored` order — the gather list
-    /// the chunked scan kernels read.
+    /// the scan kernel reads.
     scan_slots: Vec<usize>,
-    /// Scaled scores written by the chunked scan, zipped back into
-    /// `scored`.
+    /// Scaled scores written by the scan, zipped back into `scored`.
     scan_scores: Vec<f32>,
     /// The current step's query quantized to symmetric `i8` (quantized
     /// precisions only; unused for `f32` sessions).
@@ -417,8 +409,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
             next_step: 0,
             capacity_limit: config.capacity,
             resident_trace,
-            scan_workers: 1,
-            scan_chunk: kernels::DEFAULT_SCAN_CHUNK,
             scored: Vec::with_capacity(config.capacity),
             scan_slots: Vec::with_capacity(config.capacity),
             scan_scores: Vec::with_capacity(config.capacity),
@@ -553,29 +543,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         &self.observed
     }
 
-    /// Sets how many worker threads the *intra-sequence* resident scan may
-    /// fan its chunks across (floored at 1). The
-    /// [`WorkerPool`](crate::WorkerPool) scheduler calls this with its
-    /// spare per-sequence parallelism; it is a pure performance knob —
-    /// decode results are bit-identical for every worker count
-    /// (property-tested).
-    pub fn set_scan_workers(&mut self, workers: usize) {
-        self.scan_workers = workers.max(1);
-    }
-
-    /// Worker threads currently granted to the resident scan.
-    #[must_use]
-    pub fn scan_workers(&self) -> usize {
-        self.scan_workers
-    }
-
-    /// Sets the chunk size (rows per unit of scan work, floored at 1) of
-    /// the fanned-out resident scan. Bit-inert like
-    /// [`set_scan_workers`](Self::set_scan_workers).
-    pub fn set_scan_chunk(&mut self, chunk_rows: usize) {
-        self.scan_chunk = chunk_rows.max(1);
-    }
-
     /// The policy's display name.
     #[must_use]
     pub fn policy_name(&self) -> &str {
@@ -631,12 +598,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         //    guarantees (no per-step sort). Quantized sessions quantize
         //    the query once, then run the integer kernel against the i8
         //    key arena, rescaling once per row — the software twin of the
-        //    array's reduced-precision search. The gather goes through the
-        //    chunked kernels, which fan fixed-size chunks across
-        //    `scan_workers` threads with a partition-invariant reduction:
-        //    results are bit-identical for every worker count and chunk
-        //    size (and, for `scan_workers == 1`, to the pre-chunking
-        //    row-by-row loop).
+        //    array's reduced-precision search.
         self.scored.clear();
         self.scan_slots.clear();
         for (token, slot) in self.store.iter_tokens() {
@@ -647,25 +609,21 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         self.scan_scores.resize(self.scan_slots.len(), 0.0);
         if let Some(qkeys) = self.store.quant_keys_view() {
             self.query_scale = kernels::quantize_row_i8(query, &mut self.query_q);
-            kernels::dot_gather_q_chunked(
+            kernels::dot_gather_q(
                 &self.query_q,
                 self.query_scale,
                 qkeys,
                 &self.scan_slots,
                 self.inv_sqrt_dim,
                 &mut self.scan_scores,
-                self.scan_chunk,
-                self.scan_workers,
             );
         } else {
-            kernels::dot_gather_chunked(
+            kernels::dot_gather(
                 query,
                 self.store.keys_view(),
                 &self.scan_slots,
                 self.inv_sqrt_dim,
                 &mut self.scan_scores,
-                self.scan_chunk,
-                self.scan_workers,
             );
         }
         for (entry, &score) in self.scored.iter_mut().zip(&self.scan_scores) {
