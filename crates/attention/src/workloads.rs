@@ -114,9 +114,9 @@ impl DecodeWorkload {
     /// reference the pruned policies are compared against).
     ///
     /// Implemented over flat key/value arenas with the fused
-    /// [`kernels::attend_prefix`] kernel: step `s` attends over the first
-    /// `prefill + s` rows (the prompt plus every previously generated
-    /// token).
+    /// [`KernelBackend::attend_prefix`](kernels::KernelBackend::attend_prefix)
+    /// kernel: step `s` attends over the first `prefill + s` rows (the
+    /// prompt plus every previously generated token).
     #[must_use]
     pub fn full_attention_reference(&self) -> Vec<Vec<f32>> {
         let dim = self.dim;
@@ -135,9 +135,10 @@ impl DecodeWorkload {
         let prefill = self.prefill_keys.len();
         let mut weights = Vec::with_capacity(total);
         let mut outputs = Vec::with_capacity(self.decode_queries.len());
+        let backend = kernels::active_backend();
         for (step, q) in self.decode_queries.iter().enumerate() {
             let mut out = vec![0.0f32; dim];
-            kernels::attend_prefix(
+            backend.attend_prefix(
                 q,
                 keys,
                 values,

@@ -1,5 +1,5 @@
-//! Parity of every dispatched kernel tier against its scalar twin, plus
-//! the SIMD-tail edge shapes.
+//! Parity of every kernel tier against the scalar tier, plus the SIMD-tail
+//! edge shapes.
 //!
 //! The contract under test (see the `kernels` module docs):
 //!
@@ -12,17 +12,14 @@
 //!   each path's forward error versus the exact sum is ≤ `n·ε·Σ|aᵢ·bᵢ|`
 //!   to first order).
 //!
-//! Tiers are exercised through the `*_with` twins: the
-//! `UNICAIM_KERNEL_BACKEND` override is resolved once per process (CI
-//! runs a whole matrix leg with `=scalar` for that path), so in-process
-//! tier iteration has to pass the backend explicitly.
+//! Each tier is exercised by calling the kernel methods on it
+//! (`backend.dot_gather(…)`): the `UNICAIM_KERNEL_BACKEND` override is
+//! resolved once per process (CI runs a whole matrix leg with `=scalar`
+//! for that path), so in-process tier iteration names the tier at each
+//! call.
 
 use proptest::prelude::*;
-use unicaim_attention::kernels::{
-    attend_gather_with, dot_gather_q_with, dot_gather_with, dot_i8_with, dot_prefix_with, dot_with,
-    quantize_arena_i8, quantize_row_cell3_with, quantize_row_i8_with, weighted_sum_gather_with,
-    KernelBackend, QuantRowView, RowView,
-};
+use unicaim_attention::kernels::{quantize_arena_i8, KernelBackend, QuantRowView, RowView};
 use unicaim_attention::Matrix;
 
 /// Dimensions that stress every SIMD tail: below one vector, straddling
@@ -51,9 +48,9 @@ fn edge_dims_dot_parity_on_every_tier() {
     for &dim in &EDGE_DIMS {
         let a = deterministic_row(dim, 11 + dim as u64);
         let b = deterministic_row(dim, 97 + dim as u64);
-        let scalar = dot_with(KernelBackend::Scalar, &a, &b);
+        let scalar = KernelBackend::Scalar.dot(&a, &b);
         for backend in KernelBackend::supported() {
-            let d = dot_with(backend, &a, &b);
+            let d = backend.dot(&a, &b);
             if backend != KernelBackend::Avx2 {
                 assert_eq!(
                     d.to_bits(),
@@ -78,15 +75,15 @@ fn edge_dims_integer_paths_bit_exact_on_every_tier() {
         let src = deterministic_row(dim, 7 + dim as u64);
         let qsrc = deterministic_row(dim, 43 + dim as u64);
         let mut expect_q = vec![0i8; dim];
-        let expect_scale = quantize_row_i8_with(KernelBackend::Scalar, &src, &mut expect_q);
+        let expect_scale = KernelBackend::Scalar.quantize_row_i8(&src, &mut expect_q);
         let mut expect_c3 = vec![0i8; dim];
-        let expect_c3_scale = quantize_row_cell3_with(KernelBackend::Scalar, &src, &mut expect_c3);
+        let expect_c3_scale = KernelBackend::Scalar.quantize_row_cell3(&src, &mut expect_c3);
         let mut qq = vec![0i8; dim];
-        quantize_row_i8_with(KernelBackend::Scalar, &qsrc, &mut qq);
-        let expect_dot = dot_i8_with(KernelBackend::Scalar, &qq, &expect_q);
+        KernelBackend::Scalar.quantize_row_i8(&qsrc, &mut qq);
+        let expect_dot = KernelBackend::Scalar.dot_i8(&qq, &expect_q);
         for backend in KernelBackend::supported() {
             let mut q = vec![0i8; dim];
-            let scale = quantize_row_i8_with(backend, &src, &mut q);
+            let scale = backend.quantize_row_i8(&src, &mut q);
             assert_eq!(q, expect_q, "dim {dim} tier {}", backend.label());
             assert_eq!(
                 scale.to_bits(),
@@ -95,7 +92,7 @@ fn edge_dims_integer_paths_bit_exact_on_every_tier() {
                 backend.label()
             );
             let mut c3 = vec![0i8; dim];
-            let c3_scale = quantize_row_cell3_with(backend, &src, &mut c3);
+            let c3_scale = backend.quantize_row_cell3(&src, &mut c3);
             assert_eq!(c3, expect_c3, "dim {dim} tier {}", backend.label());
             assert_eq!(
                 c3_scale.to_bits(),
@@ -104,7 +101,7 @@ fn edge_dims_integer_paths_bit_exact_on_every_tier() {
                 backend.label()
             );
             assert_eq!(
-                dot_i8_with(backend, &qq, &q),
+                backend.dot_i8(&qq, &q),
                 expect_dot,
                 "dim {dim} tier {}",
                 backend.label()
@@ -124,31 +121,22 @@ fn empty_gather_and_single_row_arena_on_every_tier() {
         let (qarena, qscales) = quantize_arena_i8(&arena, dim);
         let qkeys = QuantRowView::contiguous(&qarena, &qscales, dim);
         let mut qq = vec![0i8; dim];
-        let qs = quantize_row_i8_with(KernelBackend::Scalar, &query, &mut qq);
+        let qs = KernelBackend::Scalar.quantize_row_i8(&query, &mut qq);
         for backend in KernelBackend::supported() {
             // Empty gather: no output, and fused attend zeroes `out`.
             let mut empty_out: Vec<f32> = Vec::new();
-            dot_gather_with(backend, &query, keys, &[], 1.0, &mut empty_out);
+            backend.dot_gather(&query, keys, &[], 1.0, &mut empty_out);
             assert!(empty_out.is_empty());
             let mut weights = Vec::new();
             let mut out = vec![5.0f32; dim];
-            attend_gather_with(
-                backend,
-                &query,
-                keys,
-                vals,
-                &[],
-                1.0,
-                &mut weights,
-                &mut out,
-            );
+            backend.attend_gather(&query, keys, vals, &[], 1.0, &mut weights, &mut out);
             assert_eq!(out, vec![0.0; dim], "tier {}", backend.label());
 
             // Single-row arena: one gathered dot, and the fused attend
             // collapses to that row's values (softmax of one logit = 1).
             let mut one = [0.0f32];
-            dot_gather_with(backend, &query, keys, &[0], 0.5, &mut one);
-            let expect = dot_with(backend, &query, &arena) * 0.5;
+            backend.dot_gather(&query, keys, &[0], 0.5, &mut one);
+            let expect = backend.dot(&query, &arena) * 0.5;
             assert_eq!(
                 one[0].to_bits(),
                 expect.to_bits(),
@@ -156,24 +144,15 @@ fn empty_gather_and_single_row_arena_on_every_tier() {
                 backend.label()
             );
             let mut one_q = [0.0f32];
-            dot_gather_q_with(backend, &qq, qs, qkeys, &[0], 0.5, &mut one_q);
-            let expect_q = dot_i8_with(backend, &qq, &qarena) as f32 * (0.5 * qs * qscales[0]);
+            backend.dot_gather_q(&qq, qs, qkeys, &[0], 0.5, &mut one_q);
+            let expect_q = backend.dot_i8(&qq, &qarena) as f32 * (0.5 * qs * qscales[0]);
             assert_eq!(
                 one_q[0].to_bits(),
                 expect_q.to_bits(),
                 "tier {}",
                 backend.label()
             );
-            attend_gather_with(
-                backend,
-                &query,
-                keys,
-                vals,
-                &[0],
-                1.0,
-                &mut weights,
-                &mut out,
-            );
+            backend.attend_gather(&query, keys, vals, &[0], 1.0, &mut weights, &mut out);
             for (o, v) in out.iter().zip(&values) {
                 assert!(
                     (o - v).abs() <= 1e-6 * v.abs().max(1.0),
@@ -198,10 +177,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let b = deterministic_row(a.len(), seed);
-        let scalar = dot_with(KernelBackend::Scalar, &a, &b);
+        let scalar = KernelBackend::Scalar.dot(&a, &b);
         let bound = dot_parity_bound(&a, &b);
         for backend in KernelBackend::supported() {
-            let d = dot_with(backend, &a, &b);
+            let d = backend.dot(&a, &b);
             prop_assert!(
                 (d - scalar).abs() <= bound,
                 "tier {}: |{d} - {scalar}| = {} > {bound}",
@@ -221,9 +200,9 @@ proptest! {
         b in proptest::collection::vec(-127i8..=127, 1..200),
     ) {
         let n = a.len().min(b.len());
-        let scalar = dot_i8_with(KernelBackend::Scalar, &a[..n], &b[..n]);
+        let scalar = KernelBackend::Scalar.dot_i8(&a[..n], &b[..n]);
         for backend in KernelBackend::supported() {
-            prop_assert_eq!(dot_i8_with(backend, &a[..n], &b[..n]), scalar);
+            prop_assert_eq!(backend.dot_i8(&a[..n], &b[..n]), scalar);
         }
     }
 
@@ -240,13 +219,13 @@ proptest! {
         let keys = QuantRowView::contiguous(&qarena, &scales, dim);
         let query = deterministic_row(dim, seed ^ 0xabcd);
         let mut qq = vec![0i8; dim];
-        let qs = quantize_row_i8_with(KernelBackend::Scalar, &query, &mut qq);
+        let qs = KernelBackend::Scalar.quantize_row_i8(&query, &mut qq);
         let rows: Vec<usize> = (0..n).rev().collect();
         let mut expect = vec![0.0f32; n];
-        dot_gather_q_with(KernelBackend::Scalar, &qq, qs, keys, &rows, 0.25, &mut expect);
+        KernelBackend::Scalar.dot_gather_q(&qq, qs, keys, &rows, 0.25, &mut expect);
         for backend in KernelBackend::supported() {
             let mut out = vec![0.0f32; n];
-            dot_gather_q_with(backend, &qq, qs, keys, &rows, 0.25, &mut out);
+            backend.dot_gather_q(&qq, qs, keys, &rows, 0.25, &mut out);
             for (x, e) in out.iter().zip(&expect) {
                 prop_assert_eq!(x.to_bits(), e.to_bits());
             }
@@ -267,9 +246,9 @@ proptest! {
         let rows: Vec<usize> = (0..n).collect();
         for backend in KernelBackend::supported() {
             let mut a = vec![0.0f32; n];
-            dot_prefix_with(backend, &query, keys, 1.5, &mut a);
+            backend.dot_prefix(&query, keys, 1.5, &mut a);
             let mut b = vec![0.0f32; n];
-            dot_gather_with(backend, &query, keys, &rows, 1.5, &mut b);
+            backend.dot_gather(&query, keys, &rows, 1.5, &mut b);
             prop_assert_eq!(&a, &b);
         }
     }
@@ -287,10 +266,10 @@ proptest! {
         let weights = deterministic_row(n, seed ^ 0x5a5a);
         let rows: Vec<usize> = (0..n).collect();
         let mut scalar = vec![0.0f32; dim];
-        weighted_sum_gather_with(KernelBackend::Scalar, &weights, values, &rows, &mut scalar);
+        KernelBackend::Scalar.weighted_sum_gather(&weights, values, &rows, &mut scalar);
         for backend in KernelBackend::supported() {
             let mut out = vec![0.0f32; dim];
-            weighted_sum_gather_with(backend, &weights, values, &rows, &mut out);
+            backend.weighted_sum_gather(&weights, values, &rows, &mut out);
             for (o, s) in out.iter().zip(&scalar) {
                 if backend == KernelBackend::Sse2 {
                     prop_assert_eq!(o.to_bits(), s.to_bits());
@@ -324,10 +303,10 @@ proptest! {
         let scale = 1.0 / (dim as f32).sqrt();
         let mut w = Vec::new();
         let mut scalar = vec![0.0f32; dim];
-        attend_gather_with(KernelBackend::Scalar, &query, keys, vals, &rows, scale, &mut w, &mut scalar);
+        KernelBackend::Scalar.attend_gather(&query, keys, vals, &rows, scale, &mut w, &mut scalar);
         for backend in KernelBackend::supported() {
             let mut out = vec![0.0f32; dim];
-            attend_gather_with(backend, &query, keys, vals, &rows, scale, &mut w, &mut out);
+            backend.attend_gather(&query, keys, vals, &rows, scale, &mut w, &mut out);
             for (o, s) in out.iter().zip(&scalar) {
                 prop_assert!(
                     (o - s).abs() <= 5e-3 * s.abs().max(1.0),

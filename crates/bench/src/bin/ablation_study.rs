@@ -1,4 +1,4 @@
-//! Ablation study (DESIGN.md §7): which parts of UniCAIM buy what.
+//! Ablation study: which parts of UniCAIM buy what.
 //!
 //! * cost side — static-only / dynamic-only / hybrid pruning, 1-bit vs
 //!   3-bit cells (AEDP decomposition);

@@ -1,6 +1,5 @@
 //! Batched decode throughput: tokens/sec and aggregate fidelity of
-//! [`unicaim_kvcache::simulate_batch`] across batch sizes
-//! and policies.
+//! [`unicaim_kvcache::DecodeEngine`] runs across batch sizes and policies.
 //!
 //! Sweeps the batch size over a mixed needle/multi-hop/summary workload set
 //! (sequences at varying context lengths, draining raggedly like a serving
@@ -18,12 +17,13 @@
 //! so it approximates the steady-state cost of the score→select→attend→
 //! observe→insert loop.
 //!
-//! After the sequential sweep, the binary re-times the larger batch sizes
-//! under both [`Scheduler`](unicaim_kvcache::Scheduler)s — the
-//! round-robin `Sequential` baseline and the parallel `WorkerPool` —
-//! timing only the scheduler's decode phase (sessions are admitted
-//! untimed, since admission rebuilds the serial `O(prefill²)` scaffolding)
-//! and reports the per-cell speedup (`--save [<path>]` pins the comparison to
+//! The sweep runs the engine's default one-worker pool. Afterwards the
+//! binary re-times the larger batch sizes under both [`SchedulerSpec`]s —
+//! `Sequential` (one worker, on the calling thread) and a machine-sized
+//! `WorkerPool` — timing only the pool's decode phase (sessions are
+//! admitted untimed, since admission rebuilds the serial `O(prefill²)`
+//! scaffolding) and reports the per-cell speedup (`--save [<path>]` pins
+//! the comparison to
 //! `results/scheduler_throughput.json`, recording the worker/core count it
 //! was measured with).
 //!
@@ -39,8 +39,7 @@ use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::{mixed_batch, DecodeWorkload};
 use unicaim_bench::{banner, dump_json, json_output_path, HostProvenance};
 use unicaim_kvcache::{
-    prefill_attention_matrix, simulate_batch, BatchConfig, DecodeEngine, EngineConfig, PolicySpec,
-    SchedulerSpec,
+    prefill_attention_matrix, DecodeEngine, EngineConfig, PolicySpec, SchedulerSpec,
 };
 
 /// Per-sequence slot share (the per-sequence cache budget).
@@ -64,7 +63,7 @@ struct Row {
     batch_size: usize,
     total_capacity: usize,
     tokens: usize,
-    /// End-to-end `simulate_batch` wall-clock, including the per-sequence
+    /// End-to-end `DecodeEngine::run_with` wall-clock, including the per-sequence
     /// reference/matrix scaffolding.
     sim_seconds: f64,
     /// Separately timed scaffolding cost (prefill attention matrix + exact
@@ -87,7 +86,7 @@ fn policy_menu() -> Vec<PolicySpec> {
     ]
 }
 
-/// Times the evaluation scaffolding `simulate_batch` rebuilds internally:
+/// Times the evaluation scaffolding the engine rebuilds at admission:
 /// the causal prefill attention matrix and the exact reference outputs.
 fn scaffold_seconds(workloads: &[DecodeWorkload]) -> f64 {
     let start = Instant::now();
@@ -158,7 +157,7 @@ struct SchedulerRow {
     speedup: f64,
 }
 
-/// Times the *scheduler* (decode) phase for one scheduler choice,
+/// Times the pool's decode phase for one scheduler choice,
 /// returning median tokens/sec over [`REPS`] runs. Sessions are admitted
 /// untimed each repetition: admission rebuilds the `O(prefill²·dim)`
 /// evaluation scaffolding serially on the calling thread, which would
@@ -171,7 +170,7 @@ fn scheduler_tokens_per_sec(
     batch_size: usize,
 ) -> f64 {
     let engine = DecodeEngine::new(EngineConfig::new(SHARE * batch_size, K));
-    let scheduler = scheduler.build();
+    let pool = scheduler.build();
     let mut samples = Vec::with_capacity(REPS);
     let mut tokens = 0;
     for _ in 0..REPS {
@@ -179,8 +178,7 @@ fn scheduler_tokens_per_sec(
             .admit(workloads, &mut |_| spec.build())
             .expect("shipped policies uphold the harness contract");
         let start = Instant::now();
-        scheduler
-            .run(&mut sessions)
+        pool.run(&mut sessions)
             .expect("shipped policies uphold the harness contract");
         samples.push(start.elapsed().as_secs_f64());
         tokens = engine.collect(sessions).total_steps;
@@ -243,7 +241,7 @@ fn scheduler_comparison(host: &HostProvenance) -> Vec<SchedulerRow> {
     println!(
         "The WorkerPool fans whole sequences across threads, so its ceiling\n\
          is min(workers, batch size); on a single-core host the two\n\
-         schedulers tie (the saved comparison records the worker count)."
+         pools tie (the saved comparison records the worker count)."
     );
     rows
 }
@@ -308,7 +306,7 @@ fn main() {
         let name = spec.name();
         for &batch_size in &[1usize, 2, 4, 8, 16] {
             let workloads = mixed_batch(batch_size, BASE_PREFILL, DECODE_LEN, 7);
-            let config = BatchConfig::new(SHARE * batch_size, K);
+            let engine = DecodeEngine::new(EngineConfig::new(SHARE * batch_size, K));
             let mut sims = Vec::with_capacity(REPS);
             let mut scaffolds = Vec::with_capacity(REPS);
             let mut decodes = Vec::with_capacity(REPS);
@@ -316,7 +314,8 @@ fn main() {
             for _ in 0..REPS {
                 let scaffold = scaffold_seconds(&workloads);
                 let start = Instant::now();
-                let res = simulate_batch(&workloads, &mut |_| spec.build(), &config)
+                let res = engine
+                    .run_with(&workloads, &mut |_| spec.build())
                     .expect("shipped policies uphold the harness contract");
                 let sim = start.elapsed().as_secs_f64();
                 sims.push(sim);
@@ -357,7 +356,7 @@ fn main() {
     }
 
     println!(
-        "The sweep above runs the Sequential (round-robin) scheduler, so\n\
+        "The sweep above runs a one-worker pool, so\n\
          end-to-end time grows roughly linearly with batch size; dec-tok/s\n\
          isolates the per-step decode loop by subtracting the separately\n\
          timed O(prefill^2) evaluation scaffolding (reference + prefill\n\

@@ -3,7 +3,7 @@
 //! now per key-arena precision (`f32` / `int8` / `cell3`), the software
 //! ablation the paper's reduced-precision cells imply.
 //!
-//! Substitution (see DESIGN.md): instead of LongBench answer F1 through a
+//! Substitution: instead of LongBench answer F1 through a
 //! 7B LLM, we score ground-truth salient-token retrieval on synthetic
 //! long-context tasks whose attention structure reproduces the published
 //! failure modes. The reported "retrieval score" is 100 × the mean recall

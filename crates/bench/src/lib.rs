@@ -1,5 +1,5 @@
 //! Shared helpers for the figure/table regeneration binaries and the
-//! Criterion benches.
+//! `bench_check` saved-baseline suite ([`suite`]).
 //!
 //! Every table and figure of the UniCAIM paper's evaluation has a binary in
 //! `src/bin/` that regenerates it (`cargo run -p unicaim-bench --bin

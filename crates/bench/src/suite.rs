@@ -47,8 +47,7 @@ use unicaim_core::{
     UniCaimEngine,
 };
 use unicaim_kvcache::{
-    prefill_attention_matrix, simulate_batch, simulate_decode, BatchConfig, DecodeEngine,
-    PolicySpec, SchedulerSpec, SimConfig,
+    prefill_attention_matrix, simulate_decode, DecodeEngine, PolicySpec, SchedulerSpec, SimConfig,
 };
 
 /// How a case produces its figure (see the module docs for the gating
@@ -363,8 +362,9 @@ fn kernels_suite() -> Vec<Case> {
             let keys = keys.clone();
             let mut q = Vec::new();
             let mut scales = Vec::new();
+            let backend = kernels::active_backend();
             move || {
-                kernels::quantize_arena_i8_into(keys.as_slice(), dim, &mut q, &mut scales);
+                backend.quantize_arena_i8_into(keys.as_slice(), dim, &mut q, &mut scales);
                 std::hint::black_box((&q, &scales));
             }
         }),
@@ -372,10 +372,11 @@ fn kernels_suite() -> Vec<Case> {
             std::hint::black_box(kernels::partial_top_k(&scores, k));
         }),
         Case::new("kvstore_score_scan/96x64", 500, move || {
+            let backend = kernels::active_backend();
             let keys = store.keys_view();
             let mut acc = 0.0f32;
             for (_, slot) in store.iter_tokens() {
-                acc += kernels::dot(sq.row(0), keys.row(slot));
+                acc += backend.dot(sq.row(0), keys.row(slot));
             }
             std::hint::black_box(acc);
         }),
@@ -472,11 +473,13 @@ fn experiments_suite() -> Vec<Case> {
             .unwrap();
             std::hint::black_box(engine.run(&engine_workload).unwrap());
         }),
+        // The name predates the engine call; it is the case's baseline key.
         Case::new("simulate_batch/4x192/hybrid", 3, move || {
-            let config = BatchConfig::new(96 * 4, 32);
+            let engine = DecodeEngine::new(unicaim_kvcache::EngineConfig::new(96 * 4, 32));
             let spec = PolicySpec::hybrid_for_share(96, 16, 32);
             std::hint::black_box(
-                simulate_batch(&batch_workloads, &mut |_| spec.build(), &config)
+                engine
+                    .run_with(&batch_workloads, &mut |_| spec.build())
                     .expect("benchmark policies uphold the contract"),
             );
         }),
@@ -659,8 +662,7 @@ fn simd_speedup_suite() -> Vec<Case> {
                     let mut out = vec![0.0f32; k];
                     let mut run = |tier: KernelBackend| {
                         median_ns(200, || {
-                            kernels::dot_gather_with(
-                                tier,
+                            tier.dot_gather(
                                 query.row(0),
                                 RowView::contiguous(keys.as_slice(), dim),
                                 &gathered,
@@ -692,8 +694,7 @@ fn simd_speedup_suite() -> Vec<Case> {
                     let mut out = vec![0.0f32; k];
                     let mut run = |tier: KernelBackend| {
                         median_ns(200, || {
-                            kernels::dot_gather_q_with(
-                                tier,
+                            tier.dot_gather_q(
                                 &query_q,
                                 query_scale,
                                 QuantRowView::contiguous(&qkeys, &qscales, dim),
@@ -722,8 +723,7 @@ fn simd_speedup_suite() -> Vec<Case> {
                 let mut out = vec![0.0f32; dim];
                 let mut run = |tier: KernelBackend| {
                     median_ns(200, || {
-                        kernels::attend_gather_with(
-                            tier,
+                        tier.attend_gather(
                             query.row(0),
                             RowView::contiguous(keys.as_slice(), dim),
                             RowView::contiguous(values.as_slice(), dim),

@@ -244,7 +244,7 @@ impl UniCaimEngine {
         softmax_in_place(&mut weights);
         let rows: Vec<usize> = scored_rows.iter().map(|&(_, r, _)| r).collect();
         let mut output = vec![0.0f32; dim];
-        kernels::weighted_sum_gather(
+        kernels::active_backend().weighted_sum_gather(
             &weights,
             RowView::contiguous(&self.values, dim),
             &rows,

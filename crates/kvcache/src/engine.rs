@@ -1,115 +1,43 @@
 //! The batched decode engine: admits sequences as [`DecodeSession`]s,
-//! drives them with a pluggable [`Scheduler`], and retires them into a
+//! drives them with a [`WorkerPool`], and retires them into a
 //! [`BatchResult`].
 //!
-//! Two schedulers ship:
+//! Sequences in a batch are fully independent (the shared slot budget is
+//! statically partitioned, and policy state is per-sequence), so any
+//! schedule produces the same per-sequence results; the shared-array peak
+//! occupancy is reconstructed from each session's deterministic [resident
+//! trace](DecodeSession::resident_trace), so every worker count reports
+//! the identical [`BatchResult`], to the bit.
 //!
-//! * [`Sequential`] — the single-threaded round-robin tick loop the
-//!   original `simulate_batch` ran, kept bit-identical (property-tested);
-//! * [`WorkerPool`] — fans the per-sequence decode work across scoped
-//!   worker threads. Sequences in a batch are fully independent (the
-//!   shared slot budget is statically partitioned, and policy state is
-//!   per-sequence), so any schedule produces the same per-sequence
-//!   results; the shared-array peak occupancy is reconstructed from each
-//!   session's deterministic [resident
-//!   trace](DecodeSession::resident_trace), making the two schedulers'
-//!   [`BatchResult`]s identical to the bit.
-//!
-//! The engine is the serving-shaped entry point the run-to-completion
-//! wrappers ([`simulate_decode`](crate::simulate_decode),
-//! [`simulate_batch`](crate::simulate_batch)) are now thin layers over.
+//! The engine is the one batch driver:
+//! [`simulate_decode`](crate::simulate_decode) is a run of one session, and
+//! the continuous-batching [`ServeCore`](crate::ServeCore) steps its
+//! running set through the same [`WorkerPool`] one tick at a time.
 
 use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::DecodeWorkload;
+use unicaim_attention::Precision;
 
-use crate::batch::{aggregate, BatchConfig, BatchResult};
 use crate::error::HarnessError;
 use crate::policy::Policy;
 use crate::session::DecodeSession;
+use crate::sim::{SimConfig, SimResult};
 use crate::spec::PolicySpec;
 
-/// Drives a set of admitted sessions to completion.
+/// Drives admitted sessions: fans independent per-sequence decode across
+/// `workers` threads (the calling thread plus `workers − 1` scoped
+/// threads), each worker claiming the next session. This is the engine's
+/// only level of decode parallelism; a session's own resident scan always
+/// runs inline on the thread that claimed it.
 ///
-/// Implementations decide *when* each session's next step runs (strict
-/// round-robin ticks, thread-pool fan-out, …) but not *what* a step does —
-/// that is fixed by [`DecodeSession::step`], which is why every scheduler
-/// produces identical per-sequence results.
-pub trait Scheduler: Send + Sync {
-    /// A short display name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Runs every session to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`HarnessError`] any session's step raised
-    /// (other sessions may be left mid-flight).
-    fn run(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError>;
-
-    /// Advances every unfinished session by exactly one decode step — one
-    /// *serving tick*. The continuous-batching
-    /// [`ServeCore`](crate::ServeCore) drives its running set through this
-    /// instead of [`run`](Scheduler::run), so admissions and preemptions
-    /// can interleave between ticks. Finished sessions are skipped, and
-    /// sessions are independent, so any schedule of the per-session steps
-    /// yields identical results; the default is a sequential in-order
-    /// pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`HarnessError`] any session's step raised.
-    fn step_once(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        for session in sessions.iter_mut() {
-            if !session.is_done() {
-                session.step()?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Single-threaded round-robin schedule: global tick `t` runs step `t` of
-/// every sequence that still has queries left, so ragged batches drain the
-/// way the original `simulate_batch` loop drained them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sequential;
-
-impl Scheduler for Sequential {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn run(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        // One tick advances every unfinished session by one step — for
-        // freshly admitted sessions this is exactly the original
-        // `simulate_batch` loop; sessions the caller already stepped
-        // partway (the incremental API) simply finish earlier.
-        loop {
-            let mut stepped = false;
-            for session in sessions.iter_mut() {
-                if !session.is_done() {
-                    session.step()?;
-                    stepped = true;
-                }
-            }
-            if !stepped {
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Fans independent per-sequence decode across `workers` threads (the
-/// calling thread plus `workers − 1` scoped threads): each worker claims
-/// the next session and runs it to completion. This is the engine's only
-/// level of decode parallelism; a session's own resident scan always runs
-/// inline on the thread that claimed it.
-///
-/// Per-sequence results are identical to [`Sequential`]'s because nothing
-/// is shared between sequences mid-run; the throughput win is the
-/// ROADMAP's parallel-decode multiplier and scales with
+/// A pool decides *when* each session's next step runs but not *what* a
+/// step does — that is fixed by [`DecodeSession::step`] — and nothing is
+/// shared between sequences mid-run, so every worker count produces
+/// identical per-sequence results. A one-worker pool spawns no thread and
+/// steps the sessions in order on the calling thread. The throughput win
+/// is the ROADMAP's parallel-decode multiplier and scales with
 /// `min(workers, batch size)` up to the machine's cores.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
@@ -142,15 +70,43 @@ impl WorkerPool {
         self.workers
     }
 
+    /// Runs every session to completion.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`HarnessError`] any session's step raised
+    /// (other sessions may be left mid-flight).
+    pub fn run(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
+        self.fan_out(sessions, DecodeSession::run_to_completion)
+    }
+
+    /// Advances every unfinished session by exactly one decode step — one
+    /// *serving tick*. The continuous-batching
+    /// [`ServeCore`](crate::ServeCore) drives its running set through this
+    /// instead of [`run`](WorkerPool::run), so admissions and preemptions
+    /// can interleave between ticks. Finished sessions are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`HarnessError`] any session's step raised.
+    pub fn step_once(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
+        self.fan_out(sessions, |session| {
+            if !session.is_done() {
+                session.step()?;
+            }
+            Ok(())
+        })
+    }
+
     /// Applies `run_one` to every session, fanning across the pool. The
-    /// shared skeleton under both [`Scheduler::run`] (run to completion)
-    /// and [`Scheduler::step_once`] (advance one tick): workers claim the
-    /// next session off a queue, and the first error wins and stops the
-    /// claimers. The calling thread is one of the workers, so a call with
-    /// one session (or one worker) spawns no thread. Sessions are `Send`
-    /// (policies are `Send` by trait bound), so handing `&mut
-    /// DecodeSession` to a scoped thread is safe. A panicking `run_one`
-    /// re-panics here once every worker has joined.
+    /// shared skeleton under both [`run`](WorkerPool::run) (run to
+    /// completion) and [`step_once`](WorkerPool::step_once) (advance one
+    /// tick): workers claim the next session off a queue, and the first
+    /// error wins and stops the claimers. The calling thread is one of the
+    /// workers, so a call with one session (or one worker) spawns no
+    /// thread. Sessions are `Send` (policies are `Send` by trait bound), so
+    /// handing `&mut DecodeSession` to a scoped thread is safe. A
+    /// panicking `run_one` re-panics here once every worker has joined.
     fn fan_out<'w, 'p>(
         &self,
         sessions: &mut [DecodeSession<'w, 'p>],
@@ -198,29 +154,12 @@ impl WorkerPool {
     }
 }
 
-impl Scheduler for WorkerPool {
-    fn name(&self) -> &'static str {
-        "worker_pool"
-    }
-
-    fn run(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        self.fan_out(sessions, DecodeSession::run_to_completion)
-    }
-
-    fn step_once(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        self.fan_out(sessions, |session| {
-            if !session.is_done() {
-                session.step()?;
-            }
-            Ok(())
-        })
-    }
-}
-
-/// Serializable scheduler choice for [`EngineConfig`].
+/// Serializable scheduler choice for [`EngineConfig`] and
+/// [`ServeConfig`](crate::ServeConfig): how many [`WorkerPool`] threads
+/// step the sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulerSpec {
-    /// [`Sequential`] round-robin ticks.
+    /// One worker: sessions step in order on the calling thread.
     Sequential,
     /// [`WorkerPool`] with the given thread count; `workers = 0` means
     /// "size to the machine's available parallelism".
@@ -231,21 +170,105 @@ pub enum SchedulerSpec {
 }
 
 impl SchedulerSpec {
-    /// Builds the scheduler.
+    /// Builds the worker pool.
     #[must_use]
-    pub fn build(&self) -> Box<dyn Scheduler> {
+    pub fn build(&self) -> WorkerPool {
         match *self {
-            SchedulerSpec::Sequential => Box::new(Sequential),
-            SchedulerSpec::WorkerPool { workers: 0 } => {
-                Box::new(WorkerPool::with_available_parallelism())
-            }
-            SchedulerSpec::WorkerPool { workers } => Box::new(WorkerPool::new(workers)),
+            SchedulerSpec::Sequential => WorkerPool::new(1),
+            SchedulerSpec::WorkerPool { workers: 0 } => WorkerPool::with_available_parallelism(),
+            SchedulerSpec::WorkerPool { workers } => WorkerPool::new(workers),
+        }
+    }
+}
+
+/// Configuration of a batched decode run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BatchConfig {
+    /// Total shared KV-slot budget across the whole batch (the UniCAIM
+    /// array's row count). Partitioned evenly among the sequences; the
+    /// first `total_capacity % n` sequences absorb the remainder slots.
+    pub total_capacity: usize,
+    /// Dynamic top-k width passed to every sequence's policy each step.
+    pub k: usize,
+    /// Per-sequence prefill keep budget. `None` hands each sequence its full
+    /// slot share (mirroring [`SimConfig::new`]'s default).
+    pub prefill_budget: Option<usize>,
+    /// Key-arena storage precision applied to every sequence's store (see
+    /// [`SimConfig::precision`]).
+    pub precision: Precision,
+}
+
+impl BatchConfig {
+    /// A config sharing `total_capacity` slots across the batch with
+    /// top-`k` selection; each sequence's prefill budget defaults to its
+    /// slot share.
+    #[must_use]
+    pub fn new(total_capacity: usize, k: usize) -> Self {
+        Self {
+            total_capacity,
+            k,
+            prefill_budget: None,
+            precision: Precision::F32,
+        }
+    }
+
+    /// Sets the per-sequence prefill budget (builder-style).
+    #[must_use]
+    pub fn with_prefill_budget(mut self, budget: usize) -> Self {
+        self.prefill_budget = Some(budget);
+        self
+    }
+
+    /// Sets the key-arena storage precision (builder-style).
+    #[must_use]
+    pub fn with_precision(mut self, precision: Precision) -> Self {
+        self.precision = precision;
+        self
+    }
+
+    /// The batch config equivalent to running `n` independent copies of the
+    /// single-sequence `config`: total capacity `n × config.capacity`, the
+    /// same `k`, and the same per-sequence prefill budget. With `n = 1` a
+    /// [`DecodeEngine`] run under it reproduces
+    /// [`simulate_decode`](crate::simulate_decode) exactly.
+    #[must_use]
+    pub fn per_sequence(config: &SimConfig, n: usize) -> Self {
+        Self {
+            total_capacity: config.capacity * n,
+            k: config.k,
+            prefill_budget: Some(config.prefill_budget),
+            precision: config.precision,
+        }
+    }
+
+    /// The slot share of sequence `i` in a batch of `n`: an even split of
+    /// `total_capacity`, remainder slots going to the lowest indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `i >= n`.
+    #[must_use]
+    pub fn share(&self, n: usize, i: usize) -> usize {
+        assert!(n > 0, "batch must contain at least one sequence");
+        assert!(i < n, "sequence index {i} out of range for batch of {n}");
+        self.total_capacity / n + usize::from(i < self.total_capacity % n)
+    }
+
+    /// The [`SimConfig`] sequence `i` of `n` effectively runs under.
+    #[must_use]
+    pub fn sequence_config(&self, n: usize, i: usize) -> SimConfig {
+        let share = self.share(n, i);
+        SimConfig {
+            capacity: share,
+            k: self.k,
+            prefill_budget: self.prefill_budget.unwrap_or(share),
+            precision: self.precision,
         }
     }
 }
 
 /// Builder-style configuration of a [`DecodeEngine`]: the shared-budget
-/// batch shape plus the scheduler choice.
+/// batch shape plus the worker-pool choice.
 ///
 /// ```
 /// use unicaim_kvcache::{EngineConfig, SchedulerSpec};
@@ -259,23 +282,18 @@ impl SchedulerSpec {
 pub struct EngineConfig {
     /// Shared slot budget, top-k width, and per-sequence prefill budget.
     pub batch: BatchConfig,
-    /// Which scheduler drives the sessions (default [`Sequential`]).
+    /// How many workers drive the sessions (default
+    /// [`SchedulerSpec::Sequential`], one worker).
     pub scheduler: SchedulerSpec,
 }
 
 impl EngineConfig {
-    /// A sequentially scheduled engine sharing `total_capacity` slots
-    /// across the batch with top-`k` selection.
+    /// A one-worker engine sharing `total_capacity` slots across the batch
+    /// with top-`k` selection.
     #[must_use]
     pub fn new(total_capacity: usize, k: usize) -> Self {
-        Self::from_batch(BatchConfig::new(total_capacity, k))
-    }
-
-    /// Wraps an existing [`BatchConfig`] (sequential scheduling).
-    #[must_use]
-    pub fn from_batch(batch: BatchConfig) -> Self {
         Self {
-            batch,
+            batch: BatchConfig::new(total_capacity, k),
             scheduler: SchedulerSpec::Sequential,
         }
     }
@@ -291,12 +309,12 @@ impl EngineConfig {
     /// runs at (builder-style; see
     /// [`SimConfig::precision`](crate::SimConfig::precision)).
     #[must_use]
-    pub fn with_precision(mut self, precision: unicaim_attention::Precision) -> Self {
+    pub fn with_precision(mut self, precision: Precision) -> Self {
         self.batch.precision = precision;
         self
     }
 
-    /// Sets the scheduler (builder-style).
+    /// Sets the worker-pool choice (builder-style).
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerSpec) -> Self {
         self.scheduler = scheduler;
@@ -304,7 +322,79 @@ impl EngineConfig {
     }
 }
 
-/// The batched decode engine: admit → schedule → retire.
+/// Aggregate result of one batched decode run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BatchResult {
+    /// Per-sequence results, in workload order — each is exactly what
+    /// [`simulate_decode`](crate::simulate_decode) would report for that
+    /// sequence under its slot share.
+    pub per_sequence: Vec<SimResult>,
+    /// Number of sequences in the batch.
+    pub n_sequences: usize,
+    /// The shared slot budget the batch ran under.
+    pub total_capacity: usize,
+    /// Total decode steps executed across all sequences (= generated
+    /// tokens, the numerator of a tokens/sec throughput figure).
+    pub total_steps: usize,
+    /// Total answer steps aggregated across sequences (weight of the
+    /// salience means below; 0 means the batch had nothing to retrieve).
+    pub total_answer_steps: usize,
+    /// Step-weighted mean output cosine across the batch (identical to the
+    /// per-step mean a single flat run over all steps would report).
+    pub output_cosine: f64,
+    /// Answer-step-weighted mean salient recall across the batch.
+    pub salient_recall: f64,
+    /// Answer-step-weighted mean retrieval accuracy across the batch.
+    pub retrieval_accuracy: f64,
+    /// Peak total resident tokens across all sequences at any round-robin
+    /// tick — the shared array's high-water occupancy. Bounded by
+    /// `total_capacity` by construction (the per-sequence shares statically
+    /// partition the budget); reported so under-utilization is visible.
+    /// Reconstructed from the per-sequence resident traces, so every
+    /// scheduler reports the same figure.
+    pub peak_resident: usize,
+}
+
+/// Folds per-sequence results into the batch aggregate. Weighting each
+/// sequence's mean by its step (resp. answer-step) count reconstructs the
+/// global per-step mean.
+pub(crate) fn aggregate(
+    per_sequence: Vec<SimResult>,
+    total_capacity: usize,
+    peak_resident: usize,
+) -> BatchResult {
+    let n = per_sequence.len();
+    let total_steps: usize = per_sequence.iter().map(|r| r.steps).sum();
+    let total_answer_steps: usize = per_sequence.iter().map(|r| r.answer_steps).sum();
+    let weighted = |f: fn(&SimResult) -> f64, w: fn(&SimResult) -> usize, total: usize| {
+        if total == 0 {
+            0.0
+        } else {
+            per_sequence.iter().map(|r| f(r) * w(r) as f64).sum::<f64>() / total as f64
+        }
+    };
+    let output_cosine = weighted(|r| r.output_cosine, |r| r.steps, total_steps);
+    let salient_recall = weighted(|r| r.salient_recall, |r| r.answer_steps, total_answer_steps);
+    let retrieval_accuracy = weighted(
+        |r| r.retrieval_accuracy,
+        |r| r.answer_steps,
+        total_answer_steps,
+    );
+
+    BatchResult {
+        per_sequence,
+        n_sequences: n,
+        total_capacity,
+        total_steps,
+        total_answer_steps,
+        output_cosine,
+        salient_recall,
+        retrieval_accuracy,
+        peak_resident,
+    }
+}
+
+/// The batched decode engine: admit → run on the [`WorkerPool`] → retire.
 ///
 /// ```
 /// use unicaim_attention::workloads::mixed_batch;
@@ -319,36 +409,23 @@ impl EngineConfig {
 /// ```
 pub struct DecodeEngine {
     config: EngineConfig,
-    scheduler: Box<dyn Scheduler>,
+    pool: WorkerPool,
 }
 
 impl DecodeEngine {
-    /// Creates the engine, building the scheduler named by the config.
+    /// Creates the engine, building the worker pool named by the config.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         Self {
-            scheduler: config.scheduler.build(),
+            pool: config.scheduler.build(),
             config,
         }
-    }
-
-    /// Creates the engine with a caller-provided scheduler implementation
-    /// (the config's [`SchedulerSpec`] is kept for reporting only).
-    #[must_use]
-    pub fn with_scheduler(config: EngineConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        Self { config, scheduler }
     }
 
     /// The engine's configuration.
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The active scheduler's display name.
-    #[must_use]
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
     }
 
     /// Admits every workload as a prefillled [`DecodeSession`] under its
@@ -383,9 +460,9 @@ impl DecodeEngine {
     pub fn collect(&self, sessions: Vec<DecodeSession<'_, '_>>) -> BatchResult {
         // Peak shared occupancy: tick t's occupancy is the sum over
         // sequences of the resident count after their step t (sequences
-        // already drained hold their final count) — the same quantity the
-        // round-robin loop used to sample after every tick, but computed
-        // from per-sequence traces so it is schedule-independent.
+        // already drained hold their final count) — what a round-robin
+        // schedule would sample after every tick, but computed from
+        // per-sequence traces so it is schedule-independent.
         let max_ticks = sessions
             .iter()
             .map(|s| s.resident_trace().len().saturating_sub(1))
@@ -462,7 +539,7 @@ impl DecodeEngine {
         factory: &mut dyn FnMut(usize) -> Box<dyn Policy>,
     ) -> Result<BatchResult, HarnessError> {
         let mut sessions = self.admit(workloads, factory)?;
-        self.scheduler.run(&mut sessions)?;
+        self.pool.run(&mut sessions)?;
         Ok(self.collect(sessions))
     }
 }
@@ -470,11 +547,104 @@ impl DecodeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::StreamingLlm;
-    use unicaim_attention::workloads::mixed_batch;
+    use crate::policies::{HybridStaticDynamic, StreamingLlm};
+    use crate::sim::simulate_decode;
+    use unicaim_attention::workloads::{mixed_batch, needle_task};
 
     fn sample_batch() -> Vec<DecodeWorkload> {
         mixed_batch(5, 64, 8, 13)
+    }
+
+    /// A one-worker engine over `batch`.
+    fn engine_for(batch: BatchConfig) -> DecodeEngine {
+        DecodeEngine::new(EngineConfig {
+            batch,
+            scheduler: SchedulerSpec::Sequential,
+        })
+    }
+
+    #[test]
+    fn batch_of_one_matches_simulate_decode_bit_for_bit() {
+        let w = needle_task(128, 16, 3);
+        let cfg = SimConfig::new(64, 16).with_prefill_budget(48);
+        let mut single = HybridStaticDynamic::new(48, 16, 16);
+        let expected = simulate_decode(&w, &mut single, &cfg).unwrap();
+
+        let batch = engine_for(BatchConfig::per_sequence(&cfg, 1))
+            .run_with(std::slice::from_ref(&w), &mut |_| {
+                Box::new(HybridStaticDynamic::new(48, 16, 16))
+            })
+            .unwrap();
+        assert_eq!(batch.per_sequence.len(), 1);
+        assert_eq!(batch.per_sequence[0], expected);
+        assert_eq!(batch.total_steps, expected.steps);
+        assert_eq!(batch.output_cosine, expected.output_cosine);
+        assert_eq!(batch.salient_recall, expected.salient_recall);
+    }
+
+    #[test]
+    fn shares_partition_the_total_budget() {
+        let cfg = BatchConfig::new(100, 8);
+        let shares: Vec<usize> = (0..7).map(|i| cfg.share(7, i)).collect();
+        assert_eq!(shares.iter().sum::<usize>(), 100);
+        assert!(shares.iter().all(|&s| s == 14 || s == 15));
+        // Remainder slots go to the lowest indices.
+        assert_eq!(shares[0], 15);
+        assert_eq!(shares[6], 14);
+    }
+
+    #[test]
+    fn ragged_batch_drains_all_sequences() {
+        // mixed_batch varies decode lengths, so sequences finish at
+        // different global ticks.
+        let batch = mixed_batch(4, 64, 8, 17);
+        let lens: Vec<usize> = batch.iter().map(|w| w.decode_queries.len()).collect();
+        assert!(lens.iter().any(|&l| l != lens[0]), "lengths must vary");
+        let r = engine_for(BatchConfig::new(4 * 24, 8))
+            .run_with(&batch, &mut |_| Box::new(StreamingLlm::new(2)))
+            .unwrap();
+        assert_eq!(r.n_sequences, 4);
+        assert_eq!(r.total_steps, lens.iter().sum::<usize>());
+        for (res, len) in r.per_sequence.iter().zip(&lens) {
+            assert_eq!(res.steps, *len);
+        }
+    }
+
+    #[test]
+    fn peak_occupancy_never_exceeds_shared_budget() {
+        let batch = mixed_batch(6, 96, 12, 5);
+        let cfg = BatchConfig::new(6 * 40, 16);
+        let r = engine_for(cfg)
+            .run_with(&batch, &mut |i| {
+                let share = cfg.share(6, i);
+                Box::new(HybridStaticDynamic::new(
+                    share.saturating_sub(4).max(1),
+                    4,
+                    16,
+                ))
+            })
+            .unwrap();
+        assert!(r.peak_resident <= cfg.total_capacity, "{r:?}");
+        assert!(r.peak_resident > 0);
+    }
+
+    #[test]
+    fn aggregates_are_step_weighted() {
+        let batch = mixed_batch(3, 64, 8, 9);
+        let r = engine_for(BatchConfig::new(3 * 32, 8))
+            .run_with(&batch, &mut |_| Box::new(StreamingLlm::new(2)))
+            .unwrap();
+        let expect: f64 = r
+            .per_sequence
+            .iter()
+            .map(|s| s.output_cosine * s.steps as f64)
+            .sum::<f64>()
+            / r.total_steps as f64;
+        assert!((r.output_cosine - expect).abs() < 1e-12);
+        assert_eq!(
+            r.total_answer_steps,
+            r.per_sequence.iter().map(|s| s.answer_steps).sum::<usize>()
+        );
     }
 
     #[test]
@@ -498,7 +668,7 @@ mod tests {
         let engine = DecodeEngine::new(
             EngineConfig::new(5 * 24, 8).with_scheduler(SchedulerSpec::WorkerPool { workers: 0 }),
         );
-        assert_eq!(engine.scheduler_name(), "worker_pool");
+        assert!(SchedulerSpec::WorkerPool { workers: 0 }.build().workers() >= 1);
         let r = engine
             .run(&workloads, &PolicySpec::StreamingLlm { n_sinks: 2 })
             .unwrap();
@@ -692,7 +862,7 @@ mod tests {
     #[test]
     fn sequential_finishes_partially_stepped_sessions() {
         // A caller may step admitted sessions incrementally before handing
-        // them to a scheduler; Sequential must finish them rather than
+        // them to the pool; a one-worker run must finish them rather than
         // stepping past the end.
         let workloads = sample_batch();
         let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
@@ -704,7 +874,7 @@ mod tests {
             sessions[1].step().unwrap();
         }
         sessions[2].run_to_completion().unwrap();
-        Sequential.run(&mut sessions).unwrap();
+        WorkerPool::new(1).run(&mut sessions).unwrap();
         assert!(sessions.iter().all(DecodeSession::is_done));
         assert_eq!(engine.collect(sessions), expected);
     }
@@ -712,22 +882,19 @@ mod tests {
     #[test]
     fn step_once_ticks_every_unfinished_session_in_lockstep() {
         // Driving the batch tick-by-tick through step_once (on either
-        // scheduler) must reproduce the run-to-completion result exactly,
+        // worker count) must reproduce the run-to-completion result exactly,
         // with every session advancing one step per tick until it drains.
         let workloads = sample_batch();
         let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
         let engine = DecodeEngine::new(EngineConfig::new(5 * 24, 8));
         let expected = engine.run(&workloads, &spec).unwrap();
 
-        for scheduler in [
-            Box::new(Sequential) as Box<dyn Scheduler>,
-            Box::new(WorkerPool::new(3)),
-        ] {
+        for pool in [WorkerPool::new(1), WorkerPool::new(3)] {
             let mut sessions = engine.admit(&workloads, &mut |_| spec.build()).unwrap();
             let mut ticks = 0usize;
             while sessions.iter().any(|s| !s.is_done()) {
                 let before: Vec<usize> = sessions.iter().map(DecodeSession::next_step).collect();
-                scheduler.step_once(&mut sessions).unwrap();
+                pool.step_once(&mut sessions).unwrap();
                 for (session, before) in sessions.iter().zip(before) {
                     let expected_step = (before + 1).min(session.steps());
                     assert_eq!(session.next_step(), expected_step);
@@ -750,8 +917,8 @@ mod tests {
     #[test]
     fn collect_reconstructs_round_robin_peak() {
         // Drive sessions in a deliberately non-round-robin order (each to
-        // completion, one after another) and check the peak matches the
-        // sequential engine's.
+        // completion, last to first) and check the peak matches the
+        // engine's own run.
         let workloads = sample_batch();
         let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
         let config = EngineConfig::new(5 * 20, 8);

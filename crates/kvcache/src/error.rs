@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Each variant names the offending token and, where one exists, the decode
 /// step at which the violation happened. The drivers
-/// ([`simulate_decode`](crate::simulate_decode),
-/// [`simulate_batch`](crate::simulate_batch), [`DecodeEngine`]) surface
+/// ([`simulate_decode`](crate::simulate_decode), [`DecodeEngine`]) surface
 /// these instead of panicking, so a broken policy still cannot hide behind
 /// quietly degraded metrics — but a caller can now decide what to do about
 /// it.

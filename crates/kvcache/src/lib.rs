@@ -15,7 +15,9 @@
 //!
 //! Policies are driven over the synthetic long-context workloads of
 //! [`unicaim_attention::workloads`], producing retrieval and
-//! output-fidelity metrics (the Fig. 13 substitution — see DESIGN.md).
+//! output-fidelity metrics (the Fig. 13 substitution: ground-truth
+//! salient-token retrieval on synthetic tasks stands in for the paper's
+//! LongBench answer F1 through a 7B LLM).
 //! The public API is session-oriented:
 //!
 //! * [`DecodeSession`] — one sequence admitted, stepped, and retired
@@ -24,9 +26,10 @@
 //! * [`PolicySpec`] — a serializable registry entry that builds any
 //!   shipped policy from data ([`PolicySpec::build`],
 //!   [`PolicySpec::from_name`]);
-//! * [`DecodeEngine`] — the batched driver: admits N sequences against one
-//!   shared slot budget and drives them with a pluggable [`Scheduler`]
-//!   ([`Sequential`] round-robin, or the parallel [`WorkerPool`]);
+//! * [`DecodeEngine`] — the one batch driver: admits N sequences against
+//!   one shared slot budget, runs them on a [`WorkerPool`] (one worker
+//!   steps them in order on the calling thread), and retires them into a
+//!   [`BatchResult`];
 //! * [`ServeCore`] — the continuous-batching server core: bounded
 //!   per-tenant request queues, admission control against the shared slot
 //!   budget, priority preemption with re-prefill, sequences joining and
@@ -44,8 +47,8 @@
 //!   ([`Uniform`], [`DepthDecayed`], or the entropy-driven
 //!   [`EntropyDynamic`] which re-balances budgets mid-decode), each
 //!   allocator buildable from a serializable [`AllocatorSpec`];
-//! * [`simulate_decode`] / [`simulate_batch`] — thin run-to-completion
-//!   wrappers over the above for the batch-scientific call sites.
+//! * [`simulate_decode`] — a thin run-to-completion wrapper over one
+//!   [`DecodeSession`] for the single-sequence scientific call sites.
 //!
 //! # Quickstart
 //!
@@ -79,7 +82,6 @@
 #![warn(missing_docs)]
 
 mod allocator;
-mod batch;
 mod engine;
 mod error;
 mod metrics;
@@ -95,8 +97,7 @@ mod stack;
 pub mod policies;
 
 pub use allocator::{AllocatorSpec, BudgetAllocator, DepthDecayed, EntropyDynamic, Uniform};
-pub use batch::{simulate_batch, BatchConfig, BatchResult};
-pub use engine::{DecodeEngine, EngineConfig, Scheduler, SchedulerSpec, Sequential, WorkerPool};
+pub use engine::{BatchConfig, BatchResult, DecodeEngine, EngineConfig, SchedulerSpec, WorkerPool};
 pub use error::HarnessError;
 pub use metrics::{MetricsSummary, ServerMetrics, OCCUPANCY_BUCKETS};
 pub use policies::{

@@ -27,9 +27,8 @@ pub struct StepDecision {
 /// # Harness ↔ policy contract
 ///
 /// Every driver ([`simulate_decode`](crate::simulate_decode), the batched
-/// [`simulate_batch`](crate::simulate_batch), and the incremental
-/// [`DecodeSession`](crate::DecodeSession) /
-/// [`DecodeEngine`](crate::DecodeEngine) serving API) holds the policy to
+/// [`DecodeEngine`](crate::DecodeEngine), and the incremental
+/// [`DecodeSession`](crate::DecodeSession) serving API) holds the policy to
 /// the following contract, enforced with typed
 /// [`HarnessError`](crate::HarnessError)s rather than silent repair, so a
 /// broken policy cannot hide behind quietly degraded metrics — but a
@@ -58,7 +57,7 @@ pub struct StepDecision {
 ///   or return `None`, which drops the incoming token instead.
 ///
 /// Policies must be [`Send`]: the [`WorkerPool`](crate::WorkerPool)
-/// scheduler fans per-sequence sessions (each owning its policy) across
+/// fans per-sequence sessions (each owning its policy) across
 /// threads. Policy state is plain owned data in every shipped policy, so
 /// this costs implementors nothing.
 pub trait Policy: Send {

@@ -28,10 +28,10 @@
 //!   serving trace produces bit-identical numbers on every machine; wall
 //!   clock enters only when a bench times a whole run.
 //!
-//! Per-tick stepping goes through the same [`Scheduler`] seam the engine
-//! uses ([`Scheduler::step_once`]): sessions are independent, so the
-//! `WorkerPool` fan-out produces the same report as `Sequential`, to the
-//! bit.
+//! Per-tick stepping goes through the same [`WorkerPool`] the engine runs
+//! on ([`WorkerPool::step_once`]): sessions are independent, so every
+//! worker count produces the same report, to the bit. A one-worker pool
+//! steps the sessions in order on the calling thread.
 
 use std::collections::VecDeque;
 
@@ -39,8 +39,7 @@ use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::{ArrivalEvent, DecodeWorkload};
 use unicaim_attention::Precision;
 
-use crate::batch::{aggregate, BatchResult};
-use crate::engine::{Scheduler, SchedulerSpec};
+use crate::engine::{aggregate, BatchResult, SchedulerSpec, WorkerPool};
 use crate::error::HarnessError;
 use crate::metrics::{MetricsSummary, ServerMetrics};
 use crate::prefix::PrefixRegistry;
@@ -80,14 +79,14 @@ pub struct ServeConfig {
     /// rejected (counted, never silently dropped). Preemption requeues are
     /// exempt — a preempted request never bounces.
     pub queue_limit: usize,
-    /// How each tick's per-session steps are scheduled. Sessions are
-    /// independent, so every choice yields a bit-identical
+    /// How many [`WorkerPool`] threads step each tick's sessions. Sessions
+    /// are independent, so every choice yields a bit-identical
     /// [`ServeReport`].
     pub scheduler: SchedulerSpec,
 }
 
 impl ServeConfig {
-    /// A sequentially scheduled core sharing `total_capacity` slots in
+    /// A one-worker core sharing `total_capacity` slots in
     /// `session_slots` shares with top-`k` selection, no reserved decode
     /// slots, f32 arenas, and a queue bound of 16 per tenant.
     #[must_use]
@@ -124,7 +123,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-tick scheduler (builder-style).
+    /// Sets the per-tick worker-pool choice (builder-style).
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerSpec) -> Self {
         self.scheduler = scheduler;
@@ -222,7 +221,7 @@ pub struct ServeReport {
     /// Every retired request, in completion order.
     pub completed: Vec<CompletedRequest>,
     /// The completed requests folded into the batch aggregate (same
-    /// step-weighted means as [`simulate_batch`](crate::simulate_batch)).
+    /// step-weighted means as a [`DecodeEngine`](crate::DecodeEngine) run).
     pub batch: BatchResult,
     /// The serving metrics summary.
     pub summary: MetricsSummary,
@@ -240,7 +239,7 @@ struct Pending<'w> {
 }
 
 /// Bookkeeping for one running session (kept in a vec parallel to the
-/// sessions so the scheduler can borrow the bare `&mut [DecodeSession]`).
+/// sessions so the pool can borrow the bare `&mut [DecodeSession]`).
 struct RunningMeta<'w> {
     request: Pending<'w>,
     first_token_tick: Option<u64>,
@@ -267,7 +266,7 @@ struct RunningMeta<'w> {
 pub struct ServeCore<'w> {
     config: ServeConfig,
     session_config: SimConfig,
-    scheduler: Box<dyn Scheduler>,
+    pool: WorkerPool,
     queues: Vec<VecDeque<Pending<'w>>>,
     rr_cursor: usize,
     running: Vec<RunningMeta<'w>>,
@@ -280,7 +279,7 @@ pub struct ServeCore<'w> {
 }
 
 impl<'w> ServeCore<'w> {
-    /// Creates the core, building the scheduler named by the config.
+    /// Creates the core, building the worker pool named by the config.
     ///
     /// # Errors
     ///
@@ -290,7 +289,7 @@ impl<'w> ServeCore<'w> {
         config.validate()?;
         Ok(Self {
             session_config: config.session_config(),
-            scheduler: config.scheduler.build(),
+            pool: config.scheduler.build(),
             queues: Vec::new(),
             rr_cursor: 0,
             running: Vec::new(),
@@ -436,7 +435,7 @@ impl<'w> ServeCore<'w> {
     ///    `High` queue heads first, then `Normal` — admitting while slots
     ///    remain (admission runs the prefill);
     /// 3. every running session advances one decode step (through the
-    ///    configured [`Scheduler`]);
+    ///    configured [`WorkerPool`]);
     /// 4. finished sessions retire into [`CompletedRequest`]s.
     ///
     /// # Errors
@@ -447,11 +446,11 @@ impl<'w> ServeCore<'w> {
         self.preempt_for_queued_high();
         self.admit_from_queues()?;
 
-        // Decode: one step per running session, through the scheduler
-        // seam. Every running session has work by invariant (finished
-        // sessions retire at the end of the tick they finish in).
+        // Decode: one step per running session, through the pool. Every
+        // running session has work by invariant (finished sessions retire
+        // at the end of the tick they finish in).
         let steps = self.sessions.len();
-        self.scheduler.step_once(&mut self.sessions)?;
+        self.pool.step_once(&mut self.sessions)?;
         for (meta, session) in self.running.iter_mut().zip(&self.sessions) {
             debug_assert!(session.tokens_generated() > 0);
             if meta.first_token_tick.is_none() {

@@ -6,7 +6,7 @@
 //! wrapper, a session is driven *incrementally* — `prefill` admits the
 //! sequence, `step` advances it one decode token, `finish` retires it into
 //! a [`SimResult`] — which is exactly the lifecycle a serving loop needs:
-//! both the [`DecodeEngine`](crate::DecodeEngine)'s schedulers and the
+//! both the [`DecodeEngine`](crate::DecodeEngine)'s worker pool and the
 //! continuous-batching [`ServeCore`](crate::ServeCore) drive sessions
 //! through this interface (the serve core additionally *drops* sessions
 //! mid-flight on preemption and re-prefills them later).
@@ -126,14 +126,14 @@ pub struct StepOutcome {
 /// selection → observe weights over all residents → insert the new token,
 /// evicting on overflow) is shared by every driver in this crate:
 /// [`simulate_decode`](crate::simulate_decode) drives one borrowed-policy
-/// session to completion, and the [`DecodeEngine`](crate::DecodeEngine)
-/// schedulers drive many owned-policy sessions concurrently. A batch of
+/// session to completion, and the [`DecodeEngine`](crate::DecodeEngine)'s
+/// worker pool drives many owned-policy sessions concurrently. A batch of
 /// size 1 therefore reproduces the single-sequence driver bit for bit
 /// (property-tested in `tests/properties.rs`).
 ///
 /// Sessions are [`Send`] (policies are required to be `Send`, see
-/// [`Policy`]), so the [`WorkerPool`](crate::WorkerPool) scheduler can fan
-/// them across threads.
+/// [`Policy`]), so the [`WorkerPool`](crate::WorkerPool) can fan them
+/// across threads.
 pub struct DecodeSession<'w, 'p> {
     workload: &'w DecodeWorkload,
     policy: PolicyHolder<'p>,
@@ -607,9 +607,10 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         }
         self.scan_scores.clear();
         self.scan_scores.resize(self.scan_slots.len(), 0.0);
+        let backend = kernels::active_backend();
         if let Some(qkeys) = self.store.quant_keys_view() {
-            self.query_scale = kernels::quantize_row_i8(query, &mut self.query_q);
-            kernels::dot_gather_q(
+            self.query_scale = backend.quantize_row_i8(query, &mut self.query_q);
+            backend.dot_gather_q(
                 &self.query_q,
                 self.query_scale,
                 qkeys,
@@ -618,7 +619,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
                 &mut self.scan_scores,
             );
         } else {
-            kernels::dot_gather(
+            backend.dot_gather(
                 query,
                 self.store.keys_view(),
                 &self.scan_slots,
@@ -643,7 +644,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         self.n_resident.push(self.scored.len() as f64);
         self.n_selected.push(decision.selected.len() as f64);
         if let Some(qkeys) = self.store.quant_keys_view() {
-            kernels::attend_gather_q(
+            backend.attend_gather_q(
                 &self.query_q,
                 self.query_scale,
                 qkeys,
@@ -654,7 +655,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
                 &mut self.output,
             );
         } else {
-            kernels::attend_gather(
+            backend.attend_gather(
                 query,
                 self.store.keys_view(),
                 self.store.values_view(),

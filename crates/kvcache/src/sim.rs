@@ -160,8 +160,10 @@ pub fn simulate_decode(
 /// prefill static-pruning stage ranks tokens with).
 ///
 /// The prompt keys are flattened into a contiguous arena once, then every
-/// query row runs a strided [`kernels::dot_prefix`] pass — the pre-refactor
-/// version chased one heap allocation per key per query.
+/// query row runs a strided
+/// [`KernelBackend::dot_prefix`](kernels::KernelBackend::dot_prefix)
+/// pass — the pre-refactor version chased one heap allocation per key per
+/// query.
 #[must_use]
 pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
     let seq = workload.prefill_keys.len();
@@ -173,11 +175,12 @@ pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
     }
     let keys = RowView::contiguous(&arena, dim);
     let mut probs = Matrix::zeros(seq, seq);
+    let backend = kernels::active_backend();
     for t in 0..seq {
         let q = &workload.prefill_queries[t];
         let row = probs.row_mut(t);
         // Mask the future by excluding it from the scores and the softmax.
-        kernels::dot_prefix(q, keys, scale, &mut row[..t + 1]);
+        backend.dot_prefix(q, keys, scale, &mut row[..t + 1]);
         softmax_in_place(&mut row[..t + 1]);
     }
     probs
@@ -187,11 +190,12 @@ pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
 ///
 /// An empty selection returns a deterministic zero vector of the store's
 /// dimension (the pruned model attends to nothing, so it contributes
-/// nothing). Runs the fused [`kernels::attend_gather`] kernel over the
-/// store's flat key/value arenas — or its quantized twin
-/// [`kernels::attend_gather_q`] when the store keeps a quantized key
-/// arena, so the convenience API scores at the same precision the decode
-/// hot path does.
+/// nothing). Runs the fused
+/// [`KernelBackend::attend_gather`](kernels::KernelBackend::attend_gather)
+/// kernel over the store's flat key/value arenas — or its quantized form
+/// [`KernelBackend::attend_gather_q`](kernels::KernelBackend::attend_gather_q)
+/// when the store keeps a quantized key arena, so the convenience API
+/// scores at the same precision the decode hot path does.
 ///
 /// # Errors
 ///
@@ -214,10 +218,11 @@ pub fn attention_over(
         .map_err(|token| HarnessError::NonResidentToken { token })?;
     let scale = 1.0 / (query.len() as f32).sqrt();
     let mut weights = Vec::with_capacity(slots.len());
+    let backend = kernels::active_backend();
     if let Some(qkeys) = store.quant_keys_view() {
         let mut query_q = vec![0i8; query.len()];
-        let query_scale = kernels::quantize_row_i8(query, &mut query_q);
-        kernels::attend_gather_q(
+        let query_scale = backend.quantize_row_i8(query, &mut query_q);
+        backend.attend_gather_q(
             &query_q,
             query_scale,
             qkeys,
@@ -228,7 +233,7 @@ pub fn attention_over(
             &mut out,
         );
     } else {
-        kernels::attend_gather(
+        backend.attend_gather(
             query,
             store.keys_view(),
             store.values_view(),
@@ -626,10 +631,20 @@ mod tests {
     #[test]
     fn streaming_resident_set_is_sinks_plus_window() {
         let w = needle_task(128, 24, 9);
-        let mut p = StreamingLlm::new(4);
         let cfg = SimConfig::new(32, 32);
-        let _ = simulate_decode(&w, &mut p, &cfg).unwrap();
-        // After the run the policy survived; the capacity test above covers
-        // the invariant. (Resident tracking is internal to the harness.)
+        let mut session = DecodeSession::prefill(&w, Box::new(StreamingLlm::new(4)), &cfg).unwrap();
+        for t in 0..session.steps() {
+            session.step().unwrap();
+            // The residents step `t` scored: the four sinks plus the 28
+            // most recent tokens (prefill keeps 100..=127; each step's
+            // insert evicts the oldest non-sink).
+            let observed: std::collections::BTreeSet<usize> = session
+                .last_observed()
+                .iter()
+                .map(|&(token, _)| token)
+                .collect();
+            let expected = (0..4).chain(100 + t..=127 + t).collect();
+            assert_eq!(observed, expected, "step {t}");
+        }
     }
 }

@@ -252,7 +252,7 @@ impl PolicySpec {
     }
 
     /// Builds a fresh policy instance. Policies are [`Send`] by trait
-    /// bound, so the built box can cross scheduler threads.
+    /// bound, so the built box can cross worker-pool threads.
     ///
     /// # Panics
     ///

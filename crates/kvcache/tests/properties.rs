@@ -6,10 +6,10 @@ use unicaim_attention::workloads::{
 };
 use unicaim_attention::Matrix;
 use unicaim_kvcache::{
-    simulate_batch, simulate_decode, simulate_stack, AllocatorSpec, BatchConfig, DecodeEngine,
-    DecodeSession, EngineConfig, HybridStaticDynamic, Policy, PolicySpec, Precision,
-    PrefixRegistry, SchedulerSpec, ScoreTable, ServeConfig, ServeCore, SimConfig, StackConfig,
-    StepDecision, StreamingLlm,
+    simulate_decode, simulate_stack, AllocatorSpec, BatchConfig, DecodeEngine, DecodeSession,
+    EngineConfig, HybridStaticDynamic, Policy, PolicySpec, Precision, PrefixRegistry,
+    SchedulerSpec, ScoreTable, ServeConfig, ServeCore, SimConfig, StackConfig, StepDecision,
+    StreamingLlm,
 };
 
 fn small_workload(
@@ -289,11 +289,11 @@ proptest! {
         for spec in policy_menu(capacity, k) {
             let mut single = spec.build();
             let expected = simulate_decode(&w, single.as_mut(), &cfg).expect("contract upheld");
-            let batch = simulate_batch(
-                std::slice::from_ref(&w),
-                &mut |_| spec.build(),
-                &BatchConfig::per_sequence(&cfg, 1),
-            )
+            let batch = DecodeEngine::new(EngineConfig {
+                batch: BatchConfig::per_sequence(&cfg, 1),
+                scheduler: SchedulerSpec::Sequential,
+            })
+            .run_with(std::slice::from_ref(&w), &mut |_| spec.build())
             .expect("contract upheld");
             prop_assert_eq!(&batch.per_sequence[0], &expected);
         }
@@ -353,34 +353,42 @@ proptest! {
         }
     }
 
-    /// The `WorkerPool` scheduler produces the *identical* `BatchResult`
+    /// A `WorkerPool` run produces the *identical* `BatchResult`
     /// (per-sequence results, weighted aggregates, and the reconstructed
-    /// peak occupancy) as `Sequential`, for every shipped policy, batch
-    /// shape, and worker count — the invariant that makes the parallel
-    /// scheduler a pure throughput play. A single-sequence batch runs on
-    /// the calling thread alone, so it covers the no-spawn path too.
+    /// peak occupancy) as a reference that never enters the pool —
+    /// sessions admitted by `DecodeEngine::admit`, each stepped by a plain
+    /// `run_to_completion` loop, retired by `collect` — for every shipped
+    /// policy, batch shape, and worker count: the invariant that makes the
+    /// pool a pure throughput play. One worker, or a single-sequence
+    /// batch, runs on the calling thread alone, so the no-spawn path is
+    /// covered too.
     #[test]
     fn worker_pool_equals_sequential_for_every_policy(
         seed in 0u64..200,
         n in 1usize..6,
         share in 14usize..32,
         k in 1usize..16,
-        workers in 2usize..5,
+        workers in 1usize..5,
     ) {
         let workloads: Vec<_> = (0..n as u64)
             .map(|i| small_workload(seed.wrapping_add(i), 32 + 4 * i as usize, 8 + i as usize))
             .collect();
         for spec in policy_menu(share, k) {
-            let sequential = DecodeEngine::new(EngineConfig::new(share * n, k))
-                .run(&workloads, &spec)
+            let engine = DecodeEngine::new(EngineConfig::new(share * n, k));
+            let mut sessions = engine
+                .admit(&workloads, &mut |_| spec.build())
                 .expect("contract upheld");
+            for session in &mut sessions {
+                session.run_to_completion().expect("contract upheld");
+            }
+            let reference = engine.collect(sessions);
             let pooled = DecodeEngine::new(
                 EngineConfig::new(share * n, k)
                     .with_scheduler(SchedulerSpec::WorkerPool { workers }),
             )
             .run(&workloads, &spec)
             .expect("contract upheld");
-            prop_assert_eq!(&pooled, &sequential);
+            prop_assert_eq!(&pooled, &reference);
         }
     }
 }
@@ -534,12 +542,14 @@ fn batched_policies_share_the_budget_evenly() {
     // Deterministic (non-proptest) sanity: a 4-sequence batch under each
     // policy respects the shared budget and reports per-sequence results.
     let workloads: Vec<_> = (0..4u64).map(|s| small_workload(s, 48, 12)).collect();
-    let config = BatchConfig::new(4 * 24, 8);
+    let config = EngineConfig::new(4 * 24, 8);
     for spec in policy_menu(24, 8) {
-        let r = simulate_batch(&workloads, &mut |_| spec.build(), &config).expect("contract");
+        let r = DecodeEngine::new(config)
+            .run_with(&workloads, &mut |_| spec.build())
+            .expect("contract");
         assert_eq!(r.n_sequences, 4);
         assert_eq!(r.per_sequence.len(), 4);
-        assert!(r.peak_resident <= config.total_capacity, "{r:?}");
+        assert!(r.peak_resident <= config.batch.total_capacity, "{r:?}");
         assert_eq!(r.total_steps, 4 * 12);
     }
 }

@@ -9,8 +9,8 @@ use serde::Serialize;
 
 use crate::lexer::{scan, Line};
 use crate::rules::{
-    check_kernel_twins, check_no_panic, check_nondeterminism, check_registry_sync,
-    check_target_feature, check_unsafe, test_regions, Diagnostic, ALL_RULES, RULE_ALLOW_REASON,
+    check_no_panic, check_nondeterminism, check_registry_sync, check_target_feature, check_unsafe,
+    test_regions, Diagnostic, ALL_RULES, RULE_ALLOW_REASON,
 };
 
 /// Directories never scanned: vendored stand-ins own their hygiene, build
@@ -97,7 +97,6 @@ pub fn lint_source(rel: &str, src: &str) -> (Vec<Diagnostic>, Vec<Allow>) {
     diags.extend(check_unsafe(rel, &lines));
     diags.extend(check_no_panic(rel, &lines, &in_test));
     diags.extend(check_target_feature(rel, &lines));
-    diags.extend(check_kernel_twins(rel, &lines, &in_test));
     diags.extend(check_nondeterminism(rel, &lines, &in_test));
 
     let allows = parse_allows(rel, &lines);

@@ -12,7 +12,6 @@
 //! | `unsafe-needs-safety` | every `unsafe` outside `vendor/` carries an adjacent `// SAFETY:` comment; `allow(unsafe_code)` only in `attention/src/simd.rs` |
 //! | `no-panic-in-lib` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test `kvcache`/`attention` library code (typed [`HarnessError`] contract from PR 4) |
 //! | `target-feature-confinement` | `#[target_feature]` functions are private `*_impl`s in `simd.rs`, each behind its safe wrapper |
-//! | `kernel-twin-completeness` | every dispatching public kernel in `kernels.rs` has its explicit-backend `*_with` twin and vice versa |
 //! | `registry-baseline-sync` | `SUITE_REGISTRY` ↔ `results/baselines/*.json` ↔ `.gitignore` whitelist stay in lockstep |
 //! | `no-nondeterminism` | no `SystemTime`/`Instant`/entropy reads in the deterministic sim/serve/stack paths |
 //! | `allow-needs-reason` | every `// lint:allow(rule): reason` escape names a known rule and justifies itself |

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example batched_decode`
 
 use unicaim_repro::attention::workloads::mixed_batch;
-use unicaim_repro::kvcache::{simulate_batch, BatchConfig, PolicySpec};
+use unicaim_repro::kvcache::{DecodeEngine, EngineConfig, PolicySpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let batch_size = 8;
@@ -16,14 +16,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 32; // dynamic top-k width
 
     let workloads = mixed_batch(batch_size, 192, 24, 11);
-    let config = BatchConfig::new(share * batch_size, k);
+    let engine = DecodeEngine::new(EngineConfig::new(share * batch_size, k));
     let spec = PolicySpec::hybrid_for_share(share, m, k);
-    let result = simulate_batch(&workloads, &mut |_| spec.build(), &config)?;
+    let result = engine.run_with(&workloads, &mut |_| spec.build())?;
 
     println!(
         "batch of {batch_size} sequences sharing {} KV slots ({share} per sequence), \
          hybrid static-dynamic policy\n",
-        config.total_capacity
+        result.total_capacity
     );
     println!(
         "{:<16} {:>8} {:>8} {:>8} {:>10} {:>12} {:>12}",

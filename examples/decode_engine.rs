@@ -1,13 +1,14 @@
 //! Serving-API tour: the session-oriented `DecodeEngine` driving a batch
-//! with both schedulers, plus one sequence stepped incrementally through
-//! the `DecodeSession` lifecycle.
+//! with one worker and with a machine-sized worker pool, plus one sequence
+//! stepped incrementally through the `DecodeSession` lifecycle.
 //!
 //! Three stops:
 //!
 //! 1. build policies from the serializable [`PolicySpec`] registry (what a
 //!    serving config file would deserialize into);
-//! 2. run the same batch under the `Sequential` and `WorkerPool`
-//!    schedulers and check the results are identical to the bit;
+//! 2. run the same batch under `SchedulerSpec::Sequential` (one worker)
+//!    and `SchedulerSpec::WorkerPool` and check the results are identical
+//!    to the bit;
 //! 3. admit a single sequence and drive it step by step, watching the
 //!    per-step outcomes a serving loop would see.
 //!
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.name(),
     );
 
-    // 2. One batch, two schedulers.
+    // 2. One batch, two worker counts.
     let workloads = mixed_batch(batch_size, 192, 24, 11);
     let config = EngineConfig::new(share * batch_size, k);
     let mut results = Vec::new();
@@ -46,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let result = engine.run(&workloads, &spec)?;
         let secs = start.elapsed().as_secs_f64();
         println!(
-            "{:<12} {:>5} sequences, {:>5} tokens, {:>8.1} ms end-to-end, \
+            "{:<26} {:>5} sequences, {:>5} tokens, {:>8.1} ms end-to-end, \
              recall {:>5.1}%, peak occupancy {}/{}",
-            engine.scheduler_name(),
+            format!("{:?}", engine.config().scheduler),
             result.n_sequences,
             result.total_steps,
             1e3 * secs,
@@ -60,9 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert_eq!(
         results[0], results[1],
-        "schedulers must agree to the bit (sequences are independent)"
+        "worker counts must agree to the bit (sequences are independent)"
     );
-    println!("both schedulers produced the identical BatchResult\n");
+    println!("both worker counts produced the identical BatchResult\n");
 
     // 3. One sequence, stepped incrementally.
     let workload = needle_task(192, 16, 3);
