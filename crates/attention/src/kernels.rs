@@ -57,6 +57,14 @@
 //!   only removes rounding steps). Softmax is shared scalar code on every
 //!   tier. For a fixed tier, every kernel is deterministic: same inputs,
 //!   same bits, run to run.
+//! * **Row blocking does not change bits.** The f32 score and
+//!   weighted-sum kernels walk their rows eight at a time through a
+//!   per-tier block primitive and finish the last `n % 8` rows one at a
+//!   time. Every block primitive keeps each row's floating-point
+//!   operations in the per-row kernel's order, so a score or output
+//!   element is the same whichever block its row falls in, and a fixed
+//!   tier gives the same bits as it did with one call per row (pinned
+//!   against an exact per-row model in `tests/simd_parity.rs`).
 
 use std::sync::OnceLock;
 
@@ -208,14 +216,17 @@ pub fn active_backend() -> KernelBackend {
 }
 
 // ---------------------------------------------------------------------
-// Primitive dispatch: each tier supplies four primitives (f32 dot, i8
-// dot, axpy, max-abs); everything else in the menu is composed from them
-// plus shared scalar code, so the parity argument stays small.
+// Primitive dispatch: each tier supplies six primitives (f32 dot, i8 dot,
+// axpy, max-abs, and the eight-row f32 dot and axpy blocks); everything
+// else in the menu is composed from them plus shared scalar code, so the
+// parity argument stays small.
 // ---------------------------------------------------------------------
 
 type DotF32Fn = fn(&[f32], &[f32]) -> f32;
+type DotF32BlockFn = fn(&[f32], [&[f32]; BLOCK]) -> [f32; BLOCK];
 type DotI8Fn = fn(&[i8], &[i8]) -> i32;
 type AxpyFn = fn(f32, &[f32], &mut [f32]);
+type AxpyBlockFn = fn(&[f32; BLOCK], &[&[f32]; BLOCK], &mut [f32]);
 type MaxAbsFn = fn(&[f32]) -> f32;
 
 fn dot_f32_fn(backend: KernelBackend) -> DotF32Fn {
@@ -225,6 +236,16 @@ fn dot_f32_fn(backend: KernelBackend) -> DotF32Fn {
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => crate::simd::dot_f32_avx2,
         _ => dot_scalar,
+    }
+}
+
+fn dot_f32_block_fn(backend: KernelBackend) -> DotF32BlockFn {
+    match backend.clamp() {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Sse2 => |a, rows| rows.map(|b| crate::simd::dot_f32_sse2(a, b)),
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => crate::simd::dot_f32_block_avx2,
+        _ => |a, rows| rows.map(|b| dot_scalar(a, b)),
     }
 }
 
@@ -243,8 +264,26 @@ fn axpy_fn(backend: KernelBackend) -> AxpyFn {
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Sse2 => crate::simd::axpy_sse2,
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => crate::simd::axpy_avx2,
+        KernelBackend::Avx2 => |w, x, out| crate::simd::axpy_rows_avx2(&[w], &[x], out),
         _ => axpy_scalar,
+    }
+}
+
+fn axpy_block_fn(backend: KernelBackend) -> AxpyBlockFn {
+    match backend.clamp() {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Sse2 => |ws, xs, out| {
+            for (&w, x) in ws.iter().zip(xs) {
+                crate::simd::axpy_sse2(w, x, out);
+            }
+        },
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => crate::simd::axpy_rows_avx2,
+        _ => |ws, xs, out| {
+            for (&w, x) in ws.iter().zip(xs) {
+                axpy_scalar(w, x, out);
+            }
+        },
     }
 }
 
@@ -391,6 +430,11 @@ impl QuantRows for QuantRowView<'_> {
 /// scalar (see the module docs).
 pub(crate) const LANES: usize = 8;
 
+/// Rows per call of a tier's block primitives: the f32 row kernels walk
+/// their rows in blocks of `BLOCK` and finish the last `n % BLOCK` one at
+/// a time.
+pub(crate) const BLOCK: usize = 8;
+
 /// Scalar f32 dot with `LANES` independent accumulators — the reference
 /// semantics every tier's f32 dot is measured against.
 fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
@@ -453,10 +497,7 @@ impl KernelBackend {
     ///
     /// Panics if a row extends past the key buffer.
     pub fn dot_prefix<K: Rows>(self, query: &[f32], keys: K, scale: f32, out: &mut [f32]) {
-        let dot = dot_f32_fn(self);
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = dot(query, keys.row(r)) * scale;
-        }
+        self.dot_rows(query, |r| keys.row(r), scale, out);
     }
 
     /// Scaled dots of `query` against the gathered `rows` of `keys`:
@@ -474,9 +515,31 @@ impl KernelBackend {
         out: &mut [f32],
     ) {
         assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-        let dot = dot_f32_fn(self);
-        for (&r, o) in rows.iter().zip(out.iter_mut()) {
-            *o = dot(query, keys.row(r)) * scale;
+        self.dot_rows(query, |i| keys.row(rows[i]), scale, out);
+    }
+
+    /// `out[i] = scale · (query · row(i))`: full blocks of `BLOCK` rows
+    /// through the tier's block dot, then the rest one row at a time. The
+    /// block dot keeps each row's operations in the per-row order, so
+    /// every score is the same wherever the block boundaries fall.
+    fn dot_rows<'r>(
+        self,
+        query: &[f32],
+        row: impl Fn(usize) -> &'r [f32],
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let (dot, dot_block) = (dot_f32_fn(self), dot_f32_block_fn(self));
+        let done = out.len() - out.len() % BLOCK;
+        let (blocks, tail) = out.split_at_mut(done);
+        for (b, block) in blocks.chunks_exact_mut(BLOCK).enumerate() {
+            let dots = dot_block(query, std::array::from_fn(|i| row(b * BLOCK + i)));
+            for (o, d) in block.iter_mut().zip(dots) {
+                *o = d * scale;
+            }
+        }
+        for (i, o) in tail.iter_mut().enumerate() {
+            *o = dot(query, row(done + i)) * scale;
         }
     }
 
@@ -495,10 +558,7 @@ impl KernelBackend {
     ) {
         assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
         assert_eq!(weights.len(), rows.len(), "weight/row count mismatch");
-        let axpy = axpy_fn(self);
-        for (&r, &w) in rows.iter().zip(weights) {
-            axpy(w, values.row(r), out);
-        }
+        self.weighted_sum_rows(weights, |i| values.row(rows[i]), out);
     }
 
     /// Accumulates `out += Σ weights[r] · values[r]` over rows
@@ -509,9 +569,28 @@ impl KernelBackend {
     /// Panics if `out.len() != values.dim()`.
     fn weighted_sum_prefix<V: Rows>(self, weights: &[f32], values: V, out: &mut [f32]) {
         assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
-        let axpy = axpy_fn(self);
-        for (r, &w) in weights.iter().enumerate() {
-            axpy(w, values.row(r), out);
+        self.weighted_sum_rows(weights, |r| values.row(r), out);
+    }
+
+    /// `out += Σ weights[i] · row(i)`, in the same shape as `dot_rows`:
+    /// full blocks of `BLOCK` rows through the tier's block axpy, then the
+    /// rest one row at a time. Each output element takes its rows in order
+    /// either way.
+    fn weighted_sum_rows<'r>(
+        self,
+        weights: &[f32],
+        row: impl Fn(usize) -> &'r [f32],
+        out: &mut [f32],
+    ) {
+        let (axpy, axpy_block) = (axpy_fn(self), axpy_block_fn(self));
+        let done = weights.len() - weights.len() % BLOCK;
+        let (blocks, tail) = weights.split_at(done);
+        for (b, block) in blocks.chunks_exact(BLOCK).enumerate() {
+            let w = std::array::from_fn(|i| block[i]);
+            axpy_block(&w, &std::array::from_fn(|i| row(b * BLOCK + i)), out);
+        }
+        for (i, &w) in tail.iter().enumerate() {
+            axpy(w, row(done + i), out);
         }
     }
 

@@ -27,11 +27,19 @@
 //!   differ from scalar by at most `2·n·ε·Σ|aᵢ·bᵢ|` with `ε = 2⁻²⁴` (each
 //!   path's forward error versus the exact sum is bounded by
 //!   `n·ε·Σ|aᵢ·bᵢ|` to first order, and FMA only removes rounding steps).
+//! * `dot_f32_block_avx2` scores eight rows per call and is
+//!   **bit-identical** to `dot_f32_avx2` on each row: every row keeps its
+//!   own accumulator fed in the same chunk order, the transpose before the
+//!   reduction only moves values, the vertical adds sum each row's lanes
+//!   left to right, and the unfused tail is added last.
 //! * The `i8` dots are exact integer arithmetic on every tier (widening
 //!   `i8 → i16 → i32`; `_madd_epi16` pair-sums stay below `2·127²`), so
 //!   they are bit-identical to scalar by construction.
 //! * `axpy` on SSE2 performs the identical per-element multiply-then-add
-//!   (bit-identical to scalar); the AVX2 tier fuses it.
+//!   (bit-identical to scalar). The AVX2 tier fuses it in
+//!   `axpy_rows_avx2`, which takes one or eight rows per call and applies
+//!   them to each element in row order, so an eight-row call gives the
+//!   same bits as eight one-row calls.
 //! * `maxabs` is exact for finite inputs on every tier (`max`/`abs`
 //!   introduce no rounding); non-finite inputs are outside the quantizer
 //!   contract and may reduce differently across tiers.
@@ -43,15 +51,16 @@ pub(crate) use x86::*;
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_fmadd_ps, _mm256_loadu_ps,
-        _mm256_madd_epi16, _mm256_max_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
-        _mm256_storeu_ps, _mm256_storeu_si256, _mm_add_epi32, _mm_add_ps, _mm_andnot_ps,
-        _mm_loadu_ps, _mm_loadu_si128, _mm_madd_epi16, _mm_max_ps, _mm_mul_ps, _mm_set1_ps,
-        _mm_setzero_ps, _mm_setzero_si128, _mm_srai_epi16, _mm_storeu_ps, _mm_storeu_si128,
-        _mm_unpackhi_epi8, _mm_unpacklo_epi8,
+        __m128i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi8_epi16, _mm256_fmadd_ps,
+        _mm256_loadu_ps, _mm256_madd_epi16, _mm256_max_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_ps, _mm256_storeu_ps,
+        _mm256_storeu_si256, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_epi32, _mm_add_ps,
+        _mm_andnot_ps, _mm_loadu_ps, _mm_loadu_si128, _mm_madd_epi16, _mm_max_ps, _mm_mul_ps,
+        _mm_set1_ps, _mm_setzero_ps, _mm_setzero_si128, _mm_srai_epi16, _mm_storeu_ps,
+        _mm_storeu_si128, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
     };
 
-    use crate::kernels::LANES;
+    use crate::kernels::{BLOCK, LANES};
 
     /// i8 elements consumed per vectorized step of the integer dots.
     const I8_STRIDE: usize = 16;
@@ -281,31 +290,122 @@ mod x86 {
         total
     }
 
-    /// `out[i] = fma(w, x[i], out[i])` — fused on this tier, so each
-    /// element may differ from scalar by one rounding (≤ 1 ulp).
-    pub(crate) fn axpy_avx2(w: f32, x: &[f32], out: &mut [f32]) {
+    /// Eight f32 dots of `a` against `rows`, each bit-identical to
+    /// `dot_f32_avx2` on its row. Row `r` keeps its own 8-lane FMA
+    /// accumulator, fed chunk by chunk as the per-row kernel feeds its one
+    /// accumulator, while each chunk of `a` loads once for all eight rows.
+    /// An in-register 8×8 transpose then puts every row's lane `l` in
+    /// vector `l`, so seven vertical adds sum each row's lanes left to
+    /// right, and the row's unfused scalar tail is added last. The rows
+    /// share one length (the `Rows` contract); a shorter `a` truncates all
+    /// of them alike.
+    pub(crate) fn dot_f32_block_avx2(a: &[f32], rows: [&[f32]; BLOCK]) -> [f32; BLOCK] {
         // SAFETY: only reachable via `KernelBackend` dispatch, which
         // clamps to scalar unless avx2+fma were detected.
-        unsafe { axpy_avx2_impl(w, x, out) }
+        unsafe { dot_f32_block_avx2_impl(a, rows) }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    fn axpy_avx2_impl(w: f32, x: &[f32], out: &mut [f32]) {
-        let n = x.len().min(out.len());
+    fn dot_f32_block_avx2_impl(a: &[f32], rows: [&[f32]; BLOCK]) -> [f32; BLOCK] {
+        let n = rows.iter().fold(a.len(), |n, row| n.min(row.len()));
         let chunks = n / LANES;
-        let wv = _mm256_set1_ps(w);
+        let mut acc = [_mm256_setzero_ps(); BLOCK];
         for c in 0..chunks {
             let base = c * LANES;
-            // SAFETY: `base + 8 <= n`, in bounds of both slices.
+            // SAFETY: `base + 8 <= chunks * LANES <= n`, and `n` bounds
+            // `a` and every row.
             unsafe {
-                let xv = _mm256_loadu_ps(x.as_ptr().add(base));
-                let ov = _mm256_loadu_ps(out.as_ptr().add(base));
-                _mm256_storeu_ps(out.as_mut_ptr().add(base), _mm256_fmadd_ps(wv, xv, ov));
+                let av = _mm256_loadu_ps(a.as_ptr().add(base));
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    *acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(row.as_ptr().add(base)), *acc);
+                }
+            }
+        }
+        // 8×8 transpose, shuffles only: vector `l` of `lanes` holds lane
+        // `l` of every row's accumulator, in row order. `t*` interleave row
+        // pairs; within each 128-bit half, `s0..s3` then hold lanes 0-3 of
+        // rows 0-3 and `s4..s7` of rows 4-7 (lanes 4-7 in the upper halves).
+        let t0 = _mm256_unpacklo_ps(acc[0], acc[1]);
+        let t1 = _mm256_unpackhi_ps(acc[0], acc[1]);
+        let t2 = _mm256_unpacklo_ps(acc[2], acc[3]);
+        let t3 = _mm256_unpackhi_ps(acc[2], acc[3]);
+        let t4 = _mm256_unpacklo_ps(acc[4], acc[5]);
+        let t5 = _mm256_unpackhi_ps(acc[4], acc[5]);
+        let t6 = _mm256_unpacklo_ps(acc[6], acc[7]);
+        let t7 = _mm256_unpackhi_ps(acc[6], acc[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        let lanes = [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ];
+        let mut sums = lanes[0];
+        for &lane in &lanes[1..] {
+            sums = _mm256_add_ps(sums, lane);
+        }
+        let mut out = [0.0f32; BLOCK];
+        // SAFETY: `out` holds exactly one 8-lane store.
+        unsafe {
+            _mm256_storeu_ps(out.as_mut_ptr(), sums);
+        }
+        for (o, row) in out.iter_mut().zip(&rows) {
+            let mut tail = 0.0f32;
+            for i in chunks * LANES..n {
+                tail += a[i] * row[i];
+            }
+            *o += tail;
+        }
+        out
+    }
+
+    /// `out[i] = fma(w[R-1], xs[R-1][i], … fma(w[0], xs[0][i], out[i]))`:
+    /// every element takes its rows' fused multiply-adds in row order, as
+    /// `R` row-by-row fused axpys would, but each 8-column chunk of `out`
+    /// stays in a register across all `R` rows instead of being loaded and
+    /// stored once per row. The `n % 8` tail columns use `mul_add`, which
+    /// is fused too. `R = 1` is this tier's per-row axpy.
+    pub(crate) fn axpy_rows_avx2<const R: usize>(w: &[f32; R], xs: &[&[f32]; R], out: &mut [f32]) {
+        // SAFETY: only reachable via `KernelBackend` dispatch, which
+        // clamps to scalar unless avx2+fma were detected.
+        unsafe { axpy_rows_avx2_impl(w, xs, out) }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn axpy_rows_avx2_impl<const R: usize>(w: &[f32; R], xs: &[&[f32]; R], out: &mut [f32]) {
+        let n = xs.iter().fold(out.len(), |n, x| n.min(x.len()));
+        let chunks = n / LANES;
+        let mut wv = [_mm256_setzero_ps(); R];
+        for (v, &w) in wv.iter_mut().zip(w) {
+            *v = _mm256_set1_ps(w);
+        }
+        for c in 0..chunks {
+            let base = c * LANES;
+            // SAFETY: `base + 8 <= chunks * LANES <= n`, and `n` bounds
+            // `out` and every row.
+            unsafe {
+                let mut acc = _mm256_loadu_ps(out.as_ptr().add(base));
+                for (&wv, x) in wv.iter().zip(xs) {
+                    acc = _mm256_fmadd_ps(wv, _mm256_loadu_ps(x.as_ptr().add(base)), acc);
+                }
+                _mm256_storeu_ps(out.as_mut_ptr().add(base), acc);
             }
         }
         for i in chunks * LANES..n {
-            // Keep the tail fused too, so the whole tier is uniform.
-            out[i] = w.mul_add(x[i], out[i]);
+            for (&w, x) in w.iter().zip(xs) {
+                out[i] = w.mul_add(x[i], out[i]);
+            }
         }
     }
 

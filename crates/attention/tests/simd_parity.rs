@@ -10,7 +10,10 @@
 //! * the AVX2+FMA f32 dot is within the derived bound
 //!   `2·n·ε·Σ|aᵢ·bᵢ|`, `ε = 2⁻²⁴` (FMA only removes rounding steps, and
 //!   each path's forward error versus the exact sum is ≤ `n·ε·Σ|aᵢ·bᵢ|`
-//!   to first order).
+//!   to first order);
+//! * on every tier, each f32 row kernel equals an exact per-row model of
+//!   that tier's operation order bit for bit, however the kernel groups
+//!   rows into blocks (`f32_kernels_equal_the_per_row_model_on_every_tier`).
 //!
 //! Each tier is exercised by calling the kernel methods on it
 //! (`backend.dot_gather(…)`): the `UNICAIM_KERNEL_BACKEND` override is
@@ -19,8 +22,8 @@
 //! call.
 
 use proptest::prelude::*;
-use unicaim_attention::kernels::{quantize_arena_i8, KernelBackend, QuantRowView, RowView};
-use unicaim_attention::Matrix;
+use unicaim_attention::kernels::{quantize_arena_i8, KernelBackend, QuantRowView, RowView, Rows};
+use unicaim_attention::{softmax_in_place, KvStore, Matrix, PageArena, Precision};
 
 /// Dimensions that stress every SIMD tail: below one vector, straddling
 /// the 4/8/16-lane widths, and one off either side of a full 64-element
@@ -41,6 +44,148 @@ fn dot_parity_bound(a: &[f32], b: &[f32]) -> f32 {
 
 fn deterministic_row(len: usize, seed: u64) -> Vec<f32> {
     Matrix::random_normal(1, len, 1.5, seed).row(0).to_vec()
+}
+
+/// Most rows one model-checked kernel call covers: several 8-row blocks
+/// plus every tail length.
+const MODEL_MAX_ROWS: usize = 40;
+
+/// Exact model of one tier's f32 dot: eight lane accumulators over 8-wide
+/// chunks, lanes summed left to right, then the unfused tail added last.
+fn model_dot(fused: bool, a: &[f32], b: &[f32]) -> f32 {
+    let n = a.len().min(b.len());
+    let chunks = n / 8;
+    let mut lanes = [0.0f32; 8];
+    for c in 0..chunks {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let i = c * 8 + l;
+            *lane = if fused {
+                a[i].mul_add(b[i], *lane)
+            } else {
+                *lane + a[i] * b[i]
+            };
+        }
+    }
+    let mut tail = 0.0f32;
+    for i in chunks * 8..n {
+        tail += a[i] * b[i];
+    }
+    lanes[1..].iter().fold(lanes[0], |sum, &lane| sum + lane) + tail
+}
+
+/// Exact model of one tier's weighted sum: per output element, the rows
+/// in order, each one multiply-add (fused or not).
+fn model_weighted_sum(fused: bool, weights: &[f32], rows: &[&[f32]], out: &mut [f32]) {
+    for (&w, row) in weights.iter().zip(rows) {
+        for (o, &x) in out.iter_mut().zip(*row) {
+            *o = if fused { w.mul_add(x, *o) } else { *o + w * x };
+        }
+    }
+}
+
+/// Fails with `what` unless `got` and `want` hold the same bits.
+fn same_bits(got: &[f32], want: &[f32], what: std::fmt::Arguments) -> Result<(), String> {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert!(bits(got) == bits(want), "{what}: {got:?} != model {want:?}");
+    Ok(())
+}
+
+/// Checks every f32 row kernel of every supported tier against the
+/// models, for `n` in `0..=MODEL_MAX_ROWS` rows of `keys`/`values` (which
+/// hold at least `MODEL_MAX_ROWS + 1` rows), both as the prefix `0..n` and
+/// gathered through `gather[..n]`.
+fn check_against_model<K: Rows, V: Rows>(
+    keys: K,
+    values: V,
+    gather: &[usize],
+    seed: u64,
+) -> Result<(), String> {
+    let dim = keys.dim();
+    let query = deterministic_row(dim, seed ^ 0x51);
+    let weights = deterministic_row(MODEL_MAX_ROWS, seed ^ 0x52);
+    let start = deterministic_row(dim, seed ^ 0x53);
+    let scale = 1.0 / (dim as f32).sqrt();
+    for backend in KernelBackend::supported() {
+        // AVX2+FMA fuses multiply-add; scalar and SSE2 round the product.
+        let fused = backend == KernelBackend::Avx2;
+        let tier = backend.label();
+        // Every row's model score, checked against the single-row dot.
+        let mut scores = Vec::with_capacity(MODEL_MAX_ROWS + 1);
+        for r in 0..=MODEL_MAX_ROWS {
+            let want = model_dot(fused, &query, keys.row(r));
+            same_bits(
+                &[backend.dot(&query, keys.row(r))],
+                &[want],
+                format_args!("{tier} dot row {r}"),
+            )?;
+            scores.push(want * scale);
+        }
+        let model_scores = |rows: &[usize]| rows.iter().map(|&r| scores[r]).collect::<Vec<_>>();
+        let model_sum = |weights: &[f32], rows: &[usize], out: &mut [f32]| {
+            let rows: Vec<&[f32]> = rows.iter().map(|&r| values.row(r)).collect();
+            model_weighted_sum(fused, weights, &rows, out);
+        };
+        let model_attend = |rows: &[usize]| {
+            let mut w = model_scores(rows);
+            softmax_in_place(&mut w);
+            let mut out = vec![0.0f32; dim];
+            model_sum(&w, rows, &mut out);
+            out
+        };
+        for n in 0..=MODEL_MAX_ROWS {
+            let prefix: Vec<usize> = (0..n).collect();
+            let gathered = &gather[..n];
+
+            let mut got = vec![0.0f32; n];
+            backend.dot_prefix(&query, keys, scale, &mut got);
+            same_bits(
+                &got,
+                &model_scores(&prefix),
+                format_args!("{tier} dot_prefix n {n}"),
+            )?;
+            backend.dot_gather(&query, keys, gathered, scale, &mut got);
+            same_bits(
+                &got,
+                &model_scores(gathered),
+                format_args!("{tier} dot_gather n {n}"),
+            )?;
+
+            let mut got = start.clone();
+            backend.weighted_sum_gather(&weights[..n], values, gathered, &mut got);
+            let mut want = start.clone();
+            model_sum(&weights[..n], gathered, &mut want);
+            same_bits(
+                &got,
+                &want,
+                format_args!("{tier} weighted_sum_gather n {n}"),
+            )?;
+
+            let mut scratch = Vec::new();
+            let mut got = start.clone();
+            backend.attend_prefix(&query, keys, values, n, scale, &mut scratch, &mut got);
+            same_bits(
+                &got,
+                &model_attend(&prefix),
+                format_args!("{tier} attend_prefix n {n}"),
+            )?;
+            let mut got = start.clone();
+            backend.attend_gather(
+                &query,
+                keys,
+                values,
+                gathered,
+                scale,
+                &mut scratch,
+                &mut got,
+            );
+            same_bits(
+                &got,
+                &model_attend(gathered),
+                format_args!("{tier} attend_gather n {n}"),
+            )?;
+        }
+    }
+    Ok(())
 }
 
 #[test]
@@ -315,5 +460,63 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    // Each case sweeps every row count `0..=MODEL_MAX_ROWS` over three row
+    // layouts on every tier, so fewer cases than the properties above.
+    #![proptest_config(ProptestConfig::with_cases_env(32))]
+
+    /// Every tier's f32 row kernels (`dot`, `dot_prefix`, `dot_gather`,
+    /// `weighted_sum_gather`, `attend_prefix`, `attend_gather`) equal the
+    /// per-row model bit for bit on contiguous, strided and paged rows,
+    /// including permuted and repeated gathers: blocking rows must not
+    /// regroup any row's sum.
+    #[test]
+    fn f32_kernels_equal_the_per_row_model_on_every_tier(
+        dim in 1usize..=140,
+        pad in 1usize..6,
+        page_rows in 1usize..8,
+        seed in 0u64..1000,
+    ) {
+        let m = MODEL_MAX_ROWS + 1;
+        // Mostly a permutation of the arena rows (17 is coprime with 41),
+        // with every third entry repeating an earlier row.
+        let gather: Vec<usize> = (0..MODEL_MAX_ROWS)
+            .map(|i| if i % 3 == 2 { (i - 2) * 17 % m } else { (i * 17 + seed as usize) % m })
+            .collect();
+        let keys = Matrix::random_normal(m, dim, 1.5, seed);
+        let values = Matrix::random_normal(m, dim, 1.5, seed ^ 1);
+
+        check_against_model(
+            RowView::contiguous(keys.as_slice(), dim),
+            RowView::contiguous(values.as_slice(), dim),
+            &gather,
+            seed,
+        )?;
+
+        let stride = dim + pad;
+        let strided = |src: &Matrix| {
+            let mut flat = vec![f32::NAN; m * stride];
+            for r in 0..m {
+                flat[r * stride..r * stride + dim].copy_from_slice(src.row(r));
+            }
+            flat
+        };
+        let (strided_keys, strided_values) = (strided(&keys), strided(&values));
+        check_against_model(
+            RowView::new(&strided_keys, stride, dim),
+            RowView::new(&strided_values, stride, dim),
+            &gather,
+            seed,
+        )?;
+
+        let arena = PageArena::new(dim, page_rows);
+        let mut store = KvStore::with_arena(&arena, m, Precision::F32);
+        for t in 0..m {
+            prop_assert!(store.write_slot_parts(t, t, keys.row(t), values.row(t)).is_ok());
+        }
+        check_against_model(store.keys_view(), store.values_view(), &gather, seed)?;
     }
 }
