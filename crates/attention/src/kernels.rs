@@ -33,24 +33,24 @@
 //! a call runs on is always named: `backend.dot_gather(…)`. Library
 //! callers call the methods on [`active_backend`], the tier detected once
 //! per process (`is_x86_feature_detected!`, overridable with
-//! `UNICAIM_KERNEL_BACKEND=scalar|sse2|avx2`); the parity tests call them
-//! on every tier to pin each against scalar. Five free functions
+//! `UNICAIM_KERNEL_BACKEND=scalar|avx2`); the parity tests call them on
+//! every tier to pin each against scalar. Five free functions
 //! ([`dot_gather`], [`dot_gather_q`], [`attend_gather`],
 //! [`attend_gather_q`], [`quantize_row_i8`]) are one-line calls of their
 //! method on [`active_backend`]. The contract:
 //!
 //! * **Integer paths are bit-exact across every tier.**
 //!   [`KernelBackend::dot_i8`] widens `i8 → i16 → i32` with no rounding,
-//!   so the quantized scoring kernels' integer accumulation — and the
-//!   quantizers [`KernelBackend::quantize_row_i8`] /
-//!   [`KernelBackend::quantize_row_cell3`], whose SIMD portion is only the
-//!   exact max-abs reduction — produce identical bits on scalar, SSE2, and
-//!   AVX2.
-//! * **f32 paths are bounded-ulp and stable for a fixed tier.** The SSE2
-//!   tier is bit-identical to scalar by construction (same eight-lane
-//!   accumulator partition, same multiply-then-add per element, same
-//!   reduction order). The AVX2+FMA tier fuses multiply-add, skipping the
-//!   per-product rounding: for a length-`n` dot,
+//!   so the quantized scoring kernels' integer accumulation produces
+//!   identical bits on scalar and AVX2.
+//! * **The quantizers are shared scalar code.**
+//!   [`KernelBackend::quantize_row_i8`] and
+//!   [`KernelBackend::quantize_row_cell3`] run the same code on every
+//!   tier, so their levels and scales are bit-exact across tiers for every
+//!   input, NaN and ±∞ included.
+//! * **f32 paths are bounded-ulp and stable for a fixed tier.** The
+//!   AVX2+FMA tier fuses multiply-add, skipping the per-product rounding:
+//!   for a length-`n` dot,
 //!   `|dot_avx2 − dot_scalar| ≤ 2·n·ε·Σ|aᵢ·bᵢ|` with `ε = 2⁻²⁴` (each
 //!   path's forward error versus the exact sum is at most `n·ε·Σ|aᵢ·bᵢ|`
 //!   to first order — standard recursive-summation analysis — and FMA
@@ -71,13 +71,15 @@ use std::sync::OnceLock;
 use crate::matrix::softmax_in_place;
 
 /// Environment variable forcing a kernel tier
-/// (`scalar`, `sse2`, or `avx2`); empty or unset means "detect".
+/// (`scalar` or `avx2`); empty or unset means "detect".
 /// Unknown or unsupported values warn on stderr and fall back to the
 /// detected tier. Read once per process — changing it after the first
 /// kernel call has no effect.
 pub const BACKEND_ENV: &str = "UNICAIM_KERNEL_BACKEND";
 
-/// A SIMD tier the kernel layer can dispatch to.
+/// A SIMD tier the kernel layer can dispatch to: the scalar reference or
+/// AVX2 + FMA. There is no SSE2 tier: the compiler already vectorizes the
+/// scalar kernels for the x86-64 baseline.
 ///
 /// The kernels are its methods. Tiers are strictly host-gated:
 /// [`KernelBackend::detect`] picks the best tier the CPU supports, and a
@@ -91,19 +93,13 @@ pub const BACKEND_ENV: &str = "UNICAIM_KERNEL_BACKEND";
 pub enum KernelBackend {
     /// Portable scalar kernels — the reference semantics for every tier.
     Scalar,
-    /// SSE2 (baseline x86_64): bit-identical to scalar on f32 paths.
-    Sse2,
     /// AVX2 + FMA: fused f32 paths, bounded-ulp versus scalar.
     Avx2,
 }
 
 impl KernelBackend {
     /// Every tier, scalar first.
-    pub const ALL: [KernelBackend; 3] = [
-        KernelBackend::Scalar,
-        KernelBackend::Sse2,
-        KernelBackend::Avx2,
-    ];
+    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
 
     /// The best tier this CPU supports, detected via
     /// `is_x86_feature_detected!` (AVX2 requires FMA too; non-x86_64
@@ -117,9 +113,6 @@ impl KernelBackend {
             {
                 return KernelBackend::Avx2;
             }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return KernelBackend::Sse2;
-            }
         }
         KernelBackend::Scalar
     }
@@ -129,7 +122,6 @@ impl KernelBackend {
     pub fn label(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Sse2 => "sse2",
             KernelBackend::Avx2 => "avx2",
         }
     }
@@ -139,7 +131,6 @@ impl KernelBackend {
     pub fn from_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelBackend::Scalar),
-            "sse2" => Some(KernelBackend::Sse2),
             "avx2" => Some(KernelBackend::Avx2),
             _ => None,
         }
@@ -150,8 +141,6 @@ impl KernelBackend {
     pub fn is_supported(self) -> bool {
         match self {
             KernelBackend::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelBackend::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
@@ -203,7 +192,7 @@ pub fn active_backend() -> KernelBackend {
                 }
                 None => {
                     eprintln!(
-                        "warning: {BACKEND_ENV}={name} is not one of scalar|sse2|avx2; \
+                        "warning: {BACKEND_ENV}={name} is not one of scalar|avx2; \
                          using detected tier {}",
                         detected.label()
                     );
@@ -216,10 +205,10 @@ pub fn active_backend() -> KernelBackend {
 }
 
 // ---------------------------------------------------------------------
-// Primitive dispatch: each tier supplies six primitives (f32 dot, i8 dot,
-// axpy, max-abs, and the eight-row f32 dot and axpy blocks); everything
-// else in the menu is composed from them plus shared scalar code, so the
-// parity argument stays small.
+// Primitive dispatch: each tier supplies five primitives (f32 dot, i8 dot,
+// axpy, and the eight-row f32 dot and axpy blocks); everything else in the
+// menu is composed from them plus shared scalar code, so the parity
+// argument stays small.
 // ---------------------------------------------------------------------
 
 type DotF32Fn = fn(&[f32], &[f32]) -> f32;
@@ -227,12 +216,9 @@ type DotF32BlockFn = fn(&[f32], [&[f32]; BLOCK]) -> [f32; BLOCK];
 type DotI8Fn = fn(&[i8], &[i8]) -> i32;
 type AxpyFn = fn(f32, &[f32], &mut [f32]);
 type AxpyBlockFn = fn(&[f32; BLOCK], &[&[f32]; BLOCK], &mut [f32]);
-type MaxAbsFn = fn(&[f32]) -> f32;
 
 fn dot_f32_fn(backend: KernelBackend) -> DotF32Fn {
     match backend.clamp() {
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => crate::simd::dot_f32_sse2,
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => crate::simd::dot_f32_avx2,
         _ => dot_scalar,
@@ -242,8 +228,6 @@ fn dot_f32_fn(backend: KernelBackend) -> DotF32Fn {
 fn dot_f32_block_fn(backend: KernelBackend) -> DotF32BlockFn {
     match backend.clamp() {
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => |a, rows| rows.map(|b| crate::simd::dot_f32_sse2(a, b)),
-        #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => crate::simd::dot_f32_block_avx2,
         _ => |a, rows| rows.map(|b| dot_scalar(a, b)),
     }
@@ -251,8 +235,6 @@ fn dot_f32_block_fn(backend: KernelBackend) -> DotF32BlockFn {
 
 fn dot_i8_fn(backend: KernelBackend) -> DotI8Fn {
     match backend.clamp() {
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => crate::simd::dot_i8_sse2,
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => crate::simd::dot_i8_avx2,
         _ => dot_i8_scalar,
@@ -262,8 +244,6 @@ fn dot_i8_fn(backend: KernelBackend) -> DotI8Fn {
 fn axpy_fn(backend: KernelBackend) -> AxpyFn {
     match backend.clamp() {
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => crate::simd::axpy_sse2,
-        #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => |w, x, out| crate::simd::axpy_rows_avx2(&[w], &[x], out),
         _ => axpy_scalar,
     }
@@ -272,28 +252,12 @@ fn axpy_fn(backend: KernelBackend) -> AxpyFn {
 fn axpy_block_fn(backend: KernelBackend) -> AxpyBlockFn {
     match backend.clamp() {
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => |ws, xs, out| {
-            for (&w, x) in ws.iter().zip(xs) {
-                crate::simd::axpy_sse2(w, x, out);
-            }
-        },
-        #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => crate::simd::axpy_rows_avx2,
         _ => |ws, xs, out| {
             for (&w, x) in ws.iter().zip(xs) {
                 axpy_scalar(w, x, out);
             }
         },
-    }
-}
-
-fn maxabs_fn(backend: KernelBackend) -> MaxAbsFn {
-    match backend.clamp() {
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => crate::simd::maxabs_sse2,
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => crate::simd::maxabs_avx2,
-        _ => maxabs_scalar,
     }
 }
 
@@ -425,10 +389,16 @@ impl QuantRows for QuantRowView<'_> {
 }
 
 /// Number of independent accumulators in [`KernelBackend::dot`]. Wide enough for the
-/// compiler to keep the loop in vector registers; the SIMD tiers keep the
-/// same 8-lane accumulator partition so their reductions line up with
+/// compiler to keep the loop in vector registers; the AVX2 tier keeps the
+/// same 8-lane accumulator partition so its reduction lines up with
 /// scalar (see the module docs).
 pub(crate) const LANES: usize = 8;
+
+/// `i8` elements per step of [`KernelBackend::dot_i8`]: the scalar
+/// kernel's `i32` lane count and the AVX2 kernel's load width. Sixteen
+/// lanes let the compiler turn the scalar loop into one 16-byte
+/// `pmaddwd` step, as a hand-written SSE2 kernel would.
+pub(crate) const I8_STRIDE: usize = 16;
 
 /// Rows per call of a tier's block primitives: the f32 row kernels walk
 /// their rows in blocks of `BLOCK` and finish the last `n % BLOCK` one at
@@ -436,21 +406,24 @@ pub(crate) const LANES: usize = 8;
 pub(crate) const BLOCK: usize = 8;
 
 /// Scalar f32 dot with `LANES` independent accumulators — the reference
-/// semantics every tier's f32 dot is measured against.
+/// semantics every tier's f32 dot is measured against. Walking exact
+/// chunks lets the compiler drop the per-chunk bounds checks and keep the
+/// accumulators in two SSE2 registers; `#[inline]` lets the scalar block
+/// primitive inline its eight calls.
+#[inline]
 fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
-    let chunks = n / LANES;
+    let (a, b) = (a[..n].chunks_exact(LANES), b[..n].chunks_exact(LANES));
+    let (a_tail, b_tail) = (a.remainder(), b.remainder());
     let mut acc = [0.0f32; LANES];
-    for c in 0..chunks {
-        let ax = &a[c * LANES..(c + 1) * LANES];
-        let bx = &b[c * LANES..(c + 1) * LANES];
-        for l in 0..LANES {
-            acc[l] += ax[l] * bx[l];
+    for (ax, bx) in a.zip(b) {
+        for (acc, (x, y)) in acc.iter_mut().zip(ax.iter().zip(bx)) {
+            *acc += x * y;
         }
     }
     let mut tail = 0.0f32;
-    for i in chunks * LANES..n {
-        tail += a[i] * b[i];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        tail += x * y;
     }
     acc.iter().sum::<f32>() + tail
 }
@@ -463,8 +436,8 @@ fn axpy_scalar(w: f32, x: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Scalar max-abs fold — the reference semantics for the quantizers'
-/// range pass.
+/// Scalar max-abs fold — the quantizers' range pass on every tier.
+/// `f32::max` returns its non-NaN operand, so a NaN element is skipped.
 fn maxabs_scalar(src: &[f32]) -> f32 {
     src.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
 }
@@ -476,8 +449,8 @@ impl KernelBackend {
     /// Dot product with `LANES` independent accumulators (reassociated
     /// summation — results can differ from a strictly sequential sum in the
     /// last bits, which every consumer tolerates at ≤1e-5 relative error).
-    /// SSE2 is bit-identical to scalar; AVX2 is within `2·n·ε·Σ|aᵢ·bᵢ|` of
-    /// scalar (`ε = 2⁻²⁴`; module docs derive the bound).
+    /// AVX2 is within `2·n·ε·Σ|aᵢ·bᵢ|` of scalar (`ε = 2⁻²⁴`; module docs
+    /// derive the bound).
     ///
     /// # Panics
     ///
@@ -747,8 +720,8 @@ pub const INT8_STEPS: f32 = 127.0;
 /// {−1, −0.5, 0, +0.5, +1} (times the row scale).
 pub const CELL3_STEPS: f32 = 2.0;
 
-/// The quantizers. Only the (exact) max-abs reduction dispatches to SIMD,
-/// so every tier produces identical levels and scales for finite inputs.
+/// The quantizers. Every tier runs the same scalar code, so every tier
+/// produces identical levels and scales for every input.
 impl KernelBackend {
     /// Shared symmetric per-row quantizer: max-abs scaling to `±steps`
     /// integer levels, round-to-nearest. Returns `scale` such that
@@ -757,11 +730,10 @@ impl KernelBackend {
     ///
     /// The divide/round/cast loop stays scalar because `f32::round` is
     /// round-half-away-from-zero, which vector instructions do not
-    /// implement directly — keeping it scalar makes quantization bit-exact
-    /// on every tier for finite inputs.
+    /// implement directly.
     fn quantize_symmetric(self, src: &[f32], steps: f32, out: &mut [i8]) -> f32 {
         assert_eq!(src.len(), out.len(), "quantize output length mismatch");
-        let maxabs = maxabs_fn(self)(src);
+        let maxabs = maxabs_scalar(src);
         if maxabs == 0.0 {
             out.fill(0);
             return 0.0;
@@ -864,22 +836,25 @@ pub fn dequantize_row(q: &[i8], scale: f32, out: &mut [f32]) {
     }
 }
 
-/// Scalar integer dot with `LANES` independent `i32` accumulators — the
-/// reference semantics (and exact result) every tier reproduces.
+/// Scalar integer dot with `I8_STRIDE` independent `i32` accumulators —
+/// the reference semantics (and exact result) every tier reproduces. An
+/// `i32` sum is exact, so the lane split does not change the value.
 fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     let n = a.len().min(b.len());
-    let chunks = n / LANES;
-    let mut acc = [0i32; LANES];
-    for c in 0..chunks {
-        let ax = &a[c * LANES..(c + 1) * LANES];
-        let bx = &b[c * LANES..(c + 1) * LANES];
-        for l in 0..LANES {
-            acc[l] += i32::from(ax[l]) * i32::from(bx[l]);
+    let (a, b) = (
+        a[..n].chunks_exact(I8_STRIDE),
+        b[..n].chunks_exact(I8_STRIDE),
+    );
+    let (a_tail, b_tail) = (a.remainder(), b.remainder());
+    let mut acc = [0i32; I8_STRIDE];
+    for (ax, bx) in a.zip(b) {
+        for (acc, (&x, &y)) in acc.iter_mut().zip(ax.iter().zip(bx)) {
+            *acc += i32::from(x) * i32::from(y);
         }
     }
     let mut tail = 0i32;
-    for i in chunks * LANES..n {
-        tail += i32::from(a[i]) * i32::from(b[i]);
+    for (&x, &y) in a_tail.iter().zip(b_tail) {
+        tail += i32::from(x) * i32::from(y);
     }
     acc.iter().sum::<i32>() + tail
 }
@@ -888,7 +863,7 @@ fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
 /// the per-row rescale is shared scalar code, so scores are bit-exact on
 /// every tier.
 impl KernelBackend {
-    /// Integer dot product with `LANES` independent `i32` accumulators —
+    /// Integer dot product with `I8_STRIDE` independent `i32` accumulators —
     /// the quantized form of [`KernelBackend::dot`]. Exact (no rounding):
     /// `|a·b| ≤ 127²·dim` stays far inside `i32` for any realistic head
     /// dimension, so every tier returns identical bits.

@@ -399,10 +399,14 @@ impl KvStore {
             .then(|| PagedQuantRows::new(&self.pages, self.dim, self.page_rows))
     }
 
-    /// Bytes the key storage occupies at this store's precision: `f32`
-    /// stores pay 4 bytes/element; quantized stores pay 1 byte/element
-    /// plus one `f32` scale per slot (the ~4× reduction the quantized
-    /// decode path exists for).
+    /// Key bytes a full scan reads at this store's precision: `f32`
+    /// stores read 4 bytes/element; quantized stores read 1 byte/element
+    /// plus one `f32` scale per slot (the ~4× scan-traffic reduction the
+    /// quantized decode path exists for).
+    ///
+    /// This is not the store's size: every page holds `f32` keys, `f32`
+    /// values, the `i8` shadow and its scales at every precision, so a
+    /// slot occupies `9·dim + 4` bytes whatever the precision.
     #[must_use]
     pub fn key_arena_bytes(&self) -> usize {
         if self.precision.is_quantized() {

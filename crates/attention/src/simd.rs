@@ -14,15 +14,14 @@
 //!   `is_x86_feature_detected!` did not confirm down to scalar. The
 //!   `unsafe` call in each wrapper discharges exactly that obligation.
 //!
+//! There is one SIMD tier, AVX2 + FMA. The scalar reference kernels live
+//! in `crate::kernels` and are written so the compiler vectorizes them
+//! for the x86-64 baseline (SSE2) on its own.
+//!
 //! Determinism notes (the kernel-layer contract these implementations
 //! uphold — see the `crate::kernels` module docs for the user-facing
 //! statement):
 //!
-//! * `dot_f32_sse2` is **bit-identical** to the scalar kernel: it keeps
-//!   the scalar kernel's eight independent accumulators as two `__m128`
-//!   registers, performs the same multiply-then-add per element, reduces
-//!   the lanes in the same left-to-right order, and adds the scalar tail
-//!   last.
 //! * `dot_f32_avx2` uses FMA, which skips the per-product rounding; it may
 //!   differ from scalar by at most `2·n·ε·Σ|aᵢ·bᵢ|` with `ε = 2⁻²⁴` (each
 //!   path's forward error versus the exact sum is bounded by
@@ -32,17 +31,15 @@
 //!   own accumulator fed in the same chunk order, the transpose before the
 //!   reduction only moves values, the vertical adds sum each row's lanes
 //!   left to right, and the unfused tail is added last.
-//! * The `i8` dots are exact integer arithmetic on every tier (widening
-//!   `i8 → i16 → i32`; `_madd_epi16` pair-sums stay below `2·127²`), so
-//!   they are bit-identical to scalar by construction.
-//! * `axpy` on SSE2 performs the identical per-element multiply-then-add
-//!   (bit-identical to scalar). The AVX2 tier fuses it in
-//!   `axpy_rows_avx2`, which takes one or eight rows per call and applies
-//!   them to each element in row order, so an eight-row call gives the
-//!   same bits as eight one-row calls.
-//! * `maxabs` is exact for finite inputs on every tier (`max`/`abs`
-//!   introduce no rounding); non-finite inputs are outside the quantizer
-//!   contract and may reduce differently across tiers.
+//! * The `i8` dot is exact integer arithmetic (widening `i8 → i16 → i32`;
+//!   `_madd_epi16` pair-sums stay below `2·128²`), so it is bit-identical
+//!   to scalar by construction.
+//! * The AVX2 tier fuses `axpy` in `axpy_rows_avx2`, which takes one or
+//!   eight rows per call and applies them to each element in row order,
+//!   so an eight-row call gives the same bits as eight one-row calls.
+//! * The quantizers' max-abs reduction has no SIMD form: every tier runs
+//!   the scalar fold, which skips NaN, so quantization is bit-exact on
+//!   every tier for every input.
 #![allow(unsafe_code)]
 
 #[cfg(target_arch = "x86_64")]
@@ -52,170 +49,12 @@ pub(crate) use x86::*;
 mod x86 {
     use core::arch::x86_64::{
         __m128i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi8_epi16, _mm256_fmadd_ps,
-        _mm256_loadu_ps, _mm256_madd_epi16, _mm256_max_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_loadu_ps, _mm256_madd_epi16, _mm256_permute2f128_ps, _mm256_set1_ps,
         _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_ps, _mm256_storeu_ps,
-        _mm256_storeu_si256, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_epi32, _mm_add_ps,
-        _mm_andnot_ps, _mm_loadu_ps, _mm_loadu_si128, _mm_madd_epi16, _mm_max_ps, _mm_mul_ps,
-        _mm_set1_ps, _mm_setzero_ps, _mm_setzero_si128, _mm_srai_epi16, _mm_storeu_ps,
-        _mm_storeu_si128, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
+        _mm256_storeu_si256, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_loadu_si128,
     };
 
-    use crate::kernels::{BLOCK, LANES};
-
-    /// i8 elements consumed per vectorized step of the integer dots.
-    const I8_STRIDE: usize = 16;
-
-    // ---------------------------------------------------------------
-    // SSE2 tier
-    // ---------------------------------------------------------------
-
-    /// f32 dot product, bit-identical to `kernels::dot_scalar`: the scalar
-    /// kernel's `LANES = 8` accumulators live in two `__m128` registers
-    /// (lanes 0–3 and 4–7), each element sees the same multiply-then-add,
-    /// and the reduction order (lane 0 → lane 7, then the tail) matches.
-    pub(crate) fn dot_f32_sse2(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: only reachable via `KernelBackend` dispatch, which
-        // clamps to scalar unless `is_x86_feature_detected!("sse2")`.
-        unsafe { dot_f32_sse2_impl(a, b) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn dot_f32_sse2_impl(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let chunks = n / LANES;
-        let mut acc_lo = _mm_setzero_ps();
-        let mut acc_hi = _mm_setzero_ps();
-        for c in 0..chunks {
-            let base = c * LANES;
-            // SAFETY: `base + 8 <= chunks * LANES <= n`, in bounds of both.
-            unsafe {
-                let a_lo = _mm_loadu_ps(a.as_ptr().add(base));
-                let a_hi = _mm_loadu_ps(a.as_ptr().add(base + 4));
-                let b_lo = _mm_loadu_ps(b.as_ptr().add(base));
-                let b_hi = _mm_loadu_ps(b.as_ptr().add(base + 4));
-                acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(a_lo, b_lo));
-                acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(a_hi, b_hi));
-            }
-        }
-        let mut lanes = [0.0f32; LANES];
-        // SAFETY: `lanes` holds exactly two 4-lane stores.
-        unsafe {
-            _mm_storeu_ps(lanes.as_mut_ptr(), acc_lo);
-            _mm_storeu_ps(lanes.as_mut_ptr().add(4), acc_hi);
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * LANES..n {
-            tail += a[i] * b[i];
-        }
-        lanes.iter().sum::<f32>() + tail
-    }
-
-    /// Integer i8 dot, exact (bit-identical to scalar): bytes sign-extend
-    /// to `i16` via the unpack-with-self + arithmetic-shift idiom, pair-sum
-    /// through `_mm_madd_epi16` (each pair ≤ `2·127² = 32258`, far inside
-    /// `i16`-product `i32` range), and accumulate in four `i32` lanes.
-    pub(crate) fn dot_i8_sse2(a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: only reachable via `KernelBackend` dispatch, which
-        // clamps to scalar unless `is_x86_feature_detected!("sse2")`.
-        unsafe { dot_i8_sse2_impl(a, b) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn dot_i8_sse2_impl(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let chunks = n / I8_STRIDE;
-        let mut acc = _mm_setzero_si128();
-        for c in 0..chunks {
-            let base = c * I8_STRIDE;
-            // SAFETY: `base + 16 <= chunks * I8_STRIDE <= n`, in bounds.
-            unsafe {
-                let av = _mm_loadu_si128(a.as_ptr().add(base).cast::<__m128i>());
-                let bv = _mm_loadu_si128(b.as_ptr().add(base).cast::<__m128i>());
-                let a_lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(av, av));
-                let a_hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(av, av));
-                let b_lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(bv, bv));
-                let b_hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(bv, bv));
-                acc = _mm_add_epi32(acc, _mm_madd_epi16(a_lo, b_lo));
-                acc = _mm_add_epi32(acc, _mm_madd_epi16(a_hi, b_hi));
-            }
-        }
-        let mut lanes = [0i32; 4];
-        // SAFETY: `lanes` holds exactly one 128-bit store.
-        unsafe {
-            _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), acc);
-        }
-        let mut total: i32 = lanes.iter().sum();
-        for i in chunks * I8_STRIDE..n {
-            total += i32::from(a[i]) * i32::from(b[i]);
-        }
-        total
-    }
-
-    /// `out[i] += w · x[i]`, bit-identical to scalar: each element sees the
-    /// same independent multiply-then-add regardless of vector width.
-    pub(crate) fn axpy_sse2(w: f32, x: &[f32], out: &mut [f32]) {
-        // SAFETY: only reachable via `KernelBackend` dispatch, which
-        // clamps to scalar unless `is_x86_feature_detected!("sse2")`.
-        unsafe { axpy_sse2_impl(w, x, out) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn axpy_sse2_impl(w: f32, x: &[f32], out: &mut [f32]) {
-        let n = x.len().min(out.len());
-        let chunks = n / 4;
-        let wv = _mm_set1_ps(w);
-        for c in 0..chunks {
-            let base = c * 4;
-            // SAFETY: `base + 4 <= n`, in bounds of both slices.
-            unsafe {
-                let xv = _mm_loadu_ps(x.as_ptr().add(base));
-                let ov = _mm_loadu_ps(out.as_ptr().add(base));
-                _mm_storeu_ps(
-                    out.as_mut_ptr().add(base),
-                    _mm_add_ps(ov, _mm_mul_ps(wv, xv)),
-                );
-            }
-        }
-        for i in chunks * 4..n {
-            out[i] += w * x[i];
-        }
-    }
-
-    /// Max-abs reduction, exact for finite inputs (`max`/`abs` introduce no
-    /// rounding; the fold starts at `+0.0` like the scalar kernel).
-    pub(crate) fn maxabs_sse2(src: &[f32]) -> f32 {
-        // SAFETY: only reachable via `KernelBackend` dispatch, which
-        // clamps to scalar unless `is_x86_feature_detected!("sse2")`.
-        unsafe { maxabs_sse2_impl(src) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn maxabs_sse2_impl(src: &[f32]) -> f32 {
-        let chunks = src.len() / 4;
-        let sign = _mm_set1_ps(-0.0);
-        let mut acc = _mm_setzero_ps();
-        for c in 0..chunks {
-            // SAFETY: `c * 4 + 4 <= src.len()`, in bounds.
-            unsafe {
-                let v = _mm_loadu_ps(src.as_ptr().add(c * 4));
-                acc = _mm_max_ps(acc, _mm_andnot_ps(sign, v));
-            }
-        }
-        let mut lanes = [0.0f32; 4];
-        // SAFETY: `lanes` holds exactly one 4-lane store.
-        unsafe {
-            _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-        }
-        let mut m = lanes.iter().fold(0.0f32, |m, &x| m.max(x));
-        for &x in &src[chunks * 4..] {
-            m = m.max(x.abs());
-        }
-        m
-    }
-
-    // ---------------------------------------------------------------
-    // AVX2 + FMA tier
-    // ---------------------------------------------------------------
+    use crate::kernels::{BLOCK, I8_STRIDE, LANES};
 
     /// f32 dot product over one 8-lane FMA accumulator. Lane `l`
     /// accumulates exactly the elements scalar lane `l` does and the
@@ -407,36 +246,5 @@ mod x86 {
                 out[i] = w.mul_add(x[i], out[i]);
             }
         }
-    }
-
-    /// Max-abs reduction, exact for finite inputs.
-    pub(crate) fn maxabs_avx2(src: &[f32]) -> f32 {
-        // SAFETY: only reachable via `KernelBackend` dispatch, which
-        // clamps to scalar unless avx2+fma were detected.
-        unsafe { maxabs_avx2_impl(src) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn maxabs_avx2_impl(src: &[f32]) -> f32 {
-        let chunks = src.len() / LANES;
-        let sign = _mm256_set1_ps(-0.0);
-        let mut acc = _mm256_setzero_ps();
-        for c in 0..chunks {
-            // SAFETY: `c * 8 + 8 <= src.len()`, in bounds.
-            unsafe {
-                let v = _mm256_loadu_ps(src.as_ptr().add(c * LANES));
-                acc = _mm256_max_ps(acc, core::arch::x86_64::_mm256_andnot_ps(sign, v));
-            }
-        }
-        let mut lanes = [0.0f32; LANES];
-        // SAFETY: `lanes` holds exactly one 8-lane store.
-        unsafe {
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        }
-        let mut m = lanes.iter().fold(0.0f32, |m, &x| m.max(x));
-        for &x in &src[chunks * LANES..] {
-            m = m.max(x.abs());
-        }
-        m
     }
 }

@@ -1,12 +1,16 @@
-//! Parity of every kernel tier against the scalar tier, plus the SIMD-tail
-//! edge shapes.
+//! Parity of the AVX2 tier against the scalar tier, plus the SIMD-tail
+//! edge shapes. Each test iterates the tiers the host supports; on a host
+//! without AVX2 only the scalar tier runs, against the exact models and
+//! the naive integer sums.
 //!
 //! The contract under test (see the `kernels` module docs):
 //!
-//! * integer kernels (`dot_i8`, the `_q` scoring kernels, the quantizers)
-//!   are **bit-exact** on every tier;
-//! * the SSE2 tier's f32 kernels are **bit-identical** to scalar by
-//!   construction;
+//! * integer kernels (`dot_i8`, the `_q` scoring kernels) are
+//!   **bit-exact** on every tier, and `dot_i8` equals the naive integer
+//!   sum on every tier, scalar included;
+//! * the quantizers are shared scalar code: levels and scales are
+//!   **bit-exact** on every tier for every input, NaN and ±∞ included,
+//!   and cell levels stay in `−2..=2`;
 //! * the AVX2+FMA f32 dot is within the derived bound
 //!   `2·n·ε·Σ|aᵢ·bᵢ|`, `ε = 2⁻²⁴` (FMA only removes rounding steps, and
 //!   each path's forward error versus the exact sum is ≤ `n·ε·Σ|aᵢ·bᵢ|`
@@ -106,7 +110,7 @@ fn check_against_model<K: Rows, V: Rows>(
     let start = deterministic_row(dim, seed ^ 0x53);
     let scale = 1.0 / (dim as f32).sqrt();
     for backend in KernelBackend::supported() {
-        // AVX2+FMA fuses multiply-add; scalar and SSE2 round the product.
+        // AVX2+FMA fuses multiply-add; scalar rounds the product.
         let fused = backend == KernelBackend::Avx2;
         let tier = backend.label();
         // Every row's model score, checked against the single-row dot.
@@ -255,6 +259,66 @@ fn edge_dims_integer_paths_bit_exact_on_every_tier() {
     }
 }
 
+/// The quantizers give the same levels and scale on every tier for rows
+/// holding NaN and ±∞, and cell levels stay in `−2..=2`. A SIMD `max` lane
+/// that meets a NaN forgets every value it held, so a vectorized max-abs
+/// fails here: `[5, 0, 0, −1, 0, 0, 0, 0, NaN, 0, …]` would quantize with
+/// scale `1/127` instead of `5/127`, and to cell level 10 at index 0.
+#[test]
+fn quantizers_tier_invariant_for_non_finite_rows() {
+    for dim in EDGE_DIMS.into_iter().chain([16, 64]) {
+        let mut rows = Vec::new();
+        let mut spiked = vec![0.0f32; dim];
+        for (i, v) in [(0, 5.0), (3, -1.0), (8, f32::NAN)] {
+            if i < dim {
+                spiked[i] = v;
+            }
+        }
+        rows.push(spiked);
+        rows.push(vec![f32::NAN; dim]);
+        let positions = [0, 3, 7, 8, 15, dim / 2, dim - 1];
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for p in positions.into_iter().filter(|&p| p < dim) {
+                let mut row = deterministic_row(dim, 71 + (dim * 8 + p) as u64);
+                row[p] = special;
+                rows.push(row.clone());
+                // The same row with a NaN further along as well.
+                row[(p + 5) % dim] = f32::NAN;
+                rows.push(row);
+            }
+        }
+        for row in &rows {
+            let mut expect_q = vec![0i8; dim];
+            let expect_scale = KernelBackend::Scalar.quantize_row_i8(row, &mut expect_q);
+            let mut expect_c3 = vec![0i8; dim];
+            let expect_c3_scale = KernelBackend::Scalar.quantize_row_cell3(row, &mut expect_c3);
+            for backend in KernelBackend::supported() {
+                let tier = backend.label();
+                let mut q = vec![0i8; dim];
+                let scale = backend.quantize_row_i8(row, &mut q);
+                assert_eq!(q, expect_q, "tier {tier} i8 levels of {row:?}");
+                assert_eq!(
+                    scale.to_bits(),
+                    expect_scale.to_bits(),
+                    "tier {tier} i8 scale of {row:?}"
+                );
+                let mut c3 = vec![0i8; dim];
+                let c3_scale = backend.quantize_row_cell3(row, &mut c3);
+                assert!(
+                    c3.iter().all(|l| (-2..=2).contains(l)),
+                    "tier {tier} cell levels {c3:?} of {row:?}"
+                );
+                assert_eq!(c3, expect_c3, "tier {tier} cell levels of {row:?}");
+                assert_eq!(
+                    c3_scale.to_bits(),
+                    expect_c3_scale.to_bits(),
+                    "tier {tier} cell scale of {row:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn empty_gather_and_single_row_arena_on_every_tier() {
     for &dim in &EDGE_DIMS {
@@ -315,7 +379,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases_env(64))]
 
     /// f32 dot: every supported tier stays within the derived FMA bound
-    /// of scalar, and the SSE2 tier is bit-identical.
+    /// of scalar.
     #[test]
     fn dot_every_tier_within_derived_bound_of_scalar(
         a in proptest::collection::vec(-8.0f32..8.0, 1..200),
@@ -332,22 +396,24 @@ proptest! {
                 backend.label(),
                 (d - scalar).abs()
             );
-            if backend == KernelBackend::Sse2 {
-                prop_assert_eq!(d.to_bits(), scalar.to_bits());
-            }
         }
     }
 
-    /// i8 dot: bit-exact integer arithmetic on every tier.
+    /// i8 dot: every tier, scalar included, equals the naive integer sum
+    /// `Σ i32(aᵢ)·i32(bᵢ)` at every length `0..=200` (every tail length
+    /// mod 16) over the full `i8` range.
     #[test]
     fn dot_i8_every_tier_bit_exact(
-        a in proptest::collection::vec(-127i8..=127, 1..200),
-        b in proptest::collection::vec(-127i8..=127, 1..200),
+        a in proptest::collection::vec(i8::MIN..=i8::MAX, 200),
+        b in proptest::collection::vec(i8::MIN..=i8::MAX, 200),
     ) {
-        let n = a.len().min(b.len());
-        let scalar = KernelBackend::Scalar.dot_i8(&a[..n], &b[..n]);
-        for backend in KernelBackend::supported() {
-            prop_assert_eq!(backend.dot_i8(&a[..n], &b[..n]), scalar);
+        for n in 0..=200 {
+            let (a, b) = (&a[..n], &b[..n]);
+            let naive: i32 = a.iter().zip(b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
+            for backend in KernelBackend::supported() {
+                let got = backend.dot_i8(a, b);
+                prop_assert!(got == naive, "tier {} n {n}: {got} != {naive}", backend.label());
+            }
         }
     }
 
@@ -398,8 +464,8 @@ proptest! {
         }
     }
 
-    /// Weighted sums: SSE2 bit-identical to scalar; AVX2 within a per-
-    /// element fused-rounding bound of scalar.
+    /// Weighted sums: AVX2 within a per-element fused-rounding bound of
+    /// scalar.
     #[test]
     fn weighted_sum_every_tier_tracks_scalar(
         dim in 1usize..80,
@@ -416,17 +482,13 @@ proptest! {
             let mut out = vec![0.0f32; dim];
             backend.weighted_sum_gather(&weights, values, &rows, &mut out);
             for (o, s) in out.iter().zip(&scalar) {
-                if backend == KernelBackend::Sse2 {
-                    prop_assert_eq!(o.to_bits(), s.to_bits());
-                } else {
-                    // n fused accumulations, each within 1 ulp of the
-                    // scalar step: generous absolute-relative envelope.
-                    prop_assert!(
-                        (o - s).abs() <= 1e-4 * s.abs().max(1.0),
-                        "tier {}: {o} vs {s}",
-                        backend.label()
-                    );
-                }
+                // n fused accumulations, each within 1 ulp of the scalar
+                // step: generous absolute-relative envelope.
+                prop_assert!(
+                    (o - s).abs() <= 1e-4 * s.abs().max(1.0),
+                    "tier {}: {o} vs {s}",
+                    backend.label()
+                );
             }
         }
     }

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 /// cross-tier comparisons of the `simd_speedup` suite.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct HostProvenance {
-    /// Active kernel dispatch tier label (`"scalar"`, `"sse2"`, `"avx2"`)
+    /// Active kernel dispatch tier label (`"scalar"` or `"avx2"`)
     /// — the runtime-detected tier, or the `UNICAIM_KERNEL_BACKEND`
     /// override when one is set.
     pub backend: String,

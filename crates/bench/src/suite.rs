@@ -598,10 +598,10 @@ fn prefix_reuse_suite() -> Vec<Case> {
 /// override) the two paths are the same code, so the figure is defined
 /// as exactly 1.0 and no timing runs — trivially ≥ 1.0 on scalar-only
 /// hosts, as the gate requires. The `backend_tier` case records the
-/// active tier itself (1 = scalar, 2 = sse2, 3 = avx2); `bench_check`
-/// additionally skips cross-tier comparisons of this suite, and the
-/// ratio cases carry a wide band (8x, two-sided) because each gates a
-/// ratio of two wall-clock medians.
+/// active tier itself (1 = scalar, 3 = avx2, the codes the saved
+/// baselines hold); `bench_check` additionally skips cross-tier
+/// comparisons of this suite, and the ratio cases carry a wide band (8x,
+/// two-sided) because each gates a ratio of two wall-clock medians.
 fn simd_speedup_suite() -> Vec<Case> {
     use unicaim_attention::kernels::KernelBackend;
 
@@ -643,7 +643,6 @@ fn simd_speedup_suite() -> Vec<Case> {
             "tier",
             move || match backend {
                 KernelBackend::Scalar => 1.0,
-                KernelBackend::Sse2 => 2.0,
                 KernelBackend::Avx2 => 3.0,
             },
         ),

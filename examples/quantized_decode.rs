@@ -8,14 +8,17 @@
 //!    `DecodeSession::prefill_spec` — which now cross-checks the spec's
 //!    `H + M` budget against the session's slot budget and rejects a
 //!    mismatch up front;
-//! 2. decode the same workload with the key arena stored at each
-//!    [`Precision`]: `f32` (4 bytes/element), per-row-scaled `i8`
-//!    (1 byte/element, ~4× smaller), and the 3-bit multilevel-cell snap
-//!    ({−1, −0.5, 0, +0.5, +1} × row scale — the hardware's five signed
-//!    levels);
-//! 3. report key-arena bytes, decode tokens/sec (prefill scaffolding
-//!    excluded), retrieval recall, and output fidelity per precision, and
-//!    pin the run to `results/quantized_decode.json`.
+//! 2. decode the same workload scoring keys at each [`Precision`]: `f32`
+//!    (a scan reads 4 bytes/element), per-row-scaled `i8` (1 byte/element
+//!    plus a scale per row, ~4× fewer key bytes per scan), and the 3-bit
+//!    multilevel-cell snap ({−1, −0.5, 0, +0.5, +1} × row scale — the
+//!    hardware's five signed levels);
+//! 3. report the key bytes a full scan reads, decode tokens/sec (prefill
+//!    scaffolding excluded), retrieval recall, and output fidelity per
+//!    precision, and pin the run to `results/quantized_decode.json`.
+//!
+//! The scanned key bytes are not the store's size: a page keeps `f32`
+//! keys and values next to the `i8` shadow at every precision.
 //!
 //! Run with: `cargo run --release --example quantized_decode`
 
@@ -63,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    scaffolding, which would swamp the per-step movement).
     println!(
         "{:>6} {:>10} {:>12} {:>9} {:>11}",
-        "prec", "key bytes", "decode tok/s", "recall", "out-cosine"
+        "prec", "scan bytes", "decode tok/s", "recall", "out-cosine"
     );
     let mut rows = Vec::new();
     let f32_bytes = KvStore::new(capacity, workload.dim).key_arena_bytes();
@@ -98,12 +101,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    // The quantized arenas must deliver the ~4× key-storage reduction the
-    // layer exists for, without giving up the needle.
+    // The quantized scans must read ~4× fewer key bytes, the traffic cut
+    // the layer exists for, without giving up the needle.
     for row in &rows[1..] {
         assert!(
             (row.key_arena_bytes as f64) < 0.3 * f32_bytes as f64,
-            "quantized key arena ({} B) must be ~4x below f32 ({f32_bytes} B)",
+            "quantized scan reads {} key bytes, must be ~4x below f32's {f32_bytes} B",
             row.key_arena_bytes
         );
         assert!(
@@ -117,7 +120,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = "results/quantized_decode.json";
     std::fs::create_dir_all("results")?;
     std::fs::write(path, serde_json::to_string_pretty(&rows)?)?;
-    println!("\nkey arena at i8: 1 byte/element + one f32 scale per row (f32: 4 bytes/element)");
+    println!(
+        "\nkey bytes a scan reads at i8: 1 byte/element + one f32 scale per row (f32: 4 bytes/element)"
+    );
     println!("saved {path}");
     Ok(())
 }
