@@ -5,7 +5,7 @@
 //! over contiguous row-major arenas through this module instead of
 //! pointer-chasing `Vec<Vec<f32>>` layouts. The kernels are deliberately
 //! allocation-free: callers pass output slices and reusable scratch
-//! buffers, so a steady-state decode step performs no heap traffic.
+//! buffers, so the kernels add no heap traffic to a decode step.
 //!
 //! Layout convention: a [`RowView`] describes `n` logical rows of `dim`
 //! contiguous `f32`s inside a flat buffer, with consecutive rows `stride`

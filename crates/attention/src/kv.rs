@@ -28,7 +28,6 @@
 //! requires it); writing a token that is already resident in a *different*
 //! slot is rejected with [`AttentionError::DuplicateToken`].
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -141,10 +140,11 @@ pub struct KvStore {
     pages: Vec<PageHandle>,
     /// Logical token held by each slot.
     tokens: Vec<Option<usize>>,
-    /// Token → slot index (ascending-token iteration, O(log n) lookup).
-    by_token: BTreeMap<usize, usize>,
-    /// Occupied-slot count (kept in sync with `tokens`).
-    len: usize,
+    /// Token → slot index: one `(token, slot)` pair per occupied slot
+    /// (so its length is the occupancy), sorted by token. Ascending-token
+    /// iteration walks the slice and a lookup is a binary search. A
+    /// decoded token has the largest id yet, so indexing it is a push.
+    by_token: Vec<(usize, usize)>,
 }
 
 impl KvStore {
@@ -197,8 +197,7 @@ impl KvStore {
             arena: arena.clone(),
             pages,
             tokens: vec![None; capacity],
-            by_token: BTreeMap::new(),
-            len: 0,
+            by_token: Vec::new(),
         }
     }
 
@@ -247,13 +246,14 @@ impl KvStore {
         }
         pages.extend((shared.len()..n_pages).map(|_| arena.alloc()));
         let mut tokens = vec![None; capacity];
-        let mut by_token = BTreeMap::new();
+        let mut by_token = Vec::with_capacity(prefix_tokens.len());
         for (slot, &token) in prefix_tokens.iter().enumerate() {
             tokens[slot] = Some(token);
-            assert!(
-                by_token.insert(token, slot).is_none(),
-                "prefix token {token} repeats"
-            );
+            by_token.push((token, slot));
+        }
+        by_token.sort_unstable();
+        for pair in by_token.windows(2) {
+            assert!(pair[0].0 != pair[1].0, "prefix token {} repeats", pair[0].0);
         }
         Self {
             dim,
@@ -264,7 +264,6 @@ impl KvStore {
             pages,
             tokens,
             by_token,
-            len: prefix_tokens.len(),
         }
     }
 
@@ -334,13 +333,13 @@ impl KvStore {
     /// Number of occupied slots.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.by_token.len()
     }
 
     /// True when no slot is occupied.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.by_token.is_empty()
     }
 
     /// Rows per page in this store's page table.
@@ -497,16 +496,14 @@ impl KvStore {
                 ),
             });
         }
-        if let Some(&other) = self.by_token.get(&token) {
+        if let Some(other) = self.slot_of_token(token) {
             if other != slot {
                 return Err(AttentionError::DuplicateToken { token, slot: other });
             }
         }
         let prev = self.tokens[slot];
         if let Some(p) = prev {
-            self.by_token.remove(&p);
-        } else {
-            self.len += 1;
+            self.unindex(p);
         }
         let dim = self.dim;
         let precision = self.precision;
@@ -519,8 +516,21 @@ impl KvStore {
             page.qscales[row] = precision.quantize_row(key, &mut page.qkeys[base..base + dim]);
         }
         self.tokens[slot] = Some(token);
-        self.by_token.insert(token, slot);
+        let at = self.by_token.partition_point(|&(t, _)| t < token);
+        self.by_token.insert(at, (token, slot));
         Ok(prev)
+    }
+
+    /// Position of `token` in the sorted index.
+    fn index_of(&self, token: usize) -> Result<usize, usize> {
+        self.by_token.binary_search_by_key(&token, |&(t, _)| t)
+    }
+
+    /// Drops `token` from the sorted index.
+    fn unindex(&mut self, token: usize) {
+        if let Ok(i) = self.index_of(token) {
+            self.by_token.remove(i);
+        }
     }
 
     /// Writes an entry into `slot`, overwriting whatever was there
@@ -588,8 +598,7 @@ impl KvStore {
         }
         let prev = self.entry(slot);
         if let Some(token) = self.tokens[slot].take() {
-            self.by_token.remove(&token);
-            self.len -= 1;
+            self.unindex(token);
             let dim = self.dim;
             let row = slot % self.page_rows;
             let page = self.page_mut(slot / self.page_rows);
@@ -631,15 +640,17 @@ impl KvStore {
     }
 
     /// Iterator over `(token, slot)` for occupied slots, in **ascending
-    /// token order** (the order the harness↔policy contract requires).
+    /// token order** (the order the harness↔policy contract requires): a
+    /// walk over the sorted token index, no lookup per item.
     pub fn iter_tokens(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.by_token.iter().map(|(&t, &s)| (t, s))
+        self.by_token.iter().copied()
     }
 
-    /// The physical slot currently holding the given logical token, if any.
+    /// The physical slot currently holding the given logical token, if any
+    /// (a binary search of the sorted token index, O(log n)).
     #[must_use]
     pub fn slot_of_token(&self, token_id: usize) -> Option<usize> {
-        self.by_token.get(&token_id).copied()
+        self.index_of(token_id).ok().map(|i| self.by_token[i].1)
     }
 
     /// All occupied slots' token ids, in slot order.
@@ -651,7 +662,7 @@ impl KvStore {
     /// All occupied slots' token ids, ascending.
     #[must_use]
     pub fn tokens_ascending(&self) -> Vec<usize> {
-        self.by_token.keys().copied().collect()
+        self.by_token.iter().map(|&(t, _)| t).collect()
     }
 }
 
@@ -980,23 +991,39 @@ mod tests {
 
     #[test]
     fn from_shared_prefix_splices_pages_bit_identically() {
+        // The prefix is not in token order, so the token index is sorted
+        // on splice rather than taken from slot order.
+        let prefix = [9usize, 4, 7];
         let arena = PageArena::new(3, 2);
         let mut cold = KvStore::with_arena(&arena, 6, Precision::Cell3Bit);
-        for (i, t) in [4usize, 7, 9].iter().enumerate() {
+        for (i, t) in prefix.iter().enumerate() {
             cold.write_slot_parts(i, *t, &[0.1 * (i as f32 + 1.0); 3], &[0.2; 3])
                 .unwrap();
         }
         // Cache the pages covering the three prefix rows (2 of 3 pages).
         let shared: Vec<PageHandle> = cold.pages()[..2].to_vec();
-        let spliced =
-            KvStore::from_shared_prefix(&arena, 6, Precision::Cell3Bit, &shared, &[4, 7, 9]);
+        let spliced = KvStore::from_shared_prefix(&arena, 6, Precision::Cell3Bit, &shared, &prefix);
         assert_eq!(spliced, cold, "splice must reproduce the prefix exactly");
         assert_eq!(spliced.len(), 3);
-        assert_eq!(spliced.slot_of_token(9), Some(2));
+        assert_eq!(
+            spliced.iter_tokens().collect::<Vec<_>>(),
+            vec![(4, 1), (7, 2), (9, 0)]
+        );
+        assert_eq!(spliced.slot_of_token(9), Some(0));
+        assert_eq!(spliced.slot_of_token(4), Some(1));
+        assert_eq!(spliced.slot_of_token(5), None);
         // Shared pages: cold + registry handle + spliced = refcount 3.
         assert_eq!(spliced.page_refcount(0), 3);
         // The tail page was freshly allocated, not shared.
         assert_eq!(spliced.page_refcount(2), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix token 4 repeats")]
+    fn from_shared_prefix_rejects_a_repeated_token() {
+        let arena = PageArena::new(2, 4);
+        let shared = vec![arena.alloc()];
+        let _ = KvStore::from_shared_prefix(&arena, 4, Precision::F32, &shared, &[4, 9, 4]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1};
 use unicaim_attention::{
-    argtop_k, attention_output, attention_scores, softmax_in_place, KvEntry, KvStore, Matrix,
+    argtop_k, attention_output, attention_scores, softmax_in_place, AttentionError, KvEntry,
+    KvStore, Matrix,
 };
 
 proptest! {
@@ -155,39 +156,61 @@ proptest! {
 
     /// The structure-of-arrays KvStore tracks a naive slot-of-entries model
     /// exactly: same append/write/evict outcomes, same occupancy, same
-    /// `slot_of_token` answers, same per-slot contents.
+    /// `slot_of_token` answers, same per-slot contents. Token ids come from
+    /// a small range, so they repeat and arrive out of order: the sorted
+    /// token index must insert mid-list, and a token resident in another
+    /// slot must be refused.
     #[test]
     fn kvstore_matches_naive_slot_model(
-        ops in proptest::collection::vec((0usize..5, 0usize..3, -4i32..4), 1..60),
+        ops in proptest::collection::vec((0usize..5, 0usize..3, -4i32..4, 0usize..8), 1..60),
     ) {
         const CAP: usize = 5;
         const DIM: usize = 3;
+        const TOKENS: usize = 8;
         let mut store = KvStore::new(CAP, DIM);
         // The pre-refactor representation: one Option<KvEntry> per slot.
         let mut model: Vec<Option<KvEntry>> = vec![None; CAP];
-        for (i, &(slot, op, seed)) in ops.iter().enumerate() {
+        let holder = |model: &[Option<KvEntry>], token: usize| {
+            model.iter().position(|m| m.as_ref().is_some_and(|x| x.token_id == token))
+        };
+        for &(slot, op, seed, token) in &ops {
             let entry = KvEntry {
-                token_id: i,
+                token_id: token,
                 key: vec![seed as f32 * 0.5; DIM],
                 value: vec![seed as f32 * 0.25 + 1.0; DIM],
             };
             match op {
                 // Direct in-slot overwrite.
                 0 => {
-                    let prev = store.write_slot(slot, entry.clone()).unwrap();
-                    let model_prev = model[slot].replace(entry);
-                    prop_assert_eq!(prev, model_prev);
+                    let result = store.write_slot(slot, entry.clone());
+                    match holder(&model, token).filter(|&h| h != slot) {
+                        Some(other) => prop_assert!(
+                            matches!(result, Err(AttentionError::DuplicateToken { token: t, slot: s })
+                                if t == token && s == other),
+                            "token {token} held in slot {other}: {result:?}"
+                        ),
+                        None => prop_assert_eq!(result.unwrap(), model[slot].replace(entry)),
+                    }
                 }
                 // Append into the first free slot.
                 1 => {
                     let model_free = model.iter().position(Option::is_none);
                     prop_assert_eq!(store.first_free_slot(), model_free);
-                    match model_free {
-                        Some(free) => {
-                            prop_assert_eq!(store.append(entry.clone()).unwrap(), free);
+                    let result = store.append(entry.clone());
+                    match (model_free, holder(&model, token)) {
+                        (None, _) => prop_assert!(
+                            matches!(result, Err(AttentionError::IndexOutOfRange { .. })),
+                            "full store: {result:?}"
+                        ),
+                        (Some(_), Some(other)) => prop_assert!(
+                            matches!(result, Err(AttentionError::DuplicateToken { token: t, slot: s })
+                                if t == token && s == other),
+                            "token {token} held in slot {other}: {result:?}"
+                        ),
+                        (Some(free), None) => {
+                            prop_assert_eq!(result.unwrap(), free);
                             model[free] = Some(entry);
                         }
-                        None => prop_assert!(store.append(entry).is_err()),
                     }
                 }
                 // Evict.
@@ -201,11 +224,16 @@ proptest! {
             for (s, expected) in model.iter().enumerate() {
                 prop_assert_eq!(&store.entry(s), expected);
             }
-            for e in model.iter().flatten() {
-                let found = model.iter().position(
-                    |m| m.as_ref().is_some_and(|x| x.token_id == e.token_id));
-                prop_assert_eq!(store.slot_of_token(e.token_id), found);
+            for t in 0..TOKENS {
+                prop_assert_eq!(store.slot_of_token(t), holder(&model, t));
             }
+            let mut model_index: Vec<(usize, usize)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(s, m)| m.as_ref().map(|e| (e.token_id, s)))
+                .collect();
+            model_index.sort_unstable();
+            prop_assert_eq!(store.iter_tokens().collect::<Vec<_>>(), model_index);
             let model_ids: Vec<usize> = model.iter().flatten().map(|e| e.token_id).collect();
             prop_assert_eq!(store.token_ids(), model_ids);
         }

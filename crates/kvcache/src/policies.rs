@@ -4,7 +4,8 @@
 //! with an explicit token/index tie-break, so a NaN-poisoned score makes a
 //! deterministic (if garbage) decision instead of a run-dependent one.
 
-use unicaim_attention::kernels::partial_top_k_by;
+use std::collections::VecDeque;
+
 use unicaim_attention::Matrix;
 
 use crate::policy::{accumulated_prefill_scores, top_indices_by_score, Policy, StepDecision};
@@ -16,17 +17,46 @@ fn select_all(scored: &[(usize, f32)]) -> StepDecision {
     }
 }
 
-fn select_top_k(scored: &[(usize, f32)], k: usize) -> StepDecision {
-    // Highest score first, ties toward the lower token id; partial
-    // selection instead of sorting the whole resident set.
-    let idx = partial_top_k_by(scored.len(), k, |a, b| {
-        scored[b]
-            .1
-            .total_cmp(&scored[a].1)
-            .then(scored[a].0.cmp(&scored[b].0))
-    });
-    let mut selected: Vec<usize> = idx.into_iter().map(|i| scored[i].0).collect();
-    selected.sort_unstable();
+/// A key that falls as `score` rises under [`f32::total_cmp`]: the
+/// standard library's sign-magnitude transform, read as unsigned and
+/// inverted. Equal keys mean equal bits.
+fn descending_key(score: f32) -> u32 {
+    let bits = score.to_bits();
+    let ascending = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    !ascending
+}
+
+/// The `k` highest-scoring tokens (total order, ties toward the lower
+/// token id), returned in ascending token order.
+///
+/// Relies on `scored` being ascending by token, as the harness contract
+/// guarantees: one walk in that order keeps every row above the k-th key
+/// plus the first rows equal to it, which breaks ties toward the lower
+/// token and yields the output already sorted. `keys` is scratch.
+fn select_top_k(scored: &[(usize, f32)], k: usize, keys: &mut Vec<u32>) -> StepDecision {
+    let k = k.min(scored.len());
+    let mut selected = Vec::with_capacity(k);
+    if k == 0 {
+        return StepDecision { selected };
+    }
+    keys.clear();
+    keys.extend(scored.iter().map(|&(_, s)| descending_key(s)));
+    // Every key below the k-th one lands in `head`.
+    let (head, &mut kth, _) = keys.select_nth_unstable(k - 1);
+    let mut ties = k - head.iter().filter(|&&key| key < kth).count();
+    for &(token, score) in scored {
+        let key = descending_key(score);
+        if key < kth {
+            selected.push(token);
+        } else if key == kth && ties > 0 {
+            ties -= 1;
+            selected.push(token);
+        }
+    }
     StepDecision { selected }
 }
 
@@ -165,12 +195,10 @@ impl Policy for H2O {
         if resident.is_empty() {
             return None;
         }
-        // Protect the most recent `recent_budget` tokens.
-        let mut sorted = resident.to_vec();
-        sorted.sort_unstable();
-        let cutoff = sorted.len().saturating_sub(self.recent_budget);
-        let candidates = &sorted[..cutoff.max(1).min(sorted.len())];
-        self.table.min_among(candidates)
+        // Protect the most recent `recent_budget` tokens: the tail of the
+        // ascending `resident` list.
+        let cutoff = resident.len().saturating_sub(self.recent_budget);
+        self.table.min_among(&resident[..cutoff.max(1)])
     }
 }
 
@@ -254,7 +282,7 @@ impl Policy for OracleTopK {
     }
 
     fn select(&mut self, _step: usize, scored: &[(usize, f32)], k: usize) -> StepDecision {
-        select_top_k(scored, k)
+        select_top_k(scored, k, &mut Vec::new())
     }
 
     fn observe(&mut self, _step: usize, _weights: &[(usize, f32)]) {}
@@ -374,7 +402,10 @@ pub struct HybridStaticDynamic {
     k: usize,
     protect_recent: usize,
     table: ScoreTable,
-    newest: Vec<usize>,
+    /// The last `protect_recent` inserted tokens, oldest first.
+    newest: VecDeque<usize>,
+    /// Scratch keys for [`select_top_k`], reused across steps.
+    topk_keys: Vec<u32>,
 }
 
 impl HybridStaticDynamic {
@@ -410,7 +441,8 @@ impl HybridStaticDynamic {
             k,
             protect_recent,
             table,
-            newest: Vec::new(),
+            newest: VecDeque::new(),
+            topk_keys: Vec::new(),
         }
     }
 
@@ -432,8 +464,7 @@ impl HybridStaticDynamic {
         self.k
     }
 
-    /// Read access to the accumulated-score table (used by the hardware
-    /// engine cross-validation).
+    /// Read access to the accumulated-score table.
     #[must_use]
     pub fn score_table(&self) -> &ScoreTable {
         &self.table
@@ -455,7 +486,7 @@ impl Policy for HybridStaticDynamic {
     }
 
     fn select(&mut self, _step: usize, scored: &[(usize, f32)], k: usize) -> StepDecision {
-        select_top_k(scored, k.min(self.k.max(1)))
+        select_top_k(scored, k.min(self.k.max(1)), &mut self.topk_keys)
     }
 
     fn observe(&mut self, _step: usize, weights: &[(usize, f32)]) {
@@ -465,36 +496,28 @@ impl Policy for HybridStaticDynamic {
     }
 
     fn evict(&mut self, _step: usize, resident: &[usize]) -> Option<usize> {
-        if resident.is_empty() {
-            return None;
-        }
-        let protected: Vec<usize> = self
-            .newest
-            .iter()
-            .rev()
-            .take(self.protect_recent)
-            .copied()
-            .collect();
-        let candidates: Vec<usize> = resident
+        // The lowest-scored unprotected resident, or the lowest-scored of
+        // all when every resident is protected.
+        let unprotected = resident
             .iter()
             .copied()
-            .filter(|t| !protected.contains(t))
-            .collect();
-        let victim = if candidates.is_empty() {
-            resident.to_vec()
-        } else {
-            candidates
-        };
-        let evicted = self.table.min_among(&victim);
-        if let Some(t) = evicted {
-            self.table.remove(t);
-        }
-        evicted
+            .filter(|t| !self.newest.contains(t));
+        let victim = self
+            .table
+            .min_of(unprotected)
+            .or_else(|| self.table.min_of(resident.iter().copied()))?;
+        self.table.remove(victim);
+        Some(victim)
     }
 
     fn note_inserted(&mut self, token: usize) {
         self.table.insert(token, 0.0);
-        self.newest.push(token);
+        if self.protect_recent > 0 {
+            if self.newest.len() == self.protect_recent {
+                self.newest.pop_front();
+            }
+            self.newest.push_back(token);
+        }
     }
 }
 

@@ -1,7 +1,5 @@
 //! Accumulated attention-score tables.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 /// A table of accumulated attention scores per logical token.
@@ -10,6 +8,13 @@ use serde::{Deserialize, Serialize};
 /// paper's Fig. 3 "accumulated attention scores" table does) and
 /// exponentially weighted accumulation (what the charge-sharing hardware of
 /// Fig. 8 physically computes, with `α = C_SL/(C_SL+C_Acc)`).
+///
+/// Scores live in a flat vector indexed by token id, one entry per row
+/// like the array's per-row accumulation capacitor, so `observe`, `get`
+/// and `remove` are O(1). Memory grows with the largest token id ever
+/// tracked (16 bytes per id up to it, kept until the table is dropped).
+/// Token ids are sequence positions, so that is bounded by the sequence
+/// length: a 2688-token sequence costs at most ~43 KB.
 ///
 /// # Examples
 ///
@@ -23,9 +28,10 @@ use serde::{Deserialize, Serialize};
 /// // The eviction candidate is the lowest-accumulated token.
 /// assert_eq!(table.min_among(&[0, 1, 2]), Some(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScoreTable {
-    scores: BTreeMap<usize, f64>,
+    /// Score of token `t` at index `t`; `None` = not tracked.
+    scores: Vec<Option<f64>>,
     /// `None` = plain sum; `Some(alpha)` = EWMA with the given mixing factor.
     ewma_alpha: Option<f64>,
 }
@@ -35,7 +41,7 @@ impl ScoreTable {
     #[must_use]
     pub fn accumulating() -> Self {
         Self {
-            scores: BTreeMap::new(),
+            scores: Vec::new(),
             ewma_alpha: None,
         }
     }
@@ -53,22 +59,31 @@ impl ScoreTable {
             "alpha must be in (0,1], got {alpha}"
         );
         Self {
-            scores: BTreeMap::new(),
+            scores: Vec::new(),
             ewma_alpha: Some(alpha),
         }
+    }
+
+    /// The entry of `token`, growing the vector to cover it.
+    fn entry(&mut self, token: usize) -> &mut Option<f64> {
+        if token >= self.scores.len() {
+            self.scores.resize(token + 1, None);
+        }
+        &mut self.scores[token]
     }
 
     /// Registers a token with an initial score (used when a token enters the
     /// cache). Overwrites any previous entry.
     pub fn insert(&mut self, token: usize, initial: f64) {
-        self.scores.insert(token, initial);
+        *self.entry(token) = Some(initial);
     }
 
     /// Records an observation for `token`. Unknown tokens are implicitly
     /// inserted at 0 first.
     pub fn observe(&mut self, token: usize, value: f64) {
-        let entry = self.scores.entry(token).or_insert(0.0);
-        match self.ewma_alpha {
+        let alpha = self.ewma_alpha;
+        let entry = self.entry(token).get_or_insert(0.0);
+        match alpha {
             None => *entry += value,
             Some(a) => *entry = (1.0 - a) * *entry + a * value,
         }
@@ -76,25 +91,25 @@ impl ScoreTable {
 
     /// Removes a token, returning its accumulated score.
     pub fn remove(&mut self, token: usize) -> Option<f64> {
-        self.scores.remove(&token)
+        self.scores.get_mut(token).and_then(Option::take)
     }
 
     /// The accumulated score of a token.
     #[must_use]
     pub fn get(&self, token: usize) -> Option<f64> {
-        self.scores.get(&token).copied()
+        self.scores.get(token).copied().flatten()
     }
 
-    /// Number of tracked tokens.
+    /// Number of tracked tokens (a scan; not for hot paths).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.scores.len()
+        self.scores.iter().filter(|s| s.is_some()).count()
     }
 
     /// True when no token is tracked.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
+        self.scores.iter().all(Option::is_none)
     }
 
     /// The token with the lowest accumulated score among `candidates`
@@ -103,9 +118,14 @@ impl ScoreTable {
     /// score yields a deterministic victim.
     #[must_use]
     pub fn min_among(&self, candidates: &[usize]) -> Option<usize> {
+        self.min_of(candidates.iter().copied())
+    }
+
+    /// [`ScoreTable::min_among`] over any candidate iterator, so a caller
+    /// can filter candidates without collecting them.
+    pub(crate) fn min_of(&self, candidates: impl Iterator<Item = usize>) -> Option<usize> {
         candidates
-            .iter()
-            .map(|&t| (t, self.get(t).unwrap_or(0.0)))
+            .map(|t| (t, self.get(t).unwrap_or(0.0)))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             .map(|(t, _)| t)
     }
@@ -114,9 +134,30 @@ impl ScoreTable {
     /// total order via [`f64::total_cmp`]).
     #[must_use]
     pub fn ranked_desc(&self) -> Vec<usize> {
-        let mut v: Vec<(usize, f64)> = self.scores.iter().map(|(&t, &s)| (t, s)).collect();
+        let mut v: Vec<(usize, f64)> = self
+            .scores
+            .iter()
+            .enumerate()
+            .filter_map(|(t, s)| s.map(|s| (t, s)))
+            .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v.into_iter().map(|(t, _)| t).collect()
+    }
+}
+
+impl PartialEq for ScoreTable {
+    /// Logical equality: the same accumulation mode and the same
+    /// (token, score) pairs, whatever the vector lengths (removing the
+    /// highest token leaves trailing `None`s behind).
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.scores.len() <= other.scores.len() {
+            (&self.scores, &other.scores)
+        } else {
+            (&other.scores, &self.scores)
+        };
+        self.ewma_alpha == other.ewma_alpha
+            && short[..] == long[..short.len()]
+            && long[short.len()..].iter().all(Option::is_none)
     }
 }
 

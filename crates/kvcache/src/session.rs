@@ -159,8 +159,9 @@ pub struct DecodeSession<'w, 'p> {
     /// from (deterministic per sequence, so any schedule reconstructs the
     /// same peak).
     resident_trace: Vec<usize>,
-    // Reused per-step scratch buffers: the steady-state decode step is
-    // allocation-free (see the `kernels` module docs).
+    // Reused per-step scratch buffers: in the steady state a step
+    // allocates only the policy's `StepDecision` and, at answer steps,
+    // the salience sets (see the `kernels` module docs).
     scored: Vec<(usize, f32)>,
     /// Slots of the resident tokens, in `scored` order — the gather list
     /// the scan kernel reads.

@@ -163,22 +163,64 @@ proptest! {
         prop_assert!(r.output_rel_error < 1e-3, "rel err {}", r.output_rel_error);
     }
 
-    /// ScoreTable: accumulation only grows with non-negative observations,
-    /// and min_among always returns a candidate.
+    /// ScoreTable agrees with a `BTreeMap` model under random insert,
+    /// observe and remove operations, for plain and EWMA accumulation:
+    /// lookups (of tracked, removed and never-seen tokens), counts,
+    /// rankings and the eviction minimum over candidates that may be
+    /// missing. Equality is logical: a vector left longer by a removed
+    /// top token still equals the table it was.
     #[test]
-    fn score_table_invariants(
-        observations in proptest::collection::vec((0usize..16, 0.0f64..1.0), 1..100),
+    fn score_table_matches_btreemap_model(
+        alpha in 0.05f64..1.0,
+        ops in proptest::collection::vec((0usize..3, 0usize..24, -1.0f64..1.0), 1..80),
+        candidates in proptest::collection::vec(0usize..32, 0..8),
     ) {
-        let mut table = ScoreTable::accumulating();
-        let mut last: std::collections::BTreeMap<usize, f64> = Default::default();
-        for (token, w) in observations {
-            table.observe(token, w);
-            let now = table.get(token).unwrap();
-            let before = last.insert(token, now).unwrap_or(0.0);
-            prop_assert!(now >= before - 1e-12, "accumulated score decreased");
+        for ewma in [None, Some(alpha)] {
+            let mut table = ewma.map_or_else(ScoreTable::accumulating, ScoreTable::ewma);
+            let mut model: std::collections::BTreeMap<usize, f64> = Default::default();
+            for &(op, token, value) in &ops {
+                match op {
+                    0 => {
+                        table.insert(token, value);
+                        model.insert(token, value);
+                    }
+                    1 => {
+                        table.observe(token, value);
+                        let entry = model.entry(token).or_insert(0.0);
+                        *entry = match ewma {
+                            None => *entry + value,
+                            Some(a) => (1.0 - a) * *entry + a * value,
+                        };
+                    }
+                    _ => prop_assert_eq!(table.remove(token), model.remove(&token)),
+                }
+                for t in 0..32 {
+                    prop_assert_eq!(table.get(t), model.get(&t).copied());
+                }
+                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(table.is_empty(), model.is_empty());
+                let mut ranked: Vec<(usize, f64)> = model.iter().map(|(&t, &s)| (t, s)).collect();
+                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                prop_assert_eq!(table.ranked_desc(), ranked.iter().map(|&(t, _)| t).collect::<Vec<_>>());
+                let model_min = candidates
+                    .iter()
+                    .map(|&t| (t, model.get(&t).copied().unwrap_or(0.0)))
+                    .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                    .map(|(t, _)| t);
+                prop_assert_eq!(table.min_among(&candidates), model_min);
+            }
+            let before = table.clone();
+            let top = model.keys().next_back().map_or(0, |&t| t + 1) + 7;
+            table.insert(top, 0.5);
+            prop_assert_ne!(&table, &before);
+            prop_assert_eq!(table.remove(top), Some(0.5));
+            prop_assert_eq!(&table, &before);
+            let mut rebuilt = ewma.map_or_else(ScoreTable::accumulating, ScoreTable::ewma);
+            for (&t, &s) in &model {
+                rebuilt.insert(t, s);
+            }
+            prop_assert_eq!(&table, &rebuilt);
         }
-        let tokens: Vec<usize> = last.keys().copied().collect();
-        prop_assert!(table.min_among(&tokens).is_some());
     }
 
     /// EWMA tables stay within the observation range.
@@ -227,37 +269,67 @@ proptest! {
         }
     }
 
-    /// The partial-selection top-k inside `select()` picks exactly the set
-    /// a full total-ordered sort would pick — including under heavy score
-    /// ties — for every top-k-selecting policy.
+    /// The top-k inside `select()` picks exactly the set a full
+    /// total-ordered sort would pick, and the same list as a
+    /// closure-driven `partial_top_k_by` selector, for every k from 0 past
+    /// the resident count — under heavy ties and with NaN of both signs,
+    /// ±0, ±∞ and subnormals among the scores.
     #[test]
     fn policy_topk_selection_matches_full_sort(
-        raw in proptest::collection::vec((0usize..64, 0u8..4), 1..40),
-        k in 1usize..48,
+        raw in proptest::collection::vec((1usize..4, 0usize..24, -2.0f32..2.0), 0..40),
     ) {
-        // Few distinct score levels force ties; distinct ascending tokens
-        // mirror the harness contract ("scored" is ascending-token order).
-        let mut scored: Vec<(usize, f32)> = {
-            let mut seen = std::collections::BTreeMap::new();
-            for (t, lvl) in raw {
-                seen.entry(t).or_insert(f32::from(lvl) * 0.25);
-            }
-            seen.into_iter().collect()
-        };
-        scored.sort_by_key(|&(t, _)| t);
+        const SPECIAL: [f32; 16] = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            0.25,
+            0.25,
+            0.5,
+            0.5,
+            -0.5,
+        ];
+        // Strictly ascending tokens (the harness contract); a score is a
+        // special value or, past the table, a random one.
+        let mut token = 0;
+        let scored: Vec<(usize, f32)> = raw
+            .iter()
+            .map(|&(gap, pick, random)| {
+                token += gap;
+                (token, SPECIAL.get(pick).copied().unwrap_or(random))
+            })
+            .collect();
+        let n = scored.len();
+        for k in 0..=n + 2 {
+            // Reference 1: full sort by (score desc, token asc), truncate, sort.
+            let mut full = scored.clone();
+            full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            full.truncate(k);
+            let mut expected: Vec<usize> = full.into_iter().map(|(t, _)| t).collect();
+            expected.sort_unstable();
+            // Reference 2: the closure-driven partial selection.
+            let idx = unicaim_attention::kernels::partial_top_k_by(n, k, |a, b| {
+                scored[b].1.total_cmp(&scored[a].1).then(scored[a].0.cmp(&scored[b].0))
+            });
+            let mut closure: Vec<usize> = idx.into_iter().map(|i| scored[i].0).collect();
+            closure.sort_unstable();
+            prop_assert!(closure == expected, "closure k {k}: {closure:?} vs {expected:?}");
 
-        // Reference: full sort by (score desc, token asc), truncate, sort.
-        let mut full = scored.clone();
-        full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        full.truncate(k);
-        let mut expected: Vec<usize> = full.into_iter().map(|(t, _)| t).collect();
-        expected.sort_unstable();
-
-        let mut oracle = PolicySpec::OracleTopK.build();
-        prop_assert_eq!(&oracle.select(0, &scored, k).selected, &expected);
-        // Hybrid's own k is set to the test k so the cap does not bind.
-        let mut hybrid = HybridStaticDynamic::new(8, 4, k);
-        prop_assert_eq!(&hybrid.select(0, &scored, k).selected, &expected);
+            let mut oracle = PolicySpec::OracleTopK.build();
+            let got = oracle.select(0, &scored, k).selected;
+            prop_assert!(got == expected, "oracle k {k}: {got:?} vs {expected:?}");
+            // Hybrid's own k is set to the test k so the cap does not bind.
+            let mut hybrid = HybridStaticDynamic::new(8, 4, k);
+            let got = hybrid.select(0, &scored, k).selected;
+            prop_assert!(got == expected, "hybrid k {k}: {got:?} vs {expected:?}");
+        }
     }
 
     /// `top_indices_by_score` (the prefill static-pruning ranking) equals a

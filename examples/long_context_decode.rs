@@ -4,9 +4,13 @@
 //!
 //! Policies are constructed from the serializable [`PolicySpec`] registry —
 //! the same data-driven path a serving config would take — instead of
-//! hand-wired constructors.
+//! hand-wired constructors. The run fails unless the closing claim holds:
+//! the hybrid policy's salient recall is 1.0, equal to the full cache's,
+//! and StreamingLLM's and SnapKV's fall below it.
 //!
 //! Run with: `cargo run --release --example long_context_decode`
+
+use std::collections::BTreeMap;
 
 use unicaim_repro::attention::workloads::multi_hop_task;
 use unicaim_repro::kvcache::{simulate_decode, PolicySpec, SimConfig};
@@ -51,6 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (PolicySpec::OracleTopK, full, full),
     ];
 
+    let mut recall = BTreeMap::new();
     for (spec, cap, budget) in &menu {
         let mut policy = spec.build();
         let r = simulate_decode(
@@ -66,6 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.output_cosine,
             r.output_rel_error
         );
+        recall.insert(r.policy, r.salient_recall);
     }
 
     println!(
@@ -73,5 +79,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          StreamingLLM's fixed pattern misses mid-context facts and SnapKV's\n\
          observation window misses facts mentioned only early in the prompt."
     );
+    let hybrid = recall["hybrid_static_dynamic"];
+    assert_eq!(hybrid, 1.0, "the hybrid policy must retrieve both facts");
+    assert_eq!(
+        hybrid, recall["full"],
+        "the hybrid policy must match the full cache"
+    );
+    for baseline in ["streaming_llm", "snapkv"] {
+        assert!(
+            recall[baseline] < hybrid,
+            "{baseline} recall {} must fall below the hybrid's",
+            recall[baseline]
+        );
+    }
     Ok(())
 }
