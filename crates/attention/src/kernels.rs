@@ -65,6 +65,26 @@
 //!   element is the same whichever block its row falls in, and a fixed
 //!   tier gives the same bits as it did with one call per row (pinned
 //!   against an exact per-row model in `tests/simd_parity.rs`).
+//! * **Query grouping does not change bits.** Both prefill products are
+//!   staircases: within a run of consecutive queries, query `j` attends
+//!   rows `0..first + j`. [`KernelBackend::probs_staircase`] gives the
+//!   causal prompt matrix (`first = 1`) and
+//!   [`KernelBackend::attend_staircase`] the exact attention of every
+//!   decode step (`first` = prompt length). Both walk their queries in
+//!   groups of `BLOCK`, so each row the whole group attends is read once
+//!   per group instead of once per query. Scores run the block dot with
+//!   the roles swapped: the key row is the fixed operand and the group's
+//!   eight queries are the block's rows. `dot(k, q)` has the bits of
+//!   `dot(q, k)` on both tiers, because every product commutes bit for bit
+//!   (fused or not) and the lane partition, the lane reduction order and
+//!   the unfused tail depend only on the element index. The weighted sum
+//!   runs through the tier's staircase primitive, which applies each
+//!   query's rows in order, as the per-query path does. A final partial
+//!   group, and each query's rows beyond its group's shared prefix, take
+//!   the per-query path. Every output therefore has the bits of one
+//!   `dot_prefix` plus `softmax_in_place`, or one `attend_prefix`, per
+//!   query (pinned in `tests/simd_parity.rs` and the workspace's
+//!   `tests/prefill_staircase.rs`).
 
 use std::sync::OnceLock;
 
@@ -205,10 +225,10 @@ pub fn active_backend() -> KernelBackend {
 }
 
 // ---------------------------------------------------------------------
-// Primitive dispatch: each tier supplies five primitives (f32 dot, i8 dot,
-// axpy, and the eight-row f32 dot and axpy blocks); everything else in the
-// menu is composed from them plus shared scalar code, so the parity
-// argument stays small.
+// Primitive dispatch: each tier supplies six primitives (f32 dot, i8 dot,
+// axpy, the eight-row f32 dot and axpy blocks, and the eight-query axpy of
+// a staircase group); everything else in the menu is composed from them
+// plus shared scalar code, so the parity argument stays small.
 // ---------------------------------------------------------------------
 
 type DotF32Fn = fn(&[f32], &[f32]) -> f32;
@@ -216,6 +236,7 @@ type DotF32BlockFn = fn(&[f32], [&[f32]; BLOCK]) -> [f32; BLOCK];
 type DotI8Fn = fn(&[i8], &[i8]) -> i32;
 type AxpyFn = fn(f32, &[f32], &mut [f32]);
 type AxpyBlockFn = fn(&[f32; BLOCK], &[&[f32]; BLOCK], &mut [f32]);
+type AxpyQueriesFn = fn([&[f32]; BLOCK], &[&[f32]], &mut [f32]);
 
 fn dot_f32_fn(backend: KernelBackend) -> DotF32Fn {
     match backend.clamp() {
@@ -258,6 +279,14 @@ fn axpy_block_fn(backend: KernelBackend) -> AxpyBlockFn {
                 axpy_scalar(w, x, out);
             }
         },
+    }
+}
+
+fn axpy_queries_fn(backend: KernelBackend) -> AxpyQueriesFn {
+    match backend.clamp() {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => crate::simd::axpy_queries_avx2,
+        _ => axpy_queries_scalar,
     }
 }
 
@@ -405,6 +434,11 @@ pub(crate) const I8_STRIDE: usize = 16;
 /// a time.
 pub(crate) const BLOCK: usize = 8;
 
+/// Value rows per call of a tier's staircase weighted-sum primitive: a
+/// staircase group walks its shared rows in tiles of `ROW_TILE`, so the
+/// group's accumulators stay in registers across a whole tile.
+pub(crate) const ROW_TILE: usize = 64;
+
 /// Scalar f32 dot with `LANES` independent accumulators — the reference
 /// semantics every tier's f32 dot is measured against. Walking exact
 /// chunks lets the compiler drop the per-chunk bounds checks and keep the
@@ -433,6 +467,20 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 fn axpy_scalar(w: f32, x: &[f32], out: &mut [f32]) {
     for (o, &v) in out.iter_mut().zip(x) {
         *o += w * v;
+    }
+}
+
+/// The scalar tier's staircase weighted sum: its per-row axpy, once per
+/// query of the group (`outs` holds the `BLOCK` outputs back to back).
+fn axpy_queries_scalar(ws: [&[f32]; BLOCK], xs: &[&[f32]], outs: &mut [f32]) {
+    let dim = outs.len() / BLOCK;
+    if dim == 0 {
+        return;
+    }
+    for (w, out) in ws.iter().zip(outs.chunks_exact_mut(dim)) {
+        for (&w, x) in w.iter().zip(xs) {
+            axpy_scalar(w, x, out);
+        }
     }
 }
 
@@ -626,6 +674,165 @@ impl KernelBackend {
         self.dot_prefix(query, keys, scale, weights);
         softmax_in_place(weights);
         self.weighted_sum_prefix(weights, values, out);
+    }
+
+    /// Causal attention probabilities of a staircase of `n` queries: query
+    /// `j` (`queries.row(j)`) scores key rows `0..first + j`, and row `j`
+    /// of `out` (rows `out_stride` apart) receives
+    /// `softmax(scale · q_j·Kᵀ)` in its first `first + j` elements; the
+    /// rest of the row is left as it was. A causal prompt matrix is
+    /// `first = 1`, `out_stride = n`.
+    ///
+    /// Every row has the bits [`KernelBackend::dot_prefix`] plus
+    /// [`softmax_in_place`] give it; the queries are only grouped so that
+    /// each key row is read once per group of eight (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries.dim() != keys.dim()`, if a row is longer than
+    /// `out_stride`, or if `out` or the views are too short.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probs_staircase<Q: Rows, K: Rows>(
+        self,
+        queries: Q,
+        n: usize,
+        keys: K,
+        first: usize,
+        scale: f32,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        assert_eq!(queries.dim(), keys.dim(), "query/key dimension mismatch");
+        assert!(
+            n == 0 || first + n - 1 <= out_stride,
+            "staircase row of {} exceeds the output stride {out_stride}",
+            first + n - 1
+        );
+        let grouped = n - n % BLOCK;
+        for j0 in (0..grouped).step_by(BLOCK) {
+            let group = std::array::from_fn(|i| queries.row(j0 + i));
+            let rows = &mut out[j0 * out_stride..];
+            self.staircase_group_probs(group, keys, first + j0, scale, rows, out_stride);
+        }
+        for j in grouped..n {
+            let row = &mut out[j * out_stride..j * out_stride + first + j];
+            self.dot_prefix(queries.row(j), keys, scale, row);
+            softmax_in_place(row);
+        }
+    }
+
+    /// Fused causal attention of a staircase of `n` queries: query `j`
+    /// (`queries.row(j)`) attends rows `0..first + j`, and
+    /// `out[j·dim..(j + 1)·dim] = softmax(scale · q_j·Kᵀ) · V` with
+    /// `dim = values.dim()`; a query with no rows gets a zero vector.
+    /// `weights` is scratch. Decode step `s` after a `P`-token prompt is
+    /// query `s` of the staircase `first = P`.
+    ///
+    /// Every output has the bits [`KernelBackend::attend_prefix`] gives
+    /// it: groups of eight queries read each shared key and value row
+    /// once, and the rest runs the per-query path (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries.dim() != keys.dim()`,
+    /// `out.len() != n · values.dim()`, or a view is too short.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attend_staircase<Q: Rows, K: Rows, V: Rows>(
+        self,
+        queries: Q,
+        n: usize,
+        keys: K,
+        values: V,
+        first: usize,
+        scale: f32,
+        weights: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        assert_eq!(queries.dim(), keys.dim(), "query/key dimension mismatch");
+        let dim = values.dim();
+        assert_eq!(out.len(), n * dim, "output/value dimension mismatch");
+        if dim == 0 {
+            return;
+        }
+        let grouped = n - n % BLOCK;
+        let (groups, rest) = out.split_at_mut(grouped * dim);
+        for (g, outs) in groups.chunks_exact_mut(BLOCK * dim).enumerate() {
+            let j0 = g * BLOCK;
+            let shared = first + j0;
+            // Query `i` of the group holds `shared + i` weights.
+            let stride = shared + BLOCK - 1;
+            if weights.len() < BLOCK * stride {
+                weights.resize(BLOCK * stride, 0.0);
+            }
+            let group = std::array::from_fn(|i| queries.row(j0 + i));
+            self.staircase_group_probs(group, keys, shared, scale, weights, stride);
+            outs.fill(0.0);
+            self.staircase_group_sum(weights, stride, values, shared, outs);
+        }
+        for (i, o) in rest.chunks_exact_mut(dim).enumerate() {
+            let j = grouped + i;
+            self.attend_prefix(queries.row(j), keys, values, first + j, scale, weights, o);
+        }
+    }
+
+    /// Row `i` of `w` (rows `stride` apart) gets
+    /// `softmax(scale · group[i]·Kᵀ)` over key rows `0..shared + i`.
+    ///
+    /// The `shared` rows every query attends run role-swapped through the
+    /// tier's block dot: each key row is the fixed operand and the group's
+    /// eight queries are the block's rows, so the key row is read once for
+    /// all eight. `dot(k, q)` has the bits of `dot(q, k)` on every tier
+    /// (module docs). Query `i`'s `i` further rows take the per-query path.
+    fn staircase_group_probs<K: Rows>(
+        self,
+        group: [&[f32]; BLOCK],
+        keys: K,
+        shared: usize,
+        scale: f32,
+        w: &mut [f32],
+        stride: usize,
+    ) {
+        let dot_block = dot_f32_block_fn(self);
+        for r in 0..shared {
+            for (i, d) in dot_block(keys.row(r), group).into_iter().enumerate() {
+                w[i * stride + r] = d * scale;
+            }
+        }
+        for (i, query) in group.into_iter().enumerate() {
+            let row = &mut w[i * stride..i * stride + shared + i];
+            self.dot_rows(query, |e| keys.row(shared + e), scale, &mut row[shared..]);
+            softmax_in_place(row);
+        }
+    }
+
+    /// `outs` (the group's eight outputs back to back) `+=` each query's
+    /// weighted sum of `values` under its weight row of `w` (rows
+    /// `stride` apart, query `i` holding `shared + i` weights). The shared
+    /// rows go through the tier's staircase primitive `ROW_TILE` rows at a
+    /// time, then each query's further rows through the per-query path, so
+    /// every output element takes its rows in order.
+    fn staircase_group_sum<V: Rows>(
+        self,
+        w: &[f32],
+        stride: usize,
+        values: V,
+        shared: usize,
+        outs: &mut [f32],
+    ) {
+        let axpy_queries = axpy_queries_fn(self);
+        let mut tile: [&[f32]; ROW_TILE] = [&[]; ROW_TILE];
+        for start in (0..shared).step_by(ROW_TILE) {
+            let end = shared.min(start + ROW_TILE);
+            for (x, r) in tile.iter_mut().zip(start..end) {
+                *x = values.row(r);
+            }
+            let ws = std::array::from_fn(|i| &w[i * stride + start..i * stride + end]);
+            axpy_queries(ws, &tile[..end - start], outs);
+        }
+        for (i, out) in outs.chunks_exact_mut(values.dim()).enumerate() {
+            let extra = &w[i * stride + shared..i * stride + shared + i];
+            self.weighted_sum_rows(extra, |e| values.row(shared + e), out);
+        }
     }
 }
 

@@ -149,6 +149,12 @@ impl Matrix {
         &self.data
     }
 
+    /// The flat row-major data, mutably.
+    #[must_use]
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Matrix product `self · other`.
     ///
     /// # Errors

@@ -209,7 +209,6 @@ impl MultiHeadAttention {
         let d = self.config.d_model;
         let dh = self.config.d_head();
         let lo = head * dh;
-        let hi = lo + dh;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut probs = Matrix::zeros(seq, seq);
         if seq == 0 {
@@ -217,14 +216,15 @@ impl MultiHeadAttention {
         }
         let q = self.project_q(hidden)?;
         let k = self.project_k(hidden)?;
-        let keys = RowView::new(&k.as_slice()[lo..], d, dh);
-        let backend = kernels::active_backend();
-        for t in 0..seq {
-            let q_t = &q.row(t)[lo..hi];
-            let row = probs.row_mut(t);
-            backend.dot_prefix(q_t, keys, scale, &mut row[..t + 1]);
-            softmax_in_place(&mut row[..t + 1]);
-        }
+        kernels::active_backend().probs_staircase(
+            RowView::new(&q.as_slice()[lo..], d, dh),
+            seq,
+            RowView::new(&k.as_slice()[lo..], d, dh),
+            1,
+            scale,
+            probs.as_mut_slice(),
+            seq,
+        );
         Ok(probs)
     }
 }

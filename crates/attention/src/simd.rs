@@ -37,6 +37,14 @@
 //! * The AVX2 tier fuses `axpy` in `axpy_rows_avx2`, which takes one or
 //!   eight rows per call and applies them to each element in row order,
 //!   so an eight-row call gives the same bits as eight one-row calls.
+//! * `axpy_queries_avx2` weights a staircase group of eight queries: each
+//!   query's output element takes the same row-ordered fused
+//!   multiply-adds `axpy_rows_avx2` would apply, so one call gives the
+//!   bits of eight per-query weighted sums. The group's scores need no
+//!   primitive of their own: `dot_f32_block_avx2(k, queries)` has the bits
+//!   of `dot_f32_avx2(q, k)` for each query, because a fused product
+//!   commutes exactly and the lanes, their reduction and the tail depend
+//!   only on the element index.
 //! * The quantizers' max-abs reduction has no SIMD form: every tier runs
 //!   the scalar fold, which skips NaN, so quantization is bit-exact on
 //!   every tier for every input.
@@ -244,6 +252,60 @@ mod x86 {
         for i in chunks * LANES..n {
             for (&w, x) in w.iter().zip(xs) {
                 out[i] = w.mul_add(x[i], out[i]);
+            }
+        }
+    }
+
+    /// Weighted sums of one staircase group: `outs` holds the `BLOCK`
+    /// queries' outputs back to back, and query `q`'s output takes
+    /// `out[i] = fma(ws[q][r], xs[r][i], out[i])` for each row `r` in
+    /// order — the fused multiply-adds `axpy_rows_avx2` applies, so the
+    /// result has the same bits as one weighted sum per query. Each
+    /// 8-column chunk keeps the eight queries' accumulators in registers
+    /// while the rows stream past, so every row chunk loads once for the
+    /// whole group. The `dim % 8` tail columns use `mul_add`, which is
+    /// fused too.
+    pub(crate) fn axpy_queries_avx2(ws: [&[f32]; BLOCK], xs: &[&[f32]], outs: &mut [f32]) {
+        // SAFETY: only reachable via `KernelBackend` dispatch, which
+        // clamps to scalar unless avx2+fma were detected.
+        unsafe { axpy_queries_avx2_impl(ws, xs, outs) }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn axpy_queries_avx2_impl(ws: [&[f32]; BLOCK], xs: &[&[f32]], outs: &mut [f32]) {
+        let dim = outs.len() / BLOCK;
+        if dim == 0 {
+            return;
+        }
+        let n = xs.iter().fold(dim, |n, x| n.min(x.len()));
+        let rows = ws.iter().fold(xs.len(), |rows, w| rows.min(w.len()));
+        let (ws, xs) = (ws.map(|w| &w[..rows]), &xs[..rows]);
+        let chunks = n / LANES;
+        for c in 0..chunks {
+            let base = c * LANES;
+            let mut acc = [_mm256_setzero_ps(); BLOCK];
+            for (q, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: `q * dim + base + 8 <= q * dim + n <= (q + 1) *
+                // dim <= outs.len()`.
+                *acc = unsafe { _mm256_loadu_ps(outs.as_ptr().add(q * dim + base)) };
+            }
+            for (r, x) in xs.iter().enumerate() {
+                // SAFETY: `base + 8 <= chunks * LANES <= n <= x.len()`.
+                let xv = unsafe { _mm256_loadu_ps(x.as_ptr().add(base)) };
+                for (acc, w) in acc.iter_mut().zip(&ws) {
+                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(w[r]), xv, *acc);
+                }
+            }
+            for (q, acc) in acc.iter().enumerate() {
+                // SAFETY: the same in-bounds range the loads above read.
+                unsafe { _mm256_storeu_ps(outs.as_mut_ptr().add(q * dim + base), *acc) };
+            }
+        }
+        for (w, out) in ws.iter().zip(outs.chunks_exact_mut(dim)) {
+            for i in chunks * LANES..n {
+                for (&w, x) in w.iter().zip(xs) {
+                    out[i] = w.mul_add(x[i], out[i]);
+                }
             }
         }
     }

@@ -113,43 +113,41 @@ impl DecodeWorkload {
     /// Exact full-cache attention output at every decode step (the
     /// reference the pruned policies are compared against).
     ///
-    /// Implemented over flat key/value arenas with the fused
-    /// [`KernelBackend::attend_prefix`](kernels::KernelBackend::attend_prefix)
+    /// Implemented over flat query, key and value arenas with the fused
+    /// [`KernelBackend::attend_staircase`](kernels::KernelBackend::attend_staircase)
     /// kernel: step `s` attends over the first `prefill + s` rows (the
-    /// prompt plus every previously generated token).
+    /// prompt plus every previously generated token), with the same bits
+    /// as one [`KernelBackend::attend_prefix`](kernels::KernelBackend::attend_prefix)
+    /// call per step.
     #[must_use]
     pub fn full_attention_reference(&self) -> Vec<Vec<f32>> {
         let dim = self.dim;
         let total = self.total_tokens();
+        let steps = self.decode_queries.len();
+        let mut query_arena = Vec::with_capacity(steps * dim);
         let mut key_arena = Vec::with_capacity(total * dim);
         let mut value_arena = Vec::with_capacity(total * dim);
+        for q in &self.decode_queries {
+            query_arena.extend_from_slice(q);
+        }
         for k in self.prefill_keys.iter().chain(&self.decode_keys) {
             key_arena.extend_from_slice(k);
         }
         for v in self.prefill_values.iter().chain(&self.decode_values) {
             value_arena.extend_from_slice(v);
         }
-        let keys = RowView::contiguous(&key_arena, dim);
-        let values = RowView::contiguous(&value_arena, dim);
-        let scale = 1.0 / (dim as f32).sqrt();
-        let prefill = self.prefill_keys.len();
-        let mut weights = Vec::with_capacity(total);
-        let mut outputs = Vec::with_capacity(self.decode_queries.len());
-        let backend = kernels::active_backend();
-        for (step, q) in self.decode_queries.iter().enumerate() {
-            let mut out = vec![0.0f32; dim];
-            backend.attend_prefix(
-                q,
-                keys,
-                values,
-                prefill + step,
-                scale,
-                &mut weights,
-                &mut out,
-            );
-            outputs.push(out);
-        }
-        outputs
+        let mut outputs = vec![0.0f32; steps * dim];
+        kernels::active_backend().attend_staircase(
+            RowView::contiguous(&query_arena, dim),
+            steps,
+            RowView::contiguous(&key_arena, dim),
+            RowView::contiguous(&value_arena, dim),
+            self.prefill_keys.len(),
+            1.0 / (dim as f32).sqrt(),
+            &mut Vec::new(),
+            &mut outputs,
+        );
+        outputs.chunks(dim).map(<[f32]>::to_vec).collect()
     }
 }
 

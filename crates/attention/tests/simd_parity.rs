@@ -17,7 +17,9 @@
 //!   to first order);
 //! * on every tier, each f32 row kernel equals an exact per-row model of
 //!   that tier's operation order bit for bit, however the kernel groups
-//!   rows into blocks (`f32_kernels_equal_the_per_row_model_on_every_tier`).
+//!   rows into blocks or queries into staircase groups
+//!   (`f32_kernels_equal_the_per_row_model_on_every_tier`, and at every
+//!   edge dimension `f32_kernels_equal_the_per_row_model_at_edge_dims`).
 //!
 //! Each tier is exercised by calling the kernel methods on it
 //! (`backend.dot_gather(…)`): the `UNICAIM_KERNEL_BACKEND` override is
@@ -53,6 +55,25 @@ fn deterministic_row(len: usize, seed: u64) -> Vec<f32> {
 /// Most rows one model-checked kernel call covers: several 8-row blocks
 /// plus every tail length.
 const MODEL_MAX_ROWS: usize = 40;
+
+/// Most queries one model-checked staircase call holds: a full group of
+/// eight, then a trailing group of every size from one to eight.
+const STAIRCASE_MAX_QUERIES: usize = 16;
+
+/// Rows the model-checked views hold: the longest staircase, `first =
+/// MODEL_MAX_ROWS` with `STAIRCASE_MAX_QUERIES` queries, reads rows up to
+/// `MODEL_MAX_ROWS + STAIRCASE_MAX_QUERIES - 2`.
+const MODEL_ROWS: usize = MODEL_MAX_ROWS + STAIRCASE_MAX_QUERIES;
+
+/// The staircases the edge-dimension check sweeps: each `first` in
+/// `0..=MODEL_MAX_ROWS` with one to eight queries (a lone group of every
+/// size), plus a full group followed by a trailing group whose size
+/// cycles through 1–8 as `first` grows.
+fn every_staircase() -> Vec<(usize, usize)> {
+    (0..=MODEL_MAX_ROWS)
+        .flat_map(|first| (1..=8).chain([9 + first % 8]).map(move |n| (first, n)))
+        .collect()
+}
 
 /// Exact model of one tier's f32 dot: eight lane accumulators over 8-wide
 /// chunks, lanes summed left to right, then the unfused tail added last.
@@ -96,18 +117,21 @@ fn same_bits(got: &[f32], want: &[f32], what: std::fmt::Arguments) -> Result<(),
 
 /// Checks every f32 row kernel of every supported tier against the
 /// models, for `n` in `0..=MODEL_MAX_ROWS` rows of `keys`/`values` (which
-/// hold at least `MODEL_MAX_ROWS + 1` rows), both as the prefix `0..n` and
-/// gathered through `gather[..n]`.
+/// hold at least `MODEL_ROWS` rows), both as the prefix `0..n` and
+/// gathered through `gather[..n]`; then both staircase kernels for each
+/// `(first, n)` of `staircases`.
 fn check_against_model<K: Rows, V: Rows>(
     keys: K,
     values: V,
     gather: &[usize],
+    staircases: &[(usize, usize)],
     seed: u64,
 ) -> Result<(), String> {
     let dim = keys.dim();
     let query = deterministic_row(dim, seed ^ 0x51);
     let weights = deterministic_row(MODEL_MAX_ROWS, seed ^ 0x52);
     let start = deterministic_row(dim, seed ^ 0x53);
+    let queries = Matrix::random_normal(STAIRCASE_MAX_QUERIES, dim, 1.5, seed ^ 0x54);
     let scale = 1.0 / (dim as f32).sqrt();
     for backend in KernelBackend::supported() {
         // AVX2+FMA fuses multiply-add; scalar rounds the product.
@@ -188,8 +212,126 @@ fn check_against_model<K: Rows, V: Rows>(
                 format_args!("{tier} attend_gather n {n}"),
             )?;
         }
+
+        // Staircase query `j` of `first` attends rows `0..first + j`: its
+        // model is the per-row softmax and weighted sum over that prefix.
+        let query_scores: Vec<Vec<f32>> = (0..STAIRCASE_MAX_QUERIES)
+            .map(|j| {
+                (0..MODEL_ROWS)
+                    .map(|r| model_dot(fused, queries.row(j), keys.row(r)) * scale)
+                    .collect()
+            })
+            .collect();
+        let view = RowView::contiguous(queries.as_slice(), dim);
+        let mut scratch = Vec::new();
+        for &(first, n) in staircases {
+            // Two spare columns per row must keep their sentinel.
+            let stride = first + n + 1;
+            let mut got = vec![7.0f32; n * stride];
+            backend.probs_staircase(view, n, keys, first, scale, &mut got, stride);
+            let mut got_out = start.repeat(n);
+            backend.attend_staircase(
+                view,
+                n,
+                keys,
+                values,
+                first,
+                scale,
+                &mut scratch,
+                &mut got_out,
+            );
+            for j in 0..n {
+                let len = first + j;
+                let mut want = query_scores[j][..len].to_vec();
+                softmax_in_place(&mut want);
+                let mut want_out = vec![0.0f32; dim];
+                model_sum(&want, &(0..len).collect::<Vec<_>>(), &mut want_out);
+                want.resize(stride, 7.0);
+                same_bits(
+                    &got[j * stride..(j + 1) * stride],
+                    &want,
+                    format_args!("{tier} probs_staircase first {first} n {n} query {j}"),
+                )?;
+                same_bits(
+                    &got_out[j * dim..(j + 1) * dim],
+                    &want_out,
+                    format_args!("{tier} attend_staircase first {first} n {n} query {j}"),
+                )?;
+            }
+        }
     }
     Ok(())
+}
+
+/// Runs [`check_against_model`] on contiguous, strided (`pad` spare
+/// columns of NaN per row) and paged (`page_rows` rows per page) copies
+/// of the same `MODEL_ROWS`-row keys and values.
+fn check_every_layout(
+    dim: usize,
+    pad: usize,
+    page_rows: usize,
+    gather: &[usize],
+    staircases: &[(usize, usize)],
+    seed: u64,
+) -> Result<(), String> {
+    let m = MODEL_ROWS;
+    let keys = Matrix::random_normal(m, dim, 1.5, seed);
+    let values = Matrix::random_normal(m, dim, 1.5, seed ^ 1);
+
+    check_against_model(
+        RowView::contiguous(keys.as_slice(), dim),
+        RowView::contiguous(values.as_slice(), dim),
+        gather,
+        staircases,
+        seed,
+    )?;
+
+    let stride = dim + pad;
+    let strided = |src: &Matrix| {
+        let mut flat = vec![f32::NAN; m * stride];
+        for r in 0..m {
+            flat[r * stride..r * stride + dim].copy_from_slice(src.row(r));
+        }
+        flat
+    };
+    let (strided_keys, strided_values) = (strided(&keys), strided(&values));
+    check_against_model(
+        RowView::new(&strided_keys, stride, dim),
+        RowView::new(&strided_values, stride, dim),
+        gather,
+        staircases,
+        seed,
+    )?;
+
+    let arena = PageArena::new(dim, page_rows);
+    let mut store = KvStore::with_arena(&arena, m, Precision::F32);
+    for t in 0..m {
+        prop_assert!(store
+            .write_slot_parts(t, t, keys.row(t), values.row(t))
+            .is_ok());
+    }
+    check_against_model(
+        store.keys_view(),
+        store.values_view(),
+        gather,
+        staircases,
+        seed,
+    )
+}
+
+/// At every SIMD-tail edge dimension, on every layout, every f32 row
+/// kernel equals the per-row model, and the staircase kernels do so for
+/// every staircase of [`every_staircase`].
+#[test]
+fn f32_kernels_equal_the_per_row_model_at_edge_dims() {
+    let gather: Vec<usize> = (0..MODEL_MAX_ROWS)
+        .map(|i| (i * 17 + 5) % (MODEL_MAX_ROWS + 1))
+        .collect();
+    let staircases = every_staircase();
+    for &dim in &EDGE_DIMS {
+        let checked = check_every_layout(dim, 3, 5, &gather, &staircases, 900 + dim as u64);
+        assert_eq!(checked, Ok(()), "dim {dim}");
+    }
 }
 
 #[test]
@@ -531,54 +673,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases_env(32))]
 
     /// Every tier's f32 row kernels (`dot`, `dot_prefix`, `dot_gather`,
-    /// `weighted_sum_gather`, `attend_prefix`, `attend_gather`) equal the
-    /// per-row model bit for bit on contiguous, strided and paged rows,
-    /// including permuted and repeated gathers: blocking rows must not
-    /// regroup any row's sum.
+    /// `weighted_sum_gather`, `attend_prefix`, `attend_gather`,
+    /// `probs_staircase`, `attend_staircase`) equal the per-row model bit
+    /// for bit on contiguous, strided and paged rows, including permuted
+    /// and repeated gathers: blocking rows or grouping queries must not
+    /// regroup any row's sum. Each case checks one drawn staircase; the
+    /// edge-dimension test above sweeps all of them.
     #[test]
     fn f32_kernels_equal_the_per_row_model_on_every_tier(
         dim in 1usize..=140,
         pad in 1usize..6,
         page_rows in 1usize..8,
         seed in 0u64..1000,
+        first in 0usize..=MODEL_MAX_ROWS,
+        queries in 1usize..=STAIRCASE_MAX_QUERIES,
     ) {
         let m = MODEL_MAX_ROWS + 1;
-        // Mostly a permutation of the arena rows (17 is coprime with 41),
-        // with every third entry repeating an earlier row.
+        // Mostly a permutation of the first 41 rows (17 is coprime with
+        // 41), with every third entry repeating an earlier row.
         let gather: Vec<usize> = (0..MODEL_MAX_ROWS)
             .map(|i| if i % 3 == 2 { (i - 2) * 17 % m } else { (i * 17 + seed as usize) % m })
             .collect();
-        let keys = Matrix::random_normal(m, dim, 1.5, seed);
-        let values = Matrix::random_normal(m, dim, 1.5, seed ^ 1);
-
-        check_against_model(
-            RowView::contiguous(keys.as_slice(), dim),
-            RowView::contiguous(values.as_slice(), dim),
-            &gather,
-            seed,
-        )?;
-
-        let stride = dim + pad;
-        let strided = |src: &Matrix| {
-            let mut flat = vec![f32::NAN; m * stride];
-            for r in 0..m {
-                flat[r * stride..r * stride + dim].copy_from_slice(src.row(r));
-            }
-            flat
-        };
-        let (strided_keys, strided_values) = (strided(&keys), strided(&values));
-        check_against_model(
-            RowView::new(&strided_keys, stride, dim),
-            RowView::new(&strided_values, stride, dim),
-            &gather,
-            seed,
-        )?;
-
-        let arena = PageArena::new(dim, page_rows);
-        let mut store = KvStore::with_arena(&arena, m, Precision::F32);
-        for t in 0..m {
-            prop_assert!(store.write_slot_parts(t, t, keys.row(t), values.row(t)).is_ok());
-        }
-        check_against_model(store.keys_view(), store.values_view(), &gather, seed)?;
+        check_every_layout(dim, pad, page_rows, &gather, &[(first, queries)], seed)?;
     }
 }

@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 use unicaim_attention::kernels::{self, RowView};
 use unicaim_attention::workloads::DecodeWorkload;
-use unicaim_attention::{softmax_in_place, KvStore, Matrix, Precision};
+use unicaim_attention::{KvStore, Matrix, Precision};
 
 use crate::error::HarnessError;
 use crate::policy::Policy;
@@ -159,30 +159,32 @@ pub fn simulate_decode(
 /// The causal prefill attention-probability matrix of a workload (what the
 /// prefill static-pruning stage ranks tokens with).
 ///
-/// The prompt keys are flattened into a contiguous arena once, then every
-/// query row runs a strided
-/// [`KernelBackend::dot_prefix`](kernels::KernelBackend::dot_prefix)
-/// pass — the pre-refactor version chased one heap allocation per key per
-/// query.
+/// The prompt queries and keys are flattened into contiguous arenas, then
+/// [`KernelBackend::probs_staircase`](kernels::KernelBackend::probs_staircase)
+/// fills row `t` with the softmax of query `t` over keys `0..=t`; the
+/// future stays masked at zero.
 #[must_use]
 pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
     let seq = workload.prefill_keys.len();
     let dim = workload.dim;
-    let scale = 1.0 / (dim as f32).sqrt();
-    let mut arena = Vec::with_capacity(seq * dim);
+    let mut queries = Vec::with_capacity(seq * dim);
+    let mut keys = Vec::with_capacity(seq * dim);
+    for q in &workload.prefill_queries[..seq] {
+        queries.extend_from_slice(q);
+    }
     for k in &workload.prefill_keys {
-        arena.extend_from_slice(k);
+        keys.extend_from_slice(k);
     }
-    let keys = RowView::contiguous(&arena, dim);
     let mut probs = Matrix::zeros(seq, seq);
-    let backend = kernels::active_backend();
-    for t in 0..seq {
-        let q = &workload.prefill_queries[t];
-        let row = probs.row_mut(t);
-        // Mask the future by excluding it from the scores and the softmax.
-        backend.dot_prefix(q, keys, scale, &mut row[..t + 1]);
-        softmax_in_place(&mut row[..t + 1]);
-    }
+    kernels::active_backend().probs_staircase(
+        RowView::contiguous(&queries, dim),
+        seq,
+        RowView::contiguous(&keys, dim),
+        1,
+        1.0 / (dim as f32).sqrt(),
+        probs.as_mut_slice(),
+        seq,
+    );
     probs
 }
 
