@@ -5,6 +5,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::kernels::LANES;
 use crate::AttentionError;
 
 /// A row-major dense `f32` matrix.
@@ -229,33 +230,64 @@ impl Matrix {
 /// Max-subtracted ("safe") softmax: every exponent is `x − max ≤ 0`, so
 /// `exp` can never overflow regardless of logit magnitude (a naive
 /// implementation overflows to `inf`/NaN as soon as a logit exceeds ~88),
-/// and the max element contributes `exp(0) = 1`, so the normalizer is
-/// always ≥ 1 when the max is finite. The output is therefore a finite
-/// probability distribution for **every** input:
+/// and the max element contributes exactly `exp(0) = 1`, so the
+/// normalizer is always ≥ 1 when the max is finite. The output is
+/// therefore a finite probability distribution for **every** input:
 ///
-/// * finite logits of any magnitude → the exact shifted softmax;
+/// * finite logits of any magnitude → the shifted softmax, each
+///   exponential within 1 ulp of `f64::exp` rounded to f32; a logit more
+///   than 87 below the max gets weight exactly 0;
 /// * `−∞` logits → weight 0 (fully masked entries);
 /// * a non-finite maximum (a NaN- or `+∞`-poisoned row, or an all-`−∞`
 ///   row) has no well-defined distribution — the function falls back to
 ///   the uniform distribution so downstream weighted sums stay finite.
+///
+/// The row is walked in `LANES`-wide chunks: an 8-lane max, the owned
+/// exponential of `x − max`, an 8-lane sum plus the tail added left to
+/// right, then the divide. Only plain f32 `*`, `+`, `/`, compares and bit
+/// operations are used (Rust never contracts them to FMA), so every kernel
+/// tier and host gets the same bits.
 pub fn softmax_in_place(xs: &mut [f32]) {
     if xs.is_empty() {
         return;
     }
-    // `f32::max` skips NaN, so a NaN-poisoned row passes this check with a
-    // finite max — it is caught below when NaN propagates into `sum`.
-    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    // Compare-select skips NaN as `f32::max` does, so a NaN-poisoned row
+    // passes this check with a finite max — it is caught below when NaN
+    // propagates into `sum`.
+    let select_max = |m: f32, x: f32| if x > m { x } else { m };
+    let chunks = xs.chunks_exact(LANES);
+    let rest = chunks.remainder();
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    for chunk in chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = select_max(*m, x);
+        }
+    }
+    let max = lanes
+        .iter()
+        .chain(rest)
+        .copied()
+        .fold(f32::NEG_INFINITY, select_max);
     if !max.is_finite() {
         // +∞-poisoned or all-(−∞) row: no well-defined distribution.
         let uniform = 1.0 / xs.len() as f32;
         xs.fill(uniform);
         return;
     }
-    let mut sum = 0.0f32;
-    for v in xs.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+    let mut chunks = xs.chunks_exact_mut(LANES);
+    let mut sums = [0.0f32; LANES];
+    for chunk in &mut chunks {
+        for (sum, v) in sums.iter_mut().zip(chunk) {
+            *v = exp_nonpositive(*v - max);
+            *sum += *v;
+        }
     }
+    let mut tail = 0.0f32;
+    for v in chunks.into_remainder() {
+        *v = exp_nonpositive(*v - max);
+        tail += *v;
+    }
+    let sum = sums[1..].iter().fold(sums[0], |sum, &lane| sum + lane) + tail;
     if !sum.is_finite() {
         // A NaN logit survived the max reduction; same uniform fallback.
         let uniform = 1.0 / xs.len() as f32;
@@ -265,6 +297,57 @@ pub fn softmax_in_place(xs: &mut [f32]) {
     // The max element contributes exp(0) = 1, so sum ≥ 1 here.
     for v in xs.iter_mut() {
         *v /= sum;
+    }
+}
+
+/// `eˣ` for `x ≤ 0`, the exponential of [`softmax_in_place`].
+///
+/// Cody–Waite reduction `x = n·ln 2 + r` with `n` rounded to nearest
+/// (through the `1.5·2²³` add) and `ln 2` split into an exact high part
+/// and a low correction, so `|r| ≤ ln 2 / 2` up to rounding; then a
+/// degree-6 polynomial for `eʳ`, scaled by `2ⁿ` built from the exponent
+/// bits. Plain f32 operations only, so the bits are the same everywhere.
+///
+/// * On `[−87, 0]` the result is within 1 ulp of `f64::exp` rounded to f32
+///   (an exhaustive sweep of every float in the range; the unit tests
+///   re-check a sample and the boundaries against a 4-ulp bound), and
+///   `exp(0) = 1` exactly.
+/// * `x < −87` returns exactly 0, and so does `−∞`. (`e⁻⁸⁷ ≈ 1.6·10⁻³⁸`;
+///   libm's `expf` would return normal or subnormal values down to about
+///   `x = −103.9`.) Keeping `n ≥ −126` keeps `2ⁿ` and the result normal.
+/// * NaN propagates, so a NaN logit still reaches the softmax's uniform
+///   fallback.
+///
+/// Positive `x` is outside the contract (the softmax never passes one).
+#[inline]
+fn exp_nonpositive(x: f32) -> f32 {
+    /// `1.5·2²³`: adding it rounds `x·log₂e` to an integer held in the
+    /// low mantissa bits.
+    const SHIFT: f32 = 12_582_912.0;
+    /// `ln 2` to 16 bits, so `n·LN2_HI` is exact for `|n| ≤ 2⁸`.
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    /// `eʳ ≈ 1 + r + r²·(C2 + r·(C3 + r·(C4 + r·(C5 + r·C6))))`, a
+    /// near-minimax (Chebyshev) fit of `(eʳ − 1 − r)/r²` on
+    /// `|r| ≤ ln 2 / 2 + 0.01`.
+    const C2: f32 = 0.5;
+    const C3: f32 = 0.166_665_66;
+    const C4: f32 = 0.041_666_54;
+    const C5: f32 = 0.008_364_923;
+    const C6: f32 = 0.001_392_836_2;
+    let t = x * std::f32::consts::LOG2_E + SHIFT;
+    let n = t - SHIFT;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let q = C2 + r * (C3 + r * (C4 + r * (C5 + r * C6)));
+    let p = 1.0 + (r + r * r * q);
+    // `t`'s bits are `SHIFT`'s plus `n`; `n + 127` is the biased exponent
+    // of `2ⁿ` (in `1..=127` whenever `x ≥ −87`).
+    let biased = t.to_bits().wrapping_sub(SHIFT.to_bits()).wrapping_add(127);
+    let y = p * f32::from_bits(biased << 23);
+    if x < -87.0 {
+        0.0
+    } else {
+        y
     }
 }
 
@@ -399,6 +482,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Distance in ulps between two non-negative floats.
+    fn ulps(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// `exp_nonpositive(x)` against `f64::exp` rounded to f32.
+    fn exp_error_ulps(x: f32) -> u32 {
+        ulps(exp_nonpositive(x), f64::from(x).exp() as f32)
+    }
+
+    /// The owned exp stays within 4 ulp of `f64::exp` on every 997th float
+    /// of `[−87, 0]` and on the boundaries: around 0 (down to the
+    /// smallest subnormal), at −87, and a few ulps either side of every
+    /// half-way point `−(k + ½)·ln 2` of the range reduction.
+    #[test]
+    fn owned_exp_is_within_four_ulp_of_f64_exp() {
+        let lowest = (-87.0f32).to_bits();
+        for bits in ((-0.0f32).to_bits()..=lowest).step_by(997) {
+            let x = f32::from_bits(bits);
+            assert!(
+                exp_error_ulps(x) <= 4,
+                "exp({x}) off by {} ulp",
+                exp_error_ulps(x)
+            );
+        }
+        let mut edges = vec![
+            -0.0,
+            -f32::from_bits(1),
+            -f32::MIN_POSITIVE,
+            -1e-30,
+            -f32::EPSILON,
+            -0.5,
+            -1.0,
+            -86.999_99,
+            -87.0,
+        ];
+        for k in 0..126 {
+            let half_way = -(k as f32 + 0.5) * std::f32::consts::LN_2;
+            for d in -3..=3 {
+                edges.push(f32::from_bits(half_way.to_bits().wrapping_add_signed(d)));
+            }
+        }
+        for x in edges.into_iter().filter(|&x| x >= -87.0) {
+            assert!(
+                exp_error_ulps(x) <= 4,
+                "exp({x}) off by {} ulp",
+                exp_error_ulps(x)
+            );
+        }
+    }
+
+    #[test]
+    fn owned_exp_exact_cases() {
+        assert_eq!(exp_nonpositive(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp_nonpositive(-0.0).to_bits(), 1.0f32.to_bits());
+        let below = f32::from_bits((-87.0f32).to_bits() + 1);
+        for x in [
+            below,
+            -88.0,
+            -103.9,
+            -104.0,
+            -1e10,
+            -f32::MAX,
+            f32::NEG_INFINITY,
+        ] {
+            assert_eq!(exp_nonpositive(x).to_bits(), 0.0f32.to_bits(), "exp({x})");
+        }
+        assert!(exp_nonpositive(-87.0) > 0.0);
+        assert!(exp_nonpositive(f32::NAN).is_nan());
+    }
+
+    /// A logit more than 87 below the row max gets weight exactly 0, and
+    /// the max element's `exp(0) = 1` keeps the rest normalized.
+    #[test]
+    fn softmax_zeroes_weights_far_below_the_max() {
+        let mut xs = vec![0.0f32, -87.5, -1.0, -200.0, 0.0, -3.0, -90.0, -0.5, -86.0];
+        softmax_in_place(&mut xs);
+        for i in [1, 3, 6] {
+            assert_eq!(xs[i].to_bits(), 0.0f32.to_bits(), "{xs:?}");
+        }
+        assert!(xs[8] > 0.0, "{xs:?}");
+        let sum: f32 = xs.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-6, "{xs:?}");
     }
 
     #[test]
