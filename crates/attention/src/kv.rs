@@ -370,9 +370,13 @@ impl KvStore {
         &self.arena
     }
 
-    /// The first free slot index, if any.
+    /// The first free slot index, if any. A full store answers without
+    /// scanning its slots.
     #[must_use]
     pub fn first_free_slot(&self) -> Option<usize> {
+        if self.len() == self.capacity() {
+            return None;
+        }
         self.tokens.iter().position(Option::is_none)
     }
 

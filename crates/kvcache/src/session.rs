@@ -706,7 +706,12 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         let new_value = &workload.decode_values[step];
         let mut inserted = false;
         let below_limit = self.store.len() < self.capacity_limit;
-        if let Some(slot) = self.store.first_free_slot().filter(|_| below_limit) {
+        let free_slot = if below_limit {
+            self.store.first_free_slot()
+        } else {
+            None
+        };
+        if let Some(slot) = free_slot {
             write_new_token(&mut self.store, slot, new_token, new_key, new_value, step)?;
             policy.note_inserted(new_token);
             inserted = true;
