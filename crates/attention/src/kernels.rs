@@ -236,7 +236,7 @@ type DotF32BlockFn = fn(&[f32], [&[f32]; BLOCK]) -> [f32; BLOCK];
 type DotI8Fn = fn(&[i8], &[i8]) -> i32;
 type AxpyFn = fn(f32, &[f32], &mut [f32]);
 type AxpyBlockFn = fn(&[f32; BLOCK], &[&[f32]; BLOCK], &mut [f32]);
-type AxpyQueriesFn = fn([&[f32]; BLOCK], &[&[f32]], &mut [f32]);
+type AxpyQueriesFn = fn(&[[f32; BLOCK]], &[&[f32]], &mut [f32]);
 
 fn dot_f32_fn(backend: KernelBackend) -> DotF32Fn {
     match backend.clamp() {
@@ -471,15 +471,16 @@ fn axpy_scalar(w: f32, x: &[f32], out: &mut [f32]) {
 }
 
 /// The scalar tier's staircase weighted sum: its per-row axpy, once per
-/// query of the group (`outs` holds the `BLOCK` outputs back to back).
-fn axpy_queries_scalar(ws: [&[f32]; BLOCK], xs: &[&[f32]], outs: &mut [f32]) {
+/// query of the group. `outs` holds the `BLOCK` outputs back to back and
+/// `ws[r][q]` is query `q`'s weight on row `xs[r]`.
+fn axpy_queries_scalar(ws: &[[f32; BLOCK]], xs: &[&[f32]], outs: &mut [f32]) {
     let dim = outs.len() / BLOCK;
     if dim == 0 {
         return;
     }
-    for (w, out) in ws.iter().zip(outs.chunks_exact_mut(dim)) {
-        for (&w, x) in w.iter().zip(xs) {
-            axpy_scalar(w, x, out);
+    for (q, out) in outs.chunks_exact_mut(dim).enumerate() {
+        for (w, x) in ws.iter().zip(xs) {
+            axpy_scalar(w[q], x, out);
         }
     }
 }
@@ -809,8 +810,9 @@ impl KernelBackend {
     /// weighted sum of `values` under its weight row of `w` (rows
     /// `stride` apart, query `i` holding `shared + i` weights). The shared
     /// rows go through the tier's staircase primitive `ROW_TILE` rows at a
-    /// time, then each query's further rows through the per-query path, so
-    /// every output element takes its rows in order.
+    /// time, with the tile's weights transposed so each row's eight sit
+    /// together; then each query's further rows take the per-query path,
+    /// so every output element takes its rows in order.
     fn staircase_group_sum<V: Rows>(
         self,
         w: &[f32],
@@ -821,13 +823,19 @@ impl KernelBackend {
     ) {
         let axpy_queries = axpy_queries_fn(self);
         let mut tile: [&[f32]; ROW_TILE] = [&[]; ROW_TILE];
+        let mut tile_weights = [[0.0f32; BLOCK]; ROW_TILE];
         for start in (0..shared).step_by(ROW_TILE) {
-            let end = shared.min(start + ROW_TILE);
-            for (x, r) in tile.iter_mut().zip(start..end) {
-                *x = values.row(r);
+            let len = ROW_TILE.min(shared - start);
+            for (r, x) in tile[..len].iter_mut().enumerate() {
+                *x = values.row(start + r);
             }
-            let ws = std::array::from_fn(|i| &w[i * stride + start..i * stride + end]);
-            axpy_queries(ws, &tile[..end - start], outs);
+            for q in 0..BLOCK {
+                let row = &w[q * stride + start..q * stride + start + len];
+                for (tw, &v) in tile_weights.iter_mut().zip(row) {
+                    tw[q] = v;
+                }
+            }
+            axpy_queries(&tile_weights[..len], &tile[..len], outs);
         }
         for (i, out) in outs.chunks_exact_mut(values.dim()).enumerate() {
             let extra = &w[i * stride + shared..i * stride + shared + i];

@@ -257,29 +257,28 @@ mod x86 {
     }
 
     /// Weighted sums of one staircase group: `outs` holds the `BLOCK`
-    /// queries' outputs back to back, and query `q`'s output takes
-    /// `out[i] = fma(ws[q][r], xs[r][i], out[i])` for each row `r` in
+    /// queries' outputs back to back, and `ws[r][q]` is query `q`'s weight
+    /// on row `xs[r]`. Query `q`'s output takes
+    /// `out[i] = fma(ws[r][q], xs[r][i], out[i])` for each row `r` in
     /// order — the fused multiply-adds `axpy_rows_avx2` applies, so the
     /// result has the same bits as one weighted sum per query. Each
     /// 8-column chunk keeps the eight queries' accumulators in registers
     /// while the rows stream past, so every row chunk loads once for the
     /// whole group. The `dim % 8` tail columns use `mul_add`, which is
     /// fused too.
-    pub(crate) fn axpy_queries_avx2(ws: [&[f32]; BLOCK], xs: &[&[f32]], outs: &mut [f32]) {
+    pub(crate) fn axpy_queries_avx2(ws: &[[f32; BLOCK]], xs: &[&[f32]], outs: &mut [f32]) {
         // SAFETY: only reachable via `KernelBackend` dispatch, which
         // clamps to scalar unless avx2+fma were detected.
         unsafe { axpy_queries_avx2_impl(ws, xs, outs) }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    fn axpy_queries_avx2_impl(ws: [&[f32]; BLOCK], xs: &[&[f32]], outs: &mut [f32]) {
+    fn axpy_queries_avx2_impl(ws: &[[f32; BLOCK]], xs: &[&[f32]], outs: &mut [f32]) {
         let dim = outs.len() / BLOCK;
         if dim == 0 {
             return;
         }
         let n = xs.iter().fold(dim, |n, x| n.min(x.len()));
-        let rows = ws.iter().fold(xs.len(), |rows, w| rows.min(w.len()));
-        let (ws, xs) = (ws.map(|w| &w[..rows]), &xs[..rows]);
         let chunks = n / LANES;
         for c in 0..chunks {
             let base = c * LANES;
@@ -289,11 +288,11 @@ mod x86 {
                 // dim <= outs.len()`.
                 *acc = unsafe { _mm256_loadu_ps(outs.as_ptr().add(q * dim + base)) };
             }
-            for (r, x) in xs.iter().enumerate() {
+            for (x, w) in xs.iter().zip(ws) {
                 // SAFETY: `base + 8 <= chunks * LANES <= n <= x.len()`.
                 let xv = unsafe { _mm256_loadu_ps(x.as_ptr().add(base)) };
-                for (acc, w) in acc.iter_mut().zip(&ws) {
-                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(w[r]), xv, *acc);
+                for (acc, &w) in acc.iter_mut().zip(w) {
+                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(w), xv, *acc);
                 }
             }
             for (q, acc) in acc.iter().enumerate() {
@@ -301,10 +300,10 @@ mod x86 {
                 unsafe { _mm256_storeu_ps(outs.as_mut_ptr().add(q * dim + base), *acc) };
             }
         }
-        for (w, out) in ws.iter().zip(outs.chunks_exact_mut(dim)) {
+        for (q, out) in outs.chunks_exact_mut(dim).enumerate() {
             for i in chunks * LANES..n {
-                for (&w, x) in w.iter().zip(xs) {
-                    out[i] = w.mul_add(x[i], out[i]);
+                for (x, w) in xs.iter().zip(ws) {
+                    out[i] = w[q].mul_add(x[i], out[i]);
                 }
             }
         }
