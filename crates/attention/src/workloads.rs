@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{self, RowView};
+use crate::kernels::{self, RowView, Rows};
 use crate::matrix::Matrix;
 
 /// A planted "needle" fact: one prefill token that later queries must
@@ -113,32 +113,29 @@ impl DecodeWorkload {
     /// Exact full-cache attention output at every decode step (the
     /// reference the pruned policies are compared against).
     ///
-    /// Implemented over flat query, key and value arenas with the fused
+    /// Implemented over flat key/value arenas with the fused
     /// [`KernelBackend::attend_staircase`](kernels::KernelBackend::attend_staircase)
-    /// kernel: step `s` attends over the first `prefill + s` rows (the
-    /// prompt plus every previously generated token), with the same bits
-    /// as one [`KernelBackend::attend_prefix`](kernels::KernelBackend::attend_prefix)
+    /// kernel, which reads the decode queries in place ([`TokenRows`]):
+    /// step `s` attends over the first `prefill + s` rows (the prompt plus
+    /// every previously generated token), with the same bits as one
+    /// [`KernelBackend::attend_prefix`](kernels::KernelBackend::attend_prefix)
     /// call per step.
     #[must_use]
     pub fn full_attention_reference(&self) -> Vec<Vec<f32>> {
         let dim = self.dim;
         let total = self.total_tokens();
-        let steps = self.decode_queries.len();
-        let mut query_arena = Vec::with_capacity(steps * dim);
         let mut key_arena = Vec::with_capacity(total * dim);
         let mut value_arena = Vec::with_capacity(total * dim);
-        for q in &self.decode_queries {
-            query_arena.extend_from_slice(q);
-        }
         for k in self.prefill_keys.iter().chain(&self.decode_keys) {
             key_arena.extend_from_slice(k);
         }
         for v in self.prefill_values.iter().chain(&self.decode_values) {
             value_arena.extend_from_slice(v);
         }
+        let steps = self.decode_queries.len();
         let mut outputs = vec![0.0f32; steps * dim];
         kernels::active_backend().attend_staircase(
-            RowView::contiguous(&query_arena, dim),
+            TokenRows::new(&self.decode_queries, dim),
             steps,
             RowView::contiguous(&key_arena, dim),
             RowView::contiguous(&value_arena, dim),
@@ -148,6 +145,38 @@ impl DecodeWorkload {
             &mut outputs,
         );
         outputs.chunks(dim).map(<[f32]>::to_vec).collect()
+    }
+}
+
+/// Per-token vectors read in place as [`Rows`]: row `r` is `rows[r]`,
+/// which must hold `dim` elements. The prefill products read their
+/// queries through it, since each query is read once per group of eight
+/// and is not worth copying into an arena.
+#[derive(Debug, Clone, Copy)]
+pub struct TokenRows<'a> {
+    rows: &'a [Vec<f32>],
+    dim: usize,
+}
+
+impl<'a> TokenRows<'a> {
+    /// A view of `rows`, each `dim` elements long.
+    #[must_use]
+    pub fn new(rows: &'a [Vec<f32>], dim: usize) -> Self {
+        Self { rows, dim }
+    }
+}
+
+impl Rows for TokenRows<'_> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range or row `r` is shorter than `dim`.
+    #[inline]
+    fn row(&self, r: usize) -> &[f32] {
+        &self.rows[r][..self.dim]
     }
 }
 

@@ -377,6 +377,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         let keep = policy
             .as_mut()
             .prefill_keep(&attn, config.prefill_budget.min(prefill_len));
+        drop(attn);
         validate_keep(&keep, config.capacity, prefill_len)?;
         let mut store = KvStore::with_precision(config.capacity, workload.dim, config.precision);
         populate_store(&mut store, workload, &keep);

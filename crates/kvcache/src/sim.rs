@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 use unicaim_attention::kernels::{self, RowView};
-use unicaim_attention::workloads::DecodeWorkload;
+use unicaim_attention::workloads::{DecodeWorkload, TokenRows};
 use unicaim_attention::{KvStore, Matrix, Precision};
 
 use crate::error::HarnessError;
@@ -159,27 +159,23 @@ pub fn simulate_decode(
 /// The causal prefill attention-probability matrix of a workload (what the
 /// prefill static-pruning stage ranks tokens with).
 ///
-/// The prompt queries and keys are flattened into contiguous arenas, then
+/// The prompt keys are flattened into a contiguous arena once, then
 /// [`KernelBackend::probs_staircase`](kernels::KernelBackend::probs_staircase)
-/// fills row `t` with the softmax of query `t` over keys `0..=t`; the
-/// future stays masked at zero.
+/// fills row `t` with the softmax of prompt query `t` (read in place) over
+/// keys `0..=t`; the future stays masked at zero.
 #[must_use]
 pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
     let seq = workload.prefill_keys.len();
     let dim = workload.dim;
-    let mut queries = Vec::with_capacity(seq * dim);
-    let mut keys = Vec::with_capacity(seq * dim);
-    for q in &workload.prefill_queries[..seq] {
-        queries.extend_from_slice(q);
-    }
+    let mut arena = Vec::with_capacity(seq * dim);
     for k in &workload.prefill_keys {
-        keys.extend_from_slice(k);
+        arena.extend_from_slice(k);
     }
     let mut probs = Matrix::zeros(seq, seq);
     kernels::active_backend().probs_staircase(
-        RowView::contiguous(&queries, dim),
+        TokenRows::new(&workload.prefill_queries[..seq], dim),
         seq,
-        RowView::contiguous(&keys, dim),
+        RowView::contiguous(&arena, dim),
         1,
         1.0 / (dim as f32).sqrt(),
         probs.as_mut_slice(),
