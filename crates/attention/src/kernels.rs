@@ -987,55 +987,30 @@ impl KernelBackend {
     pub fn quantize_row_cell3(self, src: &[f32], out: &mut [i8]) -> f32 {
         self.quantize_symmetric(src, CELL3_STEPS, out)
     }
-
-    /// Quantizes a contiguous row-major `f32` arena (`src.len() / dim`
-    /// rows) to `i8` with one scale per row — the bulk form of
-    /// [`KernelBackend::quantize_row_i8`], producing exactly the layout
-    /// [`QuantRowView::contiguous`] reads. Clears and refills `q` and
-    /// `scales` in place (reusing their capacity), so a loop that
-    /// repeatedly quantizes arenas performs no steady-state allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0` or `src.len()` is not a multiple of `dim`.
-    pub fn quantize_arena_i8_into(
-        self,
-        src: &[f32],
-        dim: usize,
-        q: &mut Vec<i8>,
-        scales: &mut Vec<f32>,
-    ) {
-        assert!(dim > 0, "quantize_arena_i8 requires dim > 0");
-        assert!(
-            src.len().is_multiple_of(dim),
-            "arena length {} is not a multiple of dim {dim}",
-            src.len()
-        );
-        let rows = src.len() / dim;
-        q.clear();
-        q.resize(src.len(), 0);
-        scales.clear();
-        scales.resize(rows, 0.0);
-        for r in 0..rows {
-            scales[r] =
-                self.quantize_row_i8(&src[r * dim..(r + 1) * dim], &mut q[r * dim..(r + 1) * dim]);
-        }
-    }
 }
 
-/// Allocating form of [`KernelBackend::quantize_arena_i8_into`] on
-/// [`active_backend`]: returns fresh level and scale vectors.
-/// Steady-state callers (prefill, requantize, benchmarks) should prefer
-/// the method, which reuses caller scratch.
+/// Quantizes a contiguous row-major `f32` arena (`src.len() / dim` rows)
+/// to `i8` with one scale per row on [`active_backend`]: each row goes
+/// through [`quantize_row_i8`], producing exactly the layout
+/// [`QuantRowView::contiguous`] reads.
 ///
 /// # Panics
 ///
 /// Panics if `dim == 0` or `src.len()` is not a multiple of `dim`.
 #[must_use]
 pub fn quantize_arena_i8(src: &[f32], dim: usize) -> (Vec<i8>, Vec<f32>) {
-    let mut q = Vec::new();
-    let mut scales = Vec::new();
-    active_backend().quantize_arena_i8_into(src, dim, &mut q, &mut scales);
+    assert!(dim > 0, "quantize_arena_i8 requires dim > 0");
+    assert!(
+        src.len().is_multiple_of(dim),
+        "arena length {} is not a multiple of dim {dim}",
+        src.len()
+    );
+    let mut q = vec![0i8; src.len()];
+    let scales = src
+        .chunks_exact(dim)
+        .zip(q.chunks_exact_mut(dim))
+        .map(|(row, out)| quantize_row_i8(row, out))
+        .collect();
     (q, scales)
 }
 
@@ -1470,24 +1445,6 @@ mod tests {
             );
             assert_eq!(q, expect_q, "{}", backend.label());
         }
-    }
-
-    #[test]
-    fn arena_into_matches_allocating_form_and_reuses_capacity() {
-        let dim = 9;
-        let src: Vec<f32> = (0..6 * dim)
-            .map(|i| ((i * 31) % 17) as f32 * 0.2 - 1.5)
-            .collect();
-        let (q0, s0) = quantize_arena_i8(&src, dim);
-        let mut q = vec![7i8; 1024];
-        let mut s = vec![9.0f32; 1024];
-        let cap_q = q.capacity();
-        let cap_s = s.capacity();
-        active_backend().quantize_arena_i8_into(&src, dim, &mut q, &mut s);
-        assert_eq!(q, q0);
-        assert_eq!(s, s0);
-        assert_eq!(q.capacity(), cap_q, "scratch capacity must be reused");
-        assert_eq!(s.capacity(), cap_s, "scratch capacity must be reused");
     }
 
     #[test]

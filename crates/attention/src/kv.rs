@@ -5,8 +5,15 @@
 //! statically evicted token's row is directly overwritten by the newly
 //! generated token (paper Fig. 3b, "directly fill with newly-generated KV in
 //! the statically evicted position"). [`KvStore`] models exactly that slot
-//! discipline and is shared by the software policies and the hardware
-//! engine.
+//! discipline for the software decode path (sessions, the prefix registry
+//! and the batch drivers); the hardware engine (`UniCaimEngine` in
+//! `unicaim-core`) keeps its own cell array.
+//!
+//! Rows enter as slices ([`KvStore::write_slot_parts`],
+//! [`KvStore::append_parts`]) and leave as row views
+//! ([`KvStore::keys_view`], [`KvStore::values_view`],
+//! [`KvStore::quant_keys_view`]); no row is copied out. A store keeps the
+//! [`Precision`] it was built with, as the array's cells keep theirs.
 //!
 //! # Layout
 //!
@@ -84,40 +91,14 @@ impl Precision {
     pub fn is_quantized(self) -> bool {
         self != Precision::F32
     }
-
-    /// Quantizes one key row at this precision into `out`, returning the
-    /// per-row scale (`key[i] ≈ scale · out[i]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on [`Precision::F32`] (no quantized arena exists)
-    /// or if `src.len() != out.len()`.
-    pub fn quantize_row(self, src: &[f32], out: &mut [i8]) -> f32 {
-        match self {
-            // lint:allow(no-panic-in-lib): documented contract — callers gate on needs_quant(), and F32 stores allocate no shadow arena to quantize into
-            Precision::F32 => unreachable!("f32 stores keep no quantized arena"),
-            Precision::Int8 => kernels::active_backend().quantize_row_i8(src, out),
-            Precision::Cell3Bit => kernels::active_backend().quantize_row_cell3(src, out),
-        }
-    }
-}
-
-/// One stored token: key and value vectors plus the logical token id.
-///
-/// This is the *exchange* type at the store boundary; internally the store
-/// keeps keys and values in paged arenas, not per-entry allocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KvEntry {
-    /// Logical token position in the original sequence (0-based).
-    pub token_id: usize,
-    /// Key vector.
-    pub key: Vec<f32>,
-    /// Value vector.
-    pub value: Vec<f32>,
 }
 
 /// A fixed-capacity KV cache addressed by physical slot, stored as a
 /// logical page table over refcounted pages (see the `kv` module docs).
+///
+/// Rows go in as slices through [`KvStore::write_slot_parts`] and
+/// [`KvStore::append_parts`] and are read back through the row views;
+/// the key precision is fixed when the store is built.
 ///
 /// Cloning a `KvStore` is cheap: the clone shares every page with the
 /// original (refcounts bump, no row is copied), and copy-on-write keeps
@@ -273,51 +254,6 @@ impl KvStore {
         self.precision
     }
 
-    /// Switches the key-arena precision in place, rebuilding the quantized
-    /// shadow plane page by page from the retained exact `f32` keys.
-    /// Shared pages are copied first (the usual copy-on-write), so other
-    /// holders never observe the change; free rows stay all-zero with
-    /// scale 0 (a zero row quantizes to zeros with scale 0). A no-op when
-    /// the precision already matches.
-    ///
-    /// The [`Precision::Int8`] path runs the bulk
-    /// [`KernelBackend::quantize_arena_i8_into`](kernels::KernelBackend::quantize_arena_i8_into)
-    /// over each page's contiguous key plane, reusing one scratch pair
-    /// across all pages — no per-page (or per-row) allocation.
-    pub fn requantize(&mut self, precision: Precision) {
-        if precision == self.precision {
-            return;
-        }
-        self.precision = precision;
-        let dim = self.dim;
-        let backend = kernels::active_backend();
-        let mut q_scratch: Vec<i8> = Vec::new();
-        let mut s_scratch: Vec<f32> = Vec::new();
-        for idx in 0..self.pages.len() {
-            let page = self.page_mut(idx);
-            match precision {
-                Precision::F32 => {
-                    page.qkeys.fill(0);
-                    page.qscales.fill(0.0);
-                }
-                Precision::Int8 => {
-                    backend.quantize_arena_i8_into(&page.keys, dim, &mut q_scratch, &mut s_scratch);
-                    page.qkeys.copy_from_slice(&q_scratch);
-                    page.qscales.copy_from_slice(&s_scratch);
-                }
-                Precision::Cell3Bit => {
-                    for row in 0..page.qscales.len() {
-                        let base = row * dim;
-                        page.qscales[row] = backend.quantize_row_cell3(
-                            &page.keys[base..base + dim],
-                            &mut page.qkeys[base..base + dim],
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Vector dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
@@ -381,7 +317,9 @@ impl KvStore {
     }
 
     /// The key plane as a [`PagedRows`] view (slot `s` = logical row `s`;
-    /// free slots are zero rows).
+    /// free slots are zero rows). A quantized store still writes this
+    /// exact `f32` plane, but no decode path reads it: scan and attention
+    /// read [`KvStore::quant_keys_view`] instead.
     #[must_use]
     pub fn keys_view(&self) -> PagedRows<'_> {
         PagedRows::keys(&self.pages, self.dim, self.page_rows)
@@ -420,21 +358,6 @@ impl KvStore {
         }
     }
 
-    /// Slot `s`'s page-table coordinates plus a shared page reference.
-    fn page_of(&self, slot: usize) -> (&Page, usize) {
-        (&self.pages[slot / self.page_rows], slot % self.page_rows)
-    }
-
-    fn key_row(&self, slot: usize) -> &[f32] {
-        let (page, row) = self.page_of(slot);
-        page.key_row(row)
-    }
-
-    fn value_row(&self, slot: usize) -> &[f32] {
-        let (page, row) = self.page_of(slot);
-        page.value_row(row)
-    }
-
     /// Exclusive access to page-table entry `idx`, copying the page first
     /// when it is shared (refcount > 1) so no other holder observes the
     /// mutation. The displaced shared handle is offered back to the arena
@@ -447,23 +370,6 @@ impl KvStore {
         }
         // lint:allow(no-panic-in-lib): the branch above replaced any shared handle with a strong_count == 1 CoW copy, so get_mut cannot fail
         Arc::get_mut(&mut self.pages[idx]).expect("page is exclusively owned after CoW")
-    }
-
-    /// The key of `slot` as the *scoring path* sees it: the quantize →
-    /// dequantize round-trip of the stored key for quantized stores, or
-    /// the exact `f32` row for [`Precision::F32`]. `None` for an empty
-    /// slot.
-    #[must_use]
-    pub fn dequantized_key(&self, slot: usize) -> Option<Vec<f32>> {
-        self.token_at(slot)?;
-        if self.precision.is_quantized() {
-            let (page, row) = self.page_of(slot);
-            let mut out = vec![0.0f32; self.dim];
-            kernels::dequantize_row(page.quant_row(row), page.quant_scale(row), &mut out);
-            Some(out)
-        } else {
-            Some(self.key_row(slot).to_vec())
-        }
     }
 
     /// Writes `token`'s key/value into `slot` directly from slices
@@ -516,8 +422,12 @@ impl KvStore {
         let base = row * dim;
         page.keys[base..base + dim].copy_from_slice(key);
         page.values[base..base + dim].copy_from_slice(value);
-        if precision.is_quantized() {
-            page.qscales[row] = precision.quantize_row(key, &mut page.qkeys[base..base + dim]);
+        let backend = kernels::active_backend();
+        let (qrow, qscale) = (&mut page.qkeys[base..base + dim], &mut page.qscales[row]);
+        match precision {
+            Precision::F32 => {}
+            Precision::Int8 => *qscale = backend.quantize_row_i8(key, qrow),
+            Precision::Cell3Bit => *qscale = backend.quantize_row_cell3(key, qrow),
         }
         self.tokens[slot] = Some(token);
         let at = self.by_token.partition_point(|&(t, _)| t < token);
@@ -535,22 +445,6 @@ impl KvStore {
         if let Ok(i) = self.index_of(token) {
             self.by_token.remove(i);
         }
-    }
-
-    /// Writes an entry into `slot`, overwriting whatever was there
-    /// (single-write-cycle in-place update). Returns the previous occupant.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`KvStore::write_slot_parts`].
-    pub fn write_slot(
-        &mut self,
-        slot: usize,
-        entry: KvEntry,
-    ) -> Result<Option<KvEntry>, AttentionError> {
-        let prev = self.entry(slot);
-        self.write_slot_parts(slot, entry.token_id, &entry.key, &entry.value)?;
-        Ok(prev)
     }
 
     /// Appends `token`'s key/value into the first free slot, returning its
@@ -577,31 +471,22 @@ impl KvStore {
         Ok(slot)
     }
 
-    /// Appends into the first free slot, returning its index.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`KvStore::append_parts`].
-    pub fn append(&mut self, entry: KvEntry) -> Result<usize, AttentionError> {
-        self.append_parts(entry.token_id, &entry.key, &entry.value)
-    }
-
-    /// Clears a slot, returning its occupant. The freed rows are zeroed;
-    /// evicting a slot on a shared page copies the page *before* zeroing,
-    /// so other holders keep the token.
+    /// Clears a slot, returning the token that occupied it. The freed
+    /// rows are zeroed; evicting a slot on a shared page copies the page
+    /// *before* zeroing, so other holders keep the token.
     ///
     /// # Errors
     ///
     /// Returns [`AttentionError::IndexOutOfRange`] for a bad slot.
-    pub fn evict_slot(&mut self, slot: usize) -> Result<Option<KvEntry>, AttentionError> {
+    pub fn evict_slot(&mut self, slot: usize) -> Result<Option<usize>, AttentionError> {
         if slot >= self.capacity {
             return Err(AttentionError::IndexOutOfRange {
                 index: slot,
                 len: self.capacity,
             });
         }
-        let prev = self.entry(slot);
-        if let Some(token) = self.tokens[slot].take() {
+        let prev = self.tokens[slot].take();
+        if let Some(token) = prev {
             self.unindex(token);
             let dim = self.dim;
             let row = slot % self.page_rows;
@@ -621,28 +506,6 @@ impl KvStore {
         self.tokens.get(slot).copied().flatten()
     }
 
-    /// The key row of `slot`, if occupied.
-    #[must_use]
-    pub fn key_at(&self, slot: usize) -> Option<&[f32]> {
-        self.token_at(slot).map(|_| self.key_row(slot))
-    }
-
-    /// The value row of `slot`, if occupied.
-    #[must_use]
-    pub fn value_at(&self, slot: usize) -> Option<&[f32]> {
-        self.token_at(slot).map(|_| self.value_row(slot))
-    }
-
-    /// The entry in `slot`, if occupied, materialized out of the pages.
-    #[must_use]
-    pub fn entry(&self, slot: usize) -> Option<KvEntry> {
-        self.token_at(slot).map(|token_id| KvEntry {
-            token_id,
-            key: self.key_row(slot).to_vec(),
-            value: self.value_row(slot).to_vec(),
-        })
-    }
-
     /// Iterator over `(token, slot)` for occupied slots, in **ascending
     /// token order** (the order the harness↔policy contract requires): a
     /// walk over the sorted token index, no lookup per item.
@@ -655,18 +518,6 @@ impl KvStore {
     #[must_use]
     pub fn slot_of_token(&self, token_id: usize) -> Option<usize> {
         self.index_of(token_id).ok().map(|i| self.by_token[i].1)
-    }
-
-    /// All occupied slots' token ids, in slot order.
-    #[must_use]
-    pub fn token_ids(&self) -> Vec<usize> {
-        self.tokens.iter().filter_map(|&t| t).collect()
-    }
-
-    /// All occupied slots' token ids, ascending.
-    #[must_use]
-    pub fn tokens_ascending(&self) -> Vec<usize> {
-        self.by_token.iter().map(|&(t, _)| t).collect()
     }
 }
 
@@ -683,22 +534,16 @@ impl PartialEq for KvStore {
         {
             return false;
         }
-        for slot in 0..self.capacity {
-            if self.key_row(slot) != other.key_row(slot)
-                || self.value_row(slot) != other.value_row(slot)
-            {
-                return false;
-            }
-            if self.precision.is_quantized() {
-                let (sp, sr) = self.page_of(slot);
-                let (op, or) = other.page_of(slot);
-                if sp.quant_row(sr) != op.quant_row(or) || sp.quant_scale(sr) != op.quant_scale(or)
-                {
-                    return false;
-                }
-            }
-        }
-        true
+        let (keys, other_keys) = (self.keys_view(), other.keys_view());
+        let (values, other_values) = (self.values_view(), other.values_view());
+        let quant = self.quant_keys_view().zip(other.quant_keys_view());
+        (0..self.capacity).all(|slot| {
+            keys.row(slot) == other_keys.row(slot)
+                && values.row(slot) == other_values.row(slot)
+                && quant.is_none_or(|(q, other_q)| {
+                    q.row(slot) == other_q.row(slot) && q.scale(slot) == other_q.scale(slot)
+                })
+        })
     }
 }
 
@@ -716,23 +561,45 @@ impl Drop for KvStore {
 mod tests {
     use super::*;
 
-    fn entry(token_id: usize, dim: usize, fill: f32) -> KvEntry {
-        KvEntry {
-            token_id,
-            key: vec![fill; dim],
-            value: vec![fill + 0.5; dim],
-        }
+    /// Appends `token` with every key element `fill` and every value
+    /// element `fill + 0.5`.
+    fn append(
+        store: &mut KvStore,
+        token: usize,
+        dim: usize,
+        fill: f32,
+    ) -> Result<usize, AttentionError> {
+        store.append_parts(token, &vec![fill; dim], &vec![fill + 0.5; dim])
+    }
+
+    /// Writes `token` into `slot` with the rows [`append`] would write.
+    fn write(
+        store: &mut KvStore,
+        slot: usize,
+        token: usize,
+        dim: usize,
+        fill: f32,
+    ) -> Result<Option<usize>, AttentionError> {
+        store.write_slot_parts(slot, token, &vec![fill; dim], &vec![fill + 0.5; dim])
+    }
+
+    /// The key of quantized `slot` as the scoring path sees it.
+    fn scoring_key(store: &KvStore, slot: usize) -> Vec<f32> {
+        let q = store.quant_keys_view().unwrap();
+        let mut out = vec![0.0f32; store.dim()];
+        kernels::dequantize_row(q.row(slot), q.scale(slot), &mut out);
+        out
     }
 
     #[test]
     fn append_fills_slots_in_order() {
         let mut store = KvStore::new(3, 4);
-        assert_eq!(store.append(entry(10, 4, 0.1)).unwrap(), 0);
-        assert_eq!(store.append(entry(11, 4, 0.2)).unwrap(), 1);
-        assert_eq!(store.append(entry(12, 4, 0.3)).unwrap(), 2);
+        assert_eq!(append(&mut store, 10, 4, 0.1).unwrap(), 0);
+        assert_eq!(append(&mut store, 11, 4, 0.2).unwrap(), 1);
+        assert_eq!(append(&mut store, 12, 4, 0.3).unwrap(), 2);
         assert_eq!(store.len(), 3);
         assert!(
-            store.append(entry(13, 4, 0.4)).is_err(),
+            append(&mut store, 13, 4, 0.4).is_err(),
             "full store must reject appends"
         );
     }
@@ -740,9 +607,8 @@ mod tests {
     #[test]
     fn overwrite_returns_previous() {
         let mut store = KvStore::new(2, 4);
-        store.append(entry(1, 4, 0.1)).unwrap();
-        let prev = store.write_slot(0, entry(2, 4, 0.2)).unwrap();
-        assert_eq!(prev.unwrap().token_id, 1);
+        append(&mut store, 1, 4, 0.1).unwrap();
+        assert_eq!(write(&mut store, 0, 2, 4, 0.2).unwrap(), Some(1));
         assert_eq!(store.token_at(0), Some(2));
         assert_eq!(store.len(), 1);
     }
@@ -750,64 +616,26 @@ mod tests {
     #[test]
     fn evict_then_reuse_slot() {
         let mut store = KvStore::new(2, 4);
-        store.append(entry(1, 4, 0.1)).unwrap();
-        store.append(entry(2, 4, 0.2)).unwrap();
-        let evicted = store.evict_slot(0).unwrap().unwrap();
-        assert_eq!(evicted.token_id, 1);
+        append(&mut store, 1, 4, 0.1).unwrap();
+        append(&mut store, 2, 4, 0.2).unwrap();
+        assert_eq!(store.evict_slot(0).unwrap(), Some(1));
         assert_eq!(store.first_free_slot(), Some(0));
-        assert_eq!(store.append(entry(3, 4, 0.3)).unwrap(), 0);
-        let mut ids = store.token_ids();
-        ids.sort_unstable();
+        assert_eq!(append(&mut store, 3, 4, 0.3).unwrap(), 0);
+        let ids: Vec<usize> = store.iter_tokens().map(|(t, _)| t).collect();
         assert_eq!(ids, vec![2, 3]);
-    }
-
-    #[test]
-    fn requantize_matches_store_built_at_target_precision() {
-        let dim = 7;
-        let build = |precision| {
-            let mut store = KvStore::with_precision(5, dim, precision);
-            for t in 0..4usize {
-                let key: Vec<f32> = (0..dim)
-                    .map(|i| ((t * dim + i) as f32) * 0.3 - 2.0)
-                    .collect();
-                let value: Vec<f32> = (0..dim).map(|i| (i as f32) - t as f32).collect();
-                store
-                    .append(KvEntry {
-                        token_id: t,
-                        key,
-                        value,
-                    })
-                    .unwrap();
-            }
-            store
-        };
-        for source in Precision::ALL {
-            for target in Precision::ALL {
-                let mut store = build(source);
-                store.requantize(target);
-                assert_eq!(store.precision(), target);
-                assert_eq!(
-                    store,
-                    build(target),
-                    "{} -> {}",
-                    source.label(),
-                    target.label()
-                );
-            }
-        }
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
         let mut store = KvStore::new(2, 4);
-        assert!(store.append(entry(1, 3, 0.1)).is_err());
+        assert!(append(&mut store, 1, 3, 0.1).is_err());
     }
 
     #[test]
     fn slot_of_token_finds_physical_position() {
         let mut store = KvStore::new(3, 2);
-        store.append(entry(100, 2, 0.0)).unwrap();
-        store.append(entry(200, 2, 0.0)).unwrap();
+        append(&mut store, 100, 2, 0.0).unwrap();
+        append(&mut store, 200, 2, 0.0).unwrap();
         assert_eq!(store.slot_of_token(200), Some(1));
         assert_eq!(store.slot_of_token(300), None);
     }
@@ -815,41 +643,42 @@ mod tests {
     #[test]
     fn out_of_range_slot_rejected() {
         let mut store = KvStore::new(2, 2);
-        assert!(store.write_slot(2, entry(1, 2, 0.0)).is_err());
+        assert!(write(&mut store, 2, 1, 2, 0.0).is_err());
         assert!(store.evict_slot(5).is_err());
-        assert!(store.entry(9).is_none());
+        assert!(store.token_at(9).is_none());
     }
 
     #[test]
     fn duplicate_token_in_other_slot_rejected() {
         let mut store = KvStore::new(3, 2);
-        store.append(entry(7, 2, 0.1)).unwrap();
-        let err = store.write_slot(1, entry(7, 2, 0.2)).unwrap_err();
+        append(&mut store, 7, 2, 0.1).unwrap();
+        let err = write(&mut store, 1, 7, 2, 0.2).unwrap_err();
         assert!(matches!(
             err,
             AttentionError::DuplicateToken { token: 7, slot: 0 }
         ));
         // Rewriting the token in its own slot is fine (in-place update).
-        assert!(store.write_slot(0, entry(7, 2, 0.3)).is_ok());
+        assert!(write(&mut store, 0, 7, 2, 0.3).is_ok());
         assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn iter_tokens_is_ascending_and_arena_rows_match() {
         let mut store = KvStore::new(4, 2);
-        store.append(entry(30, 2, 0.3)).unwrap();
-        store.append(entry(10, 2, 0.1)).unwrap();
-        store.append(entry(20, 2, 0.2)).unwrap();
-        let order: Vec<usize> = store.iter_tokens().map(|(t, _)| t).collect();
-        assert_eq!(order, vec![10, 20, 30]);
-        for (t, s) in store.iter_tokens() {
-            let e = store.entry(s).unwrap();
-            assert_eq!(e.token_id, t);
-            assert_eq!(store.key_at(s).unwrap(), e.key.as_slice());
-            assert_eq!(store.value_at(s).unwrap(), e.value.as_slice());
-            assert_eq!(store.keys_view().row(s), e.key.as_slice());
-            assert_eq!(store.values_view().row(s), e.value.as_slice());
+        for (token, fill) in [(30, 0.3), (10, 0.1), (20, 0.2)] {
+            append(&mut store, token, 2, fill).unwrap();
         }
+        assert_eq!(
+            store.iter_tokens().collect::<Vec<_>>(),
+            vec![(10, 1), (20, 2), (30, 0)]
+        );
+        for (slot, fill) in [(0, 0.3f32), (1, 0.1), (2, 0.2)] {
+            assert_eq!(store.keys_view().row(slot), &[fill; 2]);
+            assert_eq!(store.values_view().row(slot), &[fill + 0.5; 2]);
+        }
+        // The free slot reads as zero rows.
+        assert_eq!(store.keys_view().row(3), &[0.0; 2]);
+        assert_eq!(store.values_view().row(3), &[0.0; 2]);
     }
 
     #[test]
@@ -886,17 +715,17 @@ mod tests {
         let mut store = KvStore::with_precision(2, 3, Precision::Int8);
         let key = [0.9f32, -0.33, 0.141];
         store.write_slot_parts(0, 1, &key, &[0.0; 3]).unwrap();
-        let back = store.dequantized_key(0).unwrap();
+        let back = scoring_key(&store, 0);
         let scale = store.quant_keys_view().unwrap().scale(0);
         for (x, y) in key.iter().zip(&back) {
             assert!((x - y).abs() <= scale * 0.5 + 1e-7, "{key:?} vs {back:?}");
         }
-        // Empty slots have no key at all.
-        assert!(store.dequantized_key(1).is_none());
-        // F32 stores round-trip exactly.
+        // Empty slots dequantize to a zero row.
+        assert_eq!(scoring_key(&store, 1), vec![0.0; 3]);
+        // F32 stores keep the exact key.
         let mut f = KvStore::new(2, 3);
         f.write_slot_parts(0, 1, &key, &[0.0; 3]).unwrap();
-        assert_eq!(f.dequantized_key(0).unwrap(), key.to_vec());
+        assert_eq!(f.keys_view().row(0), &key);
     }
 
     #[test]
@@ -909,7 +738,7 @@ mod tests {
         assert_eq!(q.row(0), &[2, -2, 0, 1, -1]);
         assert!((q.scale(0) - 0.5).abs() < 1e-9);
         // Snapped keys re-snap to themselves (idempotence).
-        let snapped = store.dequantized_key(0).unwrap();
+        let snapped = scoring_key(&store, 0);
         store.write_slot_parts(1, 4, &snapped, &[0.0; 5]).unwrap();
         let q = store.quant_keys_view().unwrap();
         assert_eq!(q.row(1), q.row(0));
@@ -919,40 +748,40 @@ mod tests {
     #[test]
     fn quantized_eviction_zeroes_shadow_rows_too() {
         let mut a = KvStore::with_precision(2, 2, Precision::Int8);
-        a.append(entry(1, 2, 0.9)).unwrap();
+        append(&mut a, 1, 2, 0.9).unwrap();
         a.evict_slot(0).unwrap();
-        a.append(entry(2, 2, 0.4)).unwrap();
+        append(&mut a, 2, 2, 0.4).unwrap();
         let mut b = KvStore::with_precision(2, 2, Precision::Int8);
-        b.append(entry(2, 2, 0.4)).unwrap();
+        append(&mut b, 2, 2, 0.4).unwrap();
         assert_eq!(a, b, "eviction history must not leak into equality");
     }
 
     #[test]
     fn eviction_zeroes_arena_rows_for_structural_equality() {
         let mut a = KvStore::new(2, 2);
-        a.append(entry(1, 2, 0.9)).unwrap();
+        append(&mut a, 1, 2, 0.9).unwrap();
         a.evict_slot(0).unwrap();
-        a.append(entry(2, 2, 0.4)).unwrap();
+        append(&mut a, 2, 2, 0.4).unwrap();
         // A store that never held token 1 but has the same logical content.
         let mut b = KvStore::new(2, 2);
-        b.append(entry(2, 2, 0.4)).unwrap();
+        append(&mut b, 2, 2, 0.4).unwrap();
         assert_eq!(a, b, "eviction history must not leak into equality");
     }
 
     #[test]
     fn clone_shares_pages_and_writes_copy_on_write() {
         let mut a = KvStore::new(4, 2);
-        a.append(entry(1, 2, 0.1)).unwrap();
-        a.append(entry(2, 2, 0.2)).unwrap();
+        append(&mut a, 1, 2, 0.1).unwrap();
+        append(&mut a, 2, 2, 0.2).unwrap();
         let b = a.clone();
         assert_eq!(a.page_refcount(0), 2, "clone must share pages");
         let before_cow = a.arena().stats().cow_copies;
-        a.write_slot(0, entry(9, 2, 0.9)).unwrap();
+        write(&mut a, 0, 9, 2, 0.9).unwrap();
         // The write copied the shared page; the clone is untouched.
         assert_eq!(a.arena().stats().cow_copies, before_cow + 1);
         assert_eq!(a.token_at(0), Some(9));
         assert_eq!(b.token_at(0), Some(1));
-        assert_eq!(b.key_at(0).unwrap(), &[0.1, 0.1]);
+        assert_eq!(b.keys_view().row(0), &[0.1, 0.1]);
         assert_eq!(a.page_refcount(0), 1);
         assert_eq!(b.page_refcount(0), 1);
     }
@@ -962,12 +791,12 @@ mod tests {
         // CoW edge case (satellite): eviction is a mutation like any
         // other — a shared holder must keep the token.
         let mut a = KvStore::with_precision(4, 2, Precision::Int8);
-        a.append(entry(1, 2, 0.5)).unwrap();
+        append(&mut a, 1, 2, 0.5).unwrap();
         let b = a.clone();
         a.evict_slot(0).unwrap();
         assert_eq!(a.token_at(0), None);
         assert_eq!(b.token_at(0), Some(1), "shared holder must keep the row");
-        assert_eq!(b.key_at(0).unwrap(), &[0.5, 0.5]);
+        assert_eq!(b.keys_view().row(0), &[0.5, 0.5]);
         assert_ne!(b.quant_keys_view().unwrap().scale(0), 0.0);
         assert!(a.arena().stats().cow_copies >= 1);
     }
@@ -979,7 +808,7 @@ mod tests {
         let pages_for = |cap: usize| cap.div_ceil(2);
         {
             let mut store = KvStore::with_arena(&arena, 4, Precision::F32);
-            store.append(entry(1, 2, 0.3)).unwrap();
+            append(&mut store, 1, 2, 0.3).unwrap();
             assert_eq!(arena.free_pages(), 0);
         }
         assert_eq!(arena.free_pages(), pages_for(4));
@@ -1037,8 +866,8 @@ mod tests {
         let mut a = KvStore::with_arena(&coarse, 3, Precision::Int8);
         let mut b = KvStore::with_arena(&fine, 3, Precision::Int8);
         for s in [&mut a, &mut b] {
-            s.append(entry(5, 2, 0.7)).unwrap();
-            s.append(entry(6, 2, 0.1)).unwrap();
+            append(s, 5, 2, 0.7).unwrap();
+            append(s, 6, 2, 0.1).unwrap();
         }
         assert_eq!(a, b, "page geometry must not affect equality");
         b.evict_slot(1).unwrap();

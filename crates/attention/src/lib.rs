@@ -46,8 +46,8 @@ mod transformer;
 pub mod workloads;
 
 pub use kernels::{active_backend, KernelBackend};
-pub use kv::{KvEntry, KvStore, Precision};
-pub use matrix::{argtop_k, layer_norm_in_place, softmax_in_place, softmax_rows, Matrix};
+pub use kv::{KvStore, Precision};
+pub use matrix::{layer_norm_in_place, softmax_in_place, softmax_rows, Matrix};
 pub use mha::{attention_output, attention_scores, AttentionConfig, MultiHeadAttention};
 pub use paged::{
     ArenaStats, Page, PageArena, PageHandle, PagedQuantRows, PagedRows, DEFAULT_PAGE_ROWS,

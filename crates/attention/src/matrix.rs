@@ -373,17 +373,6 @@ pub fn layer_norm_in_place(xs: &mut [f32], eps: f32) {
     }
 }
 
-/// Indices of the `k` largest values, in descending value order. Ties break
-/// toward the lower index (deterministic). Returns all indices if `k >= len`.
-///
-/// Delegates to [`crate::kernels::partial_top_k`]: partial selection
-/// instead of a full sort, total-ordered via [`f32::total_cmp`] so NaN
-/// scores cannot destabilize the ranking.
-#[must_use]
-pub fn argtop_k(values: &[f32], k: usize) -> Vec<usize> {
-    crate::kernels::partial_top_k(values, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,10 +577,11 @@ mod tests {
 
     #[test]
     fn argtop_k_orders_and_breaks_ties() {
+        use crate::kernels::partial_top_k;
         let v = vec![0.1, 0.9, 0.5, 0.9, 0.2];
-        assert_eq!(argtop_k(&v, 3), vec![1, 3, 2]);
-        assert_eq!(argtop_k(&v, 10).len(), 5);
-        assert_eq!(argtop_k(&v, 0), Vec::<usize>::new());
+        assert_eq!(partial_top_k(&v, 3), vec![1, 3, 2]);
+        assert_eq!(partial_top_k(&v, 10).len(), 5);
+        assert_eq!(partial_top_k(&v, 0), Vec::<usize>::new());
     }
 
     #[test]

@@ -774,85 +774,6 @@ pub fn layer_stack_tasks(
         .collect()
 }
 
-/// Per-layer decode workloads traced from an actual (random-weight)
-/// [`crate::TinyTransformer`] with `n_layers` attention blocks: layer `l`'s
-/// queries and keys come from [`crate::TinyTransformer::layer_qk`] at depth
-/// `l`, so a stacked decode session sees genuinely depth-dependent softmax
-/// statistics (no planted structure — salient sets are empty; use for cost
-/// and entropy studies, not retrieval scoring).
-///
-/// # Panics
-///
-/// Panics if `n_layers == 0` or `prefill_len + decode_len` exceeds the
-/// transformer's maximum sequence length.
-#[must_use]
-pub fn transformer_stack_trace(
-    n_layers: usize,
-    prefill_len: usize,
-    decode_len: usize,
-    seed: u64,
-) -> Vec<DecodeWorkload> {
-    use crate::transformer::{TinyTransformer, TransformerConfig};
-    assert!(n_layers > 0, "a layer stack needs at least one layer");
-    let total = prefill_len + decode_len;
-    let model = TinyTransformer::new(
-        TransformerConfig {
-            n_layers,
-            ..TransformerConfig::default()
-        },
-        seed,
-    )
-    // lint:allow(no-panic-in-lib): default dims with a caller-chosen layer count stay a valid config for n_layers >= 1
-    .expect("valid config");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x57AC);
-    let tokens: Vec<usize> = (0..total).map(|_| rng.gen_range(0..256)).collect();
-    (0..n_layers)
-        .map(|l| {
-            // lint:allow(no-panic-in-lib): the documented `# Panics` contract — total exceeding max_seq is a caller bug
-            let (q, k) = model.layer_qk(&tokens, l, 0).expect("sequence fits");
-            let dim = q.cols();
-            let to_rows = |m: &Matrix, lo: usize, hi: usize| -> Vec<Vec<f32>> {
-                (lo..hi).map(|t| m.row(t).to_vec()).collect()
-            };
-            let values: Vec<Vec<f32>> = (0..total)
-                .map(|_| {
-                    let mut v = unit(&mut rng, dim);
-                    for x in &mut v {
-                        *x *= 0.5;
-                    }
-                    v
-                })
-                .collect();
-            DecodeWorkload {
-                name: format!("transformer_stack#L{l}"),
-                dim,
-                prefill_keys: to_rows(&k, 0, prefill_len),
-                prefill_values: values[..prefill_len].to_vec(),
-                prefill_queries: to_rows(&q, 0, prefill_len),
-                decode_queries: to_rows(&q, prefill_len, total),
-                decode_keys: to_rows(&k, prefill_len, total),
-                decode_values: values[prefill_len..].to_vec(),
-                salient_at: vec![BTreeSet::new(); decode_len],
-                answer_steps: Vec::new(),
-            }
-        })
-        .collect()
-}
-
-/// A structure-free workload with Zipf-distributed key popularity, used for
-/// hardware cost sweeps where only the score distribution matters.
-#[must_use]
-pub fn zipf_trace(prefill_len: usize, decode_len: usize, seed: u64) -> DecodeWorkload {
-    let mut spec = base_spec("zipf", prefill_len, decode_len, seed);
-    spec.needle_strength = 1.0;
-    // Heavy tokens at Zipf-spaced ranks get repeated attention.
-    let heavy: Vec<usize> = (1..=12)
-        .map(|r| (prefill_len as f64 * (1.0 - 1.0 / f64::from(r + 1))) as usize % prefill_len)
-        .collect();
-    spec.diffuse_salient = heavy;
-    generate(&spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -918,20 +839,6 @@ mod tests {
         // Deterministic per seed; single-layer stacks are valid.
         assert_eq!(stack, layer_stack_tasks(4, 192, 16, 7));
         assert_eq!(layer_stack_tasks(1, 64, 8, 3).len(), 1);
-    }
-
-    #[test]
-    fn transformer_stack_trace_varies_by_depth() {
-        let stack = transformer_stack_trace(3, 48, 6, 11);
-        assert_eq!(stack.len(), 3);
-        for (l, w) in stack.iter().enumerate() {
-            assert_eq!(w.name, format!("transformer_stack#L{l}"));
-            assert_eq!(w.prefill_keys.len(), 48);
-            assert_eq!(w.decode_queries.len(), 6);
-            assert!(w.answer_steps.is_empty());
-        }
-        assert_ne!(stack[0].prefill_keys, stack[2].prefill_keys);
-        assert_eq!(stack, transformer_stack_trace(3, 48, 6, 11));
     }
 
     #[test]
@@ -1086,13 +993,6 @@ mod tests {
     #[should_panic(expected = "at least one workload")]
     fn mixed_batch_rejects_empty() {
         let _ = mixed_batch(0, 64, 8, 1);
-    }
-
-    #[test]
-    fn zipf_trace_generates() {
-        let w = zipf_trace(256, 16, 11);
-        assert_eq!(w.prefill_keys.len(), 256);
-        assert_eq!(w.decode_queries.len(), 16);
     }
 
     #[test]

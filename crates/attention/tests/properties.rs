@@ -1,10 +1,10 @@
 //! Property-based tests of the attention substrate invariants.
 
 use proptest::prelude::*;
+use unicaim_attention::kernels::partial_top_k;
 use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1};
 use unicaim_attention::{
-    argtop_k, attention_output, attention_scores, softmax_in_place, AttentionError, KvEntry,
-    KvStore, Matrix,
+    attention_output, attention_scores, softmax_in_place, AttentionError, KvStore, Matrix,
 };
 
 proptest! {
@@ -76,10 +76,10 @@ proptest! {
         }
     }
 
-    /// argtop_k returns k distinct indices in descending value order.
+    /// partial_top_k returns k distinct indices in descending value order.
     #[test]
     fn argtopk_sound(values in proptest::collection::vec(-10.0f32..10.0, 1..64), k in 1usize..16) {
-        let top = argtop_k(&values, k);
+        let top = partial_top_k(&values, k);
         prop_assert_eq!(top.len(), k.min(values.len()));
         let mut seen = std::collections::BTreeSet::new();
         for w in top.windows(2) {
@@ -140,12 +140,8 @@ proptest! {
         let mut expect = 0usize;
         for (i, (slot, write)) in ops.iter().enumerate() {
             if *write {
-                let was = store.entry(*slot).is_some();
-                store.write_slot(*slot, KvEntry {
-                    token_id: i,
-                    key: vec![0.0; 2],
-                    value: vec![0.0; 2],
-                }).unwrap();
+                let was = store.token_at(*slot).is_some();
+                store.write_slot_parts(*slot, i, &[0.0; 2], &[0.0; 2]).unwrap();
                 if !was { expect += 1; }
             } else if store.evict_slot(*slot).unwrap().is_some() {
                 expect -= 1;
@@ -154,12 +150,13 @@ proptest! {
         }
     }
 
-    /// The structure-of-arrays KvStore tracks a naive slot-of-entries model
-    /// exactly: same append/write/evict outcomes, same occupancy, same
-    /// `slot_of_token` answers, same per-slot contents. Token ids come from
-    /// a small range, so they repeat and arrive out of order: the sorted
-    /// token index must insert mid-list, and a token resident in another
-    /// slot must be refused.
+    /// The structure-of-arrays KvStore tracks a naive slot model exactly:
+    /// same append/write/evict outcomes (including the displaced token),
+    /// same occupancy, same `slot_of_token` answers, same per-slot tokens
+    /// and rows (evicted and never-written slots read as zero rows). Token
+    /// ids come from a small range, so they repeat and arrive out of
+    /// order: the sorted token index must insert mid-list, and a token
+    /// resident in another slot must be refused.
     #[test]
     fn kvstore_matches_naive_slot_model(
         ops in proptest::collection::vec((0usize..5, 0usize..3, -4i32..4, 0usize..8), 1..60),
@@ -168,35 +165,35 @@ proptest! {
         const DIM: usize = 3;
         const TOKENS: usize = 8;
         let mut store = KvStore::new(CAP, DIM);
-        // The pre-refactor representation: one Option<KvEntry> per slot.
-        let mut model: Vec<Option<KvEntry>> = vec![None; CAP];
-        let holder = |model: &[Option<KvEntry>], token: usize| {
-            model.iter().position(|m| m.as_ref().is_some_and(|x| x.token_id == token))
+        // One (token, key fill, value fill) per occupied slot.
+        let mut model: Vec<Option<(usize, f32, f32)>> = vec![None; CAP];
+        let holder = |model: &[Option<(usize, f32, f32)>], token: usize| {
+            model.iter().position(|m| m.is_some_and(|(t, _, _)| t == token))
         };
         for &(slot, op, seed, token) in &ops {
-            let entry = KvEntry {
-                token_id: token,
-                key: vec![seed as f32 * 0.5; DIM],
-                value: vec![seed as f32 * 0.25 + 1.0; DIM],
-            };
+            let entry = (token, seed as f32 * 0.5, seed as f32 * 0.25 + 1.0);
+            let (key, value) = ([entry.1; DIM], [entry.2; DIM]);
             match op {
                 // Direct in-slot overwrite.
                 0 => {
-                    let result = store.write_slot(slot, entry.clone());
+                    let result = store.write_slot_parts(slot, token, &key, &value);
                     match holder(&model, token).filter(|&h| h != slot) {
                         Some(other) => prop_assert!(
                             matches!(result, Err(AttentionError::DuplicateToken { token: t, slot: s })
                                 if t == token && s == other),
                             "token {token} held in slot {other}: {result:?}"
                         ),
-                        None => prop_assert_eq!(result.unwrap(), model[slot].replace(entry)),
+                        None => prop_assert_eq!(
+                            result.unwrap(),
+                            model[slot].replace(entry).map(|(t, _, _)| t)
+                        ),
                     }
                 }
                 // Append into the first free slot.
                 1 => {
                     let model_free = model.iter().position(Option::is_none);
                     prop_assert_eq!(store.first_free_slot(), model_free);
-                    let result = store.append(entry.clone());
+                    let result = store.append_parts(token, &key, &value);
                     match (model_free, holder(&model, token)) {
                         (None, _) => prop_assert!(
                             matches!(result, Err(AttentionError::IndexOutOfRange { .. })),
@@ -216,13 +213,19 @@ proptest! {
                 // Evict.
                 _ => {
                     let evicted = store.evict_slot(slot).unwrap();
-                    prop_assert_eq!(evicted, model[slot].take());
+                    prop_assert_eq!(evicted, model[slot].take().map(|(t, _, _)| t));
                 }
             }
             // Full observable-state agreement after every operation.
             prop_assert_eq!(store.len(), model.iter().filter(|s| s.is_some()).count());
             for (s, expected) in model.iter().enumerate() {
-                prop_assert_eq!(&store.entry(s), expected);
+                let (token, key_fill, value_fill) = match *expected {
+                    Some((t, k, v)) => (Some(t), k, v),
+                    None => (None, 0.0, 0.0),
+                };
+                prop_assert_eq!(store.token_at(s), token);
+                prop_assert_eq!(store.keys_view().row(s), &[key_fill; DIM]);
+                prop_assert_eq!(store.values_view().row(s), &[value_fill; DIM]);
             }
             for t in 0..TOKENS {
                 prop_assert_eq!(store.slot_of_token(t), holder(&model, t));
@@ -230,12 +233,10 @@ proptest! {
             let mut model_index: Vec<(usize, usize)> = model
                 .iter()
                 .enumerate()
-                .filter_map(|(s, m)| m.as_ref().map(|e| (e.token_id, s)))
+                .filter_map(|(s, m)| m.map(|(t, _, _)| (t, s)))
                 .collect();
             model_index.sort_unstable();
             prop_assert_eq!(store.iter_tokens().collect::<Vec<_>>(), model_index);
-            let model_ids: Vec<usize> = model.iter().flatten().map(|e| e.token_id).collect();
-            prop_assert_eq!(store.token_ids(), model_ids);
         }
     }
 
@@ -395,13 +396,13 @@ proptest! {
         let arena = PageArena::new(dim, page_rows);
         let mut store = KvStore::with_arena(&arena, n, Precision::Int8);
         for t in 0..n {
-            store.write_slot_parts(t, t, keys.row(t), values.row(t)).unwrap();
+            store.append_parts(t, keys.row(t), values.row(t)).unwrap();
         }
         // Flat copies of the exact planes the paged store holds.
         let flat_keys: Vec<f32> =
-            (0..n).flat_map(|s| store.key_at(s).unwrap().to_vec()).collect();
+            (0..n).flat_map(|s| store.keys_view().row(s).to_vec()).collect();
         let flat_values: Vec<f32> =
-            (0..n).flat_map(|s| store.value_at(s).unwrap().to_vec()).collect();
+            (0..n).flat_map(|s| store.values_view().row(s).to_vec()).collect();
         let paged_q = store.quant_keys_view().unwrap();
         let flat_q: Vec<i8> = (0..n).flat_map(|s| paged_q.row(s).to_vec()).collect();
         let flat_scales: Vec<f32> = (0..n).map(|s| paged_q.scale(s)).collect();
@@ -456,7 +457,6 @@ proptest! {
         raw in proptest::collection::vec(0u8..5, 1..48),
         k in 0usize..52,
     ) {
-        use unicaim_attention::kernels::partial_top_k;
         // Few distinct levels => many exact ties.
         let values: Vec<f32> = raw.iter().map(|&v| f32::from(v) * 0.25).collect();
         let mut full: Vec<usize> = (0..values.len()).collect();
@@ -475,7 +475,6 @@ proptest! {
 fn kv_store_and_workloads_are_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<unicaim_attention::KvStore>();
-    assert_send_sync::<unicaim_attention::KvEntry>();
     assert_send_sync::<unicaim_attention::AttentionError>();
     assert_send_sync::<unicaim_attention::workloads::DecodeWorkload>();
 }

@@ -28,14 +28,12 @@
 //! was measured with).
 //!
 //! Run with: `cargo run --release -p unicaim-bench --bin batch_throughput`
-//! (`--json <path>` additionally dumps machine-readable rows; `--baseline
-//! <path>` loads a previously saved run — e.g. the pre-refactor numbers
-//! under `results/baselines/` — and embeds it plus per-cell decode-speedup
-//! factors in the dump).
+//! (`--json <path>` additionally dumps the measuring host and the sweep
+//! rows).
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use unicaim_attention::workloads::{mixed_batch, DecodeWorkload};
 use unicaim_bench::{banner, dump_json, json_output_path, HostProvenance};
 use unicaim_kvcache::{
@@ -57,7 +55,7 @@ const DECODE_LEN: usize = 24;
 /// noise in the `sim − scaffold` subtraction.
 const REPS: usize = 7;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct Row {
     policy: String,
     batch_size: usize,
@@ -104,31 +102,8 @@ fn median(samples: &[f64]) -> f64 {
     s[s.len() / 2]
 }
 
-/// One (policy, batch size) cell's decode-throughput change vs a baseline
-/// run.
+/// The `--json` dump: the measuring host plus the sweep rows.
 #[derive(Debug, Serialize)]
-struct SpeedupRow {
-    policy: String,
-    batch_size: usize,
-    baseline_decode_tokens_per_sec: f64,
-    decode_tokens_per_sec: f64,
-    speedup: f64,
-}
-
-/// The full dump when a baseline is given: the measuring host, before,
-/// after, and the ratio.
-#[derive(Debug, Serialize)]
-struct Comparison {
-    host: HostProvenance,
-    baseline: Vec<Row>,
-    current: Vec<Row>,
-    decode_speedup: Vec<SpeedupRow>,
-}
-
-/// The plain `--json` dump (no baseline): the measuring host plus the
-/// sweep rows. `--baseline` still accepts the bare pre-provenance row
-/// array alongside this schema.
-#[derive(Debug, Serialize, Deserialize)]
 struct ThroughputDump {
     host: HostProvenance,
     rows: Vec<Row>,
@@ -259,24 +234,6 @@ fn save_path() -> Option<String> {
     )
 }
 
-/// Parses `--baseline <path>` and loads the saved rows, if given. Accepts
-/// both the bare pre-provenance row array (e.g.
-/// `results/baselines/batch_throughput_pre.json`) and the
-/// provenance-stamped [`ThroughputDump`] this binary writes today.
-fn load_baseline() -> Option<Vec<Row>> {
-    let args: Vec<String> = std::env::args().collect();
-    let path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))?;
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    Some(serde_json::from_str(&text).unwrap_or_else(|_| {
-        let dump: ThroughputDump = serde_json::from_str(&text).expect("baseline rows must parse");
-        dump.rows
-    }))
-}
-
 fn main() {
     banner(
         "batch_throughput",
@@ -375,59 +332,7 @@ fn main() {
         println!("\nscheduler comparison saved to {path}");
     }
 
-    let baseline = load_baseline();
-    if let Some(baseline_rows) = &baseline {
-        println!("\ndecode tokens/sec vs baseline:");
-        println!(
-            "{:<24} {:>6} {:>14} {:>14} {:>9}",
-            "policy", "batch", "base-tok/s", "now-tok/s", "speedup"
-        );
-        for s in speedups(baseline_rows, &rows) {
-            println!(
-                "{:<24} {:>6} {:>14.0} {:>14.0} {:>8.2}x",
-                s.policy,
-                s.batch_size,
-                s.baseline_decode_tokens_per_sec,
-                s.decode_tokens_per_sec,
-                s.speedup
-            );
-        }
-    }
-
     if let Some(path) = json_output_path() {
-        match baseline {
-            Some(baseline_rows) => {
-                let decode_speedup = speedups(&baseline_rows, &rows);
-                dump_json(
-                    &path,
-                    &Comparison {
-                        host,
-                        baseline: baseline_rows,
-                        current: rows,
-                        decode_speedup,
-                    },
-                );
-            }
-            None => dump_json(&path, &ThroughputDump { host, rows }),
-        }
+        dump_json(&path, &ThroughputDump { host, rows });
     }
-}
-
-/// Pairs up baseline and current rows by (policy, batch size).
-fn speedups(baseline: &[Row], current: &[Row]) -> Vec<SpeedupRow> {
-    current
-        .iter()
-        .filter_map(|now| {
-            let before = baseline
-                .iter()
-                .find(|b| b.policy == now.policy && b.batch_size == now.batch_size)?;
-            Some(SpeedupRow {
-                policy: now.policy.clone(),
-                batch_size: now.batch_size,
-                baseline_decode_tokens_per_sec: before.decode_tokens_per_sec,
-                decode_tokens_per_sec: now.decode_tokens_per_sec,
-                speedup: now.decode_tokens_per_sec / before.decode_tokens_per_sec.max(1e-12),
-            })
-        })
-        .collect()
 }

@@ -21,8 +21,7 @@
 //!   (default `results/baselines`).
 //!
 //! Baselines are stamped with the host that recorded them (the active
-//! kernel dispatch tier and `nproc`); pre-provenance baselines (a bare
-//! row array) still parse. The `simd_speedup` suite is only compared
+//! kernel dispatch tier and `nproc`). The `simd_speedup` suite is only compared
 //! when the baseline's tier matches the current host's — speedup ratios
 //! recorded under AVX2 say nothing about a scalar-tier rerun.
 //!
@@ -125,20 +124,6 @@ fn save(opts: &Options) {
     }
 }
 
-/// Parses a baseline file: the provenance-stamped [`BaselineFile`] schema,
-/// falling back to the bare `Vec<BaselineRow>` written before host
-/// provenance existed (attributed to an `"unknown"` backend, which the
-/// `simd_speedup` cross-tier skip treats as a mismatch).
-fn parse_baseline(text: &str) -> BaselineFile {
-    serde_json::from_str(text).unwrap_or_else(|_| BaselineFile {
-        host: HostProvenance {
-            backend: "unknown".to_owned(),
-            nproc: 0,
-        },
-        rows: serde_json::from_str(text).expect("baseline JSON must parse"),
-    })
-}
-
 fn check(opts: &Options) -> bool {
     let host = HostProvenance::capture();
     println!(
@@ -156,7 +141,8 @@ fn check(opts: &Options) -> bool {
                 path.display()
             )
         });
-        let baseline_file = parse_baseline(&text);
+        let baseline_file: BaselineFile =
+            serde_json::from_str(&text).expect("baseline JSON must parse");
         if suite_name == "simd_speedup" && baseline_file.host.backend != host.backend {
             println!(
                 "skipping suite `simd_speedup`: baseline was recorded on backend \

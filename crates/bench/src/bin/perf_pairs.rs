@@ -4,13 +4,16 @@
 //! ```text
 //! cargo run --release -p unicaim-bench --bin perf_pairs -- \
 //!     --parent <perfbench binary> --change <perfbench binary> \
-//!     --workload engine_long_decode [--seed 1] [--seconds 30] [--pairs 10] \
+//!     --workload engine_long_decode [--seed 1] [--seconds S] [--pairs 10] \
 //!     [--claim ttft_p50_ms] [--benchmark BENCHMARK.json]
 //! ```
 //!
 //! Runs `--pairs` pairs of the two perfbench binaries on one workload,
 //! alternating which side runs first so that drift on a shared host hits
-//! both sides alike. Each run's last standard-output line is perfbench's
+//! both sides alike. Each run lasts `--seconds`, by default the
+//! benchmark's own `run_seconds`; shorter runs are too noisy to judge a
+//! change by, so the report then says its timing verdicts are indicative
+//! only. Each run's last standard-output line is perfbench's
 //! JSON result; a run that reports `"correct": false`, a nonzero `failed`
 //! count, or no result fails the comparison.
 //!
@@ -48,7 +51,8 @@ struct Options {
     change: PathBuf,
     workload: String,
     seed: u64,
-    seconds: f64,
+    /// Run length; `None` takes the benchmark's `run_seconds`.
+    seconds: Option<f64>,
     pairs: usize,
     claim: Option<String>,
     benchmark: PathBuf,
@@ -61,7 +65,7 @@ const USAGE: &str = "usage: perf_pairs --parent <perfbench> --change <perfbench>
      --workload <name> [--seed N] [--seconds S] [--pairs N] [--claim <metric>] \
      [--benchmark BENCHMARK.json]";
 
-fn parse_options() -> Result<Options, String> {
+fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut parent = None;
     let mut change = None;
     let mut workload = None;
@@ -70,12 +74,11 @@ fn parse_options() -> Result<Options, String> {
         change: PathBuf::new(),
         workload: String::new(),
         seed: 1,
-        seconds: 30.0,
+        seconds: None,
         pairs: 10,
         claim: None,
         benchmark: PathBuf::from("BENCHMARK.json"),
     };
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
@@ -84,7 +87,7 @@ fn parse_options() -> Result<Options, String> {
             "--change" => change = Some(PathBuf::from(&value)),
             "--workload" => workload = Some(value),
             "--seed" => opts.seed = value.parse().map_err(|e| bad(&e))?,
-            "--seconds" => opts.seconds = value.parse().map_err(|e| bad(&e))?,
+            "--seconds" => opts.seconds = Some(value.parse().map_err(|e| bad(&e))?),
             "--pairs" => opts.pairs = value.parse().map_err(|e| bad(&e))?,
             "--claim" => opts.claim = Some(value),
             "--benchmark" => opts.benchmark = PathBuf::from(&value),
@@ -98,6 +101,14 @@ fn parse_options() -> Result<Options, String> {
         return Err("--pairs must be at least 1".into());
     }
     Ok(opts)
+}
+
+/// The run length a `BENCHMARK.json` document sets for each run.
+fn run_seconds(benchmark: &Value) -> Result<f64, String> {
+    benchmark
+        .get("run_seconds")
+        .and_then(Value::as_f64)
+        .ok_or_else(|| "BENCHMARK.json has no numeric run_seconds".to_owned())
 }
 
 /// The end-to-end metrics of a `BENCHMARK.json` document.
@@ -160,12 +171,12 @@ fn metric_value(result: &Value, metric: &str) -> Option<f64> {
     result.get("metrics")?.get(metric)?.get("value")?.as_f64()
 }
 
-/// Runs one perfbench binary and returns its checked result.
-fn run(binary: &PathBuf, opts: &Options) -> Result<Value, String> {
+/// Runs one perfbench binary for `seconds` and returns its checked result.
+fn run(binary: &PathBuf, opts: &Options, seconds: f64) -> Result<Value, String> {
     let output = Command::new(binary)
         .args(["--workload", &opts.workload])
         .args(["--seed", &opts.seed.to_string()])
-        .args(["--seconds", &opts.seconds.to_string()])
+        .args(["--seconds", &seconds.to_string()])
         .output()
         .map_err(|e| format!("{}: {e}", binary.display()))?;
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -235,17 +246,17 @@ fn gain_holds(
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_options() {
+    let opts = match parse_options(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let specs = match std::fs::read_to_string(&opts.benchmark)
+    let (specs, run_seconds) = match std::fs::read_to_string(&opts.benchmark)
         .map_err(|e| format!("{}: {e}", opts.benchmark.display()))
         .and_then(|text| serde_json::value_from_str(&text).map_err(|e| e.to_string()))
-        .and_then(|doc| metric_specs(&doc))
+        .and_then(|doc| Ok((metric_specs(&doc)?, run_seconds(&doc)?)))
     {
         Ok(s) => s,
         Err(e) => {
@@ -259,6 +270,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    let seconds = opts.seconds.unwrap_or(run_seconds);
 
     let (mut parent_runs, mut change_runs) = (Vec::new(), Vec::new());
     for pair in 0..opts.pairs {
@@ -270,7 +282,7 @@ fn main() -> ExitCode {
             } else {
                 (&opts.change, &mut change_runs)
             };
-            match run(binary, &opts) {
+            match run(binary, &opts, seconds) {
                 Ok(result) => runs.push(result),
                 Err(e) => {
                     eprintln!("check failed in pair {}: {e}", pair + 1);
@@ -282,9 +294,15 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "# perf_pairs workload={} seed={} seconds={} pairs={}",
-        opts.workload, opts.seed, opts.seconds, opts.pairs
+        "# perf_pairs workload={} seed={} seconds={seconds} pairs={}",
+        opts.workload, opts.seed, opts.pairs
     );
+    if seconds < run_seconds {
+        println!(
+            "# runs shorter than the benchmark's run_seconds={run_seconds}: \
+             timing verdicts are indicative only"
+        );
+    }
     println!(
         "{:<22} {:>32} {:>32} {:>9} {:>6}  verdict",
         "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "wins"
@@ -407,6 +425,19 @@ mod tests {
         assert!(parse_result(&ok.replace("\"failed\": 0", "\"failed\": 2")).is_err());
         assert!(parse_result("# header only\n").is_err());
         assert!(parse_result("").is_err());
+    }
+
+    #[test]
+    fn run_length_defaults_to_the_benchmarks_run_seconds() {
+        let parse = |extra: &[&str]| {
+            let args = ["--parent", "p", "--change", "c", "--workload", "w"];
+            parse_options(args.iter().chain(extra).map(|a| (*a).to_owned())).unwrap()
+        };
+        assert_eq!(parse(&[]).seconds, None);
+        assert_eq!(parse(&["--seconds", "10"]).seconds, Some(10.0));
+        let doc = serde_json::value_from_str("{\"run_seconds\": 30, \"end_to_end\": []}").unwrap();
+        assert_eq!(run_seconds(&doc), Ok(30.0));
+        assert!(run_seconds(&serde_json::value_from_str("{}").unwrap()).is_err());
     }
 
     #[test]

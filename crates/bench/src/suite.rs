@@ -356,18 +356,6 @@ fn kernels_suite() -> Vec<Case> {
                 std::hint::black_box(&out);
             }
         }),
-        Case::new("quantize_arena_i8_into/576x128", 50, {
-            // The requantize hot path: repeated whole-arena quantization
-            // into reused scratch (no per-call allocation after warm-up).
-            let keys = keys.clone();
-            let mut q = Vec::new();
-            let mut scales = Vec::new();
-            let backend = kernels::active_backend();
-            move || {
-                backend.quantize_arena_i8_into(keys.as_slice(), dim, &mut q, &mut scales);
-                std::hint::black_box((&q, &scales));
-            }
-        }),
         Case::new("partial_top_k/576/k64", 500, move || {
             std::hint::black_box(kernels::partial_top_k(&scores, k));
         }),

@@ -3,16 +3,14 @@
 //! attention → in-slot key write), runnable over the same workloads as the
 //! software policies for cross-validation.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use unicaim_attention::kernels::{self, RowView};
-use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1, Mean};
 use unicaim_attention::softmax_in_place;
 use unicaim_attention::workloads::DecodeWorkload;
 use unicaim_kvcache::{
-    accumulated_prefill_scores, prefill_attention_matrix, top_indices_by_score, SimResult,
+    accumulated_prefill_scores, prefill_attention_matrix, top_indices_by_score, DecodeMetrics,
+    SimResult,
 };
 
 use crate::array::{ArrayConfig, UniCaimArray};
@@ -288,42 +286,24 @@ impl UniCaimEngine {
         self.load_prefill(workload)?;
 
         let reference = workload.full_attention_reference();
-        let mut cos = Mean::new();
-        let mut rel = Mean::new();
-        let mut recall = Mean::new();
-        let mut f1 = Mean::new();
-        let mut hits = Mean::new();
-        let mut n_selected = Mean::new();
-        let mut n_resident = Mean::new();
-        let salient_universe: BTreeSet<usize> = workload
-            .salient_at
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .collect();
+        let mut metrics = DecodeMetrics::new(workload);
         let prefill_len = workload.prefill_keys.len();
 
         for (step, query) in workload.decode_queries.iter().enumerate() {
-            n_resident.push(self.resident_tokens().len() as f64);
+            let resident = self.resident_tokens().len();
             let report = self.decode_step(
                 prefill_len + step,
                 query,
                 &workload.decode_keys[step],
                 &workload.decode_values[step],
             )?;
-            n_selected.push(report.selected_tokens.len() as f64);
-            cos.push(cosine_similarity(&report.output, &reference[step]));
-            rel.push(relative_l2_error(&report.output, &reference[step]));
-
-            let salient = &workload.salient_at[step];
-            if !salient.is_empty() {
-                let selected: BTreeSet<usize> = report.selected_tokens.iter().copied().collect();
-                let s = set_f1(&(&selected & salient), salient);
-                recall.push(s.recall);
-                let predicted: BTreeSet<usize> =
-                    selected.intersection(&salient_universe).copied().collect();
-                f1.push(set_f1(&predicted, salient).f1);
-                hits.push(if s.recall >= 1.0 { 1.0 } else { 0.0 });
-            }
+            metrics.record_step(
+                resident,
+                &report.selected_tokens,
+                &report.output,
+                &reference[step],
+                &workload.salient_at[step],
+            );
         }
 
         let mut stats = OpStats::new();
@@ -331,19 +311,7 @@ impl UniCaimEngine {
         stats.decode_steps = workload.decode_queries.len() as u64;
 
         Ok(HardwareRunResult {
-            metrics: SimResult {
-                policy: "unicaim_engine".to_owned(),
-                workload: workload.name.clone(),
-                output_cosine: cos.value(),
-                output_rel_error: rel.value(),
-                salient_recall: recall.value(),
-                salient_f1: f1.value(),
-                retrieval_accuracy: hits.value(),
-                mean_selected: n_selected.value(),
-                mean_resident: n_resident.value(),
-                steps: workload.decode_queries.len(),
-                answer_steps: usize::try_from(recall.count()).expect("step count fits usize"),
-            },
+            metrics: metrics.finish("unicaim_engine", workload),
             stats,
         })
     }

@@ -109,30 +109,11 @@ pub use score::ScoreTable;
 pub use serve::{CompletedRequest, Priority, ServeConfig, ServeCore, ServeReport, SubmitOutcome};
 pub use session::{DecodeSession, ReuseReport, StepOutcome};
 pub use sim::{
-    attention_over, prefill_attention_matrix, ratio_capacity, simulate_decode, SimConfig, SimResult,
+    attention_over, prefill_attention_matrix, ratio_capacity, simulate_decode, DecodeMetrics,
+    SimConfig, SimResult,
 };
 pub use spec::PolicySpec;
 pub use stack::{simulate_stack, LayerStackSession, StackConfig, StackResult};
 // The key-arena storage precision every session/batch config carries
 // (defined next to `KvStore` in the attention crate).
 pub use unicaim_attention::Precision;
-
-/// Errors reported by the KV-cache policy layer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KvCacheError {
-    /// A configuration value failed validation.
-    InvalidConfig {
-        /// Human-readable description.
-        reason: String,
-    },
-}
-
-impl core::fmt::Display for KvCacheError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            KvCacheError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for KvCacheError {}

@@ -20,14 +20,13 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use unicaim_attention::kernels;
-use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1, Mean};
 use unicaim_attention::workloads::DecodeWorkload;
 use unicaim_attention::{softmax_in_place, AttentionError, KvStore};
 
 use crate::error::HarnessError;
 use crate::policy::Policy;
 use crate::prefix::{prefix_fingerprint, MatrixLookup, PrefixRegistry};
-use crate::sim::{prefill_attention_matrix, SimConfig, SimResult};
+use crate::sim::{prefill_attention_matrix, DecodeMetrics, SimConfig, SimResult};
 use crate::spec::PolicySpec;
 
 /// How a session holds its policy: owned (engine-managed sessions) or
@@ -140,7 +139,6 @@ pub struct DecodeSession<'w, 'p> {
     config: SimConfig,
     store: KvStore,
     reference: Vec<Vec<f32>>,
-    salient_universe: BTreeSet<usize>,
     /// `1/√dim`, the attention score scale.
     inv_sqrt_dim: f32,
     /// The next decode step to run; `steps()` when the session is done.
@@ -178,13 +176,7 @@ pub struct DecodeSession<'w, 'p> {
     output: Vec<f32>,
     observed: Vec<(usize, f32)>,
     resident_scratch: Vec<usize>,
-    cos: Mean,
-    rel: Mean,
-    recall: Mean,
-    f1: Mean,
-    hits: Mean,
-    n_selected: Mean,
-    n_resident: Mean,
+    metrics: DecodeMetrics,
 }
 
 impl<'w> DecodeSession<'w, 'static> {
@@ -394,11 +386,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         store: KvStore,
     ) -> Self {
         let dim = workload.dim;
-        let salient_universe: BTreeSet<usize> = workload
-            .salient_at
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .collect();
         let resident_trace = vec![store.len()];
         Self {
             workload,
@@ -406,7 +393,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
             config: *config,
             store,
             reference: workload.full_attention_reference(),
-            salient_universe,
             inv_sqrt_dim: 1.0 / (dim as f32).sqrt(),
             next_step: 0,
             capacity_limit: config.capacity,
@@ -428,13 +414,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
             output: vec![0.0; dim],
             observed: Vec::with_capacity(config.capacity),
             resident_scratch: Vec::with_capacity(config.capacity),
-            cos: Mean::new(),
-            rel: Mean::new(),
-            recall: Mean::new(),
-            f1: Mean::new(),
-            hits: Mean::new(),
-            n_selected: Mean::new(),
-            n_resident: Mean::new(),
+            metrics: DecodeMetrics::new(workload),
         }
     }
 
@@ -643,8 +623,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         //    every mean over the same sample count.
         gather_selected_slots(&self.store, &decision.selected, &mut self.sel_slots)
             .map_err(|token| HarnessError::SelectedNonResident { step, token })?;
-        self.n_resident.push(self.scored.len() as f64);
-        self.n_selected.push(decision.selected.len() as f64);
         if let Some(qkeys) = self.store.quant_keys_view() {
             backend.attend_gather_q(
                 &self.query_q,
@@ -667,24 +645,15 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
                 &mut self.output,
             );
         }
-        self.cos
-            .push(cosine_similarity(&self.output, &self.reference[step]));
-        self.rel
-            .push(relative_l2_error(&self.output, &self.reference[step]));
 
-        // 4. Salience metrics at answer steps.
-        let salient = &workload.salient_at[step];
-        if !salient.is_empty() {
-            let selected_set: BTreeSet<usize> = decision.selected.iter().copied().collect();
-            let s = set_f1(&(&selected_set & salient), salient);
-            self.recall.push(s.recall);
-            let predicted: BTreeSet<usize> = selected_set
-                .intersection(&self.salient_universe)
-                .copied()
-                .collect();
-            self.f1.push(set_f1(&predicted, salient).f1);
-            self.hits.push(if s.recall >= 1.0 { 1.0 } else { 0.0 });
-        }
+        // 4. Fidelity and, at answer steps, salience metrics.
+        self.metrics.record_step(
+            self.scored.len(),
+            &decision.selected,
+            &self.output,
+            &self.reference[step],
+            &workload.salient_at[step],
+        );
 
         // 5. Observe weights over all residents (charge-domain accumulation
         //    sees every row).
@@ -763,22 +732,8 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
     /// result then aggregates only the steps that ran.
     #[must_use]
     pub fn finish(self) -> SimResult {
-        SimResult {
-            policy: self.policy.as_ref().name().to_owned(),
-            workload: self.workload.name.clone(),
-            output_cosine: self.cos.value(),
-            output_rel_error: self.rel.value(),
-            salient_recall: self.recall.value(),
-            salient_f1: self.f1.value(),
-            retrieval_accuracy: self.hits.value(),
-            mean_selected: self.n_selected.value(),
-            mean_resident: self.n_resident.value(),
-            steps: self.workload.decode_queries.len(),
-            // Saturating conversion: one observation is pushed per decode
-            // step, and steps are usize-indexed, so the count fits on
-            // every real target (the clamp exists only to stay panic-free).
-            answer_steps: usize::try_from(self.recall.count()).unwrap_or(usize::MAX),
-        }
+        self.metrics
+            .finish(self.policy.as_ref().name(), self.workload)
     }
 }
 

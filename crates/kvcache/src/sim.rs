@@ -2,8 +2,11 @@
 //! and the run-to-completion [`simulate_decode`] wrapper over the
 //! incremental [`DecodeSession`](crate::DecodeSession) API.
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 use unicaim_attention::kernels::{self, RowView};
+use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1, Mean};
 use unicaim_attention::workloads::{DecodeWorkload, TokenRows};
 use unicaim_attention::{KvStore, Matrix, Precision};
 
@@ -129,6 +132,96 @@ pub struct SimResult {
     pub answer_steps: usize,
 }
 
+/// The running means behind a [`SimResult`]: one
+/// [`record_step`](DecodeMetrics::record_step) per completed decode step,
+/// then [`finish`](DecodeMetrics::finish). The software
+/// [`DecodeSession`] and the hardware engine both aggregate through it,
+/// so they apply the same salience rules.
+#[derive(Debug)]
+pub struct DecodeMetrics {
+    /// Every token salient at some step (the F1 universe).
+    salient_universe: BTreeSet<usize>,
+    cos: Mean,
+    rel: Mean,
+    recall: Mean,
+    f1: Mean,
+    hits: Mean,
+    n_selected: Mean,
+    n_resident: Mean,
+}
+
+impl DecodeMetrics {
+    /// Empty means for one decode of `workload`.
+    #[must_use]
+    pub fn new(workload: &DecodeWorkload) -> Self {
+        Self {
+            salient_universe: workload.salient_at.iter().flatten().copied().collect(),
+            cos: Mean::new(),
+            rel: Mean::new(),
+            recall: Mean::new(),
+            f1: Mean::new(),
+            hits: Mean::new(),
+            n_selected: Mean::new(),
+            n_resident: Mean::new(),
+        }
+    }
+
+    /// Records one decode step: `resident` tokens were scored, `selected`
+    /// were attended to produce `output` (compared with the exact
+    /// `reference`), and `salient` is the step's ground-truth salient set.
+    /// A step with an empty salient set is not an answer step: it moves
+    /// no salience mean. At an answer step, recall counts the salient
+    /// tokens among the selected ones, F1 compares the selected tokens
+    /// inside the salient universe with the salient set, and the step is
+    /// a hit when recall reaches 1.
+    pub fn record_step(
+        &mut self,
+        resident: usize,
+        selected: &[usize],
+        output: &[f32],
+        reference: &[f32],
+        salient: &BTreeSet<usize>,
+    ) {
+        self.n_resident.push(resident as f64);
+        self.n_selected.push(selected.len() as f64);
+        self.cos.push(cosine_similarity(output, reference));
+        self.rel.push(relative_l2_error(output, reference));
+        if !salient.is_empty() {
+            let selected: BTreeSet<usize> = selected.iter().copied().collect();
+            let s = set_f1(&(&selected & salient), salient);
+            self.recall.push(s.recall);
+            let predicted: BTreeSet<usize> = selected
+                .intersection(&self.salient_universe)
+                .copied()
+                .collect();
+            self.f1.push(set_f1(&predicted, salient).f1);
+            self.hits.push(if s.recall >= 1.0 { 1.0 } else { 0.0 });
+        }
+    }
+
+    /// The aggregate result of `policy` over `workload`, averaged over
+    /// the recorded steps.
+    #[must_use]
+    pub fn finish(self, policy: &str, workload: &DecodeWorkload) -> SimResult {
+        SimResult {
+            policy: policy.to_owned(),
+            workload: workload.name.clone(),
+            output_cosine: self.cos.value(),
+            output_rel_error: self.rel.value(),
+            salient_recall: self.recall.value(),
+            salient_f1: self.f1.value(),
+            retrieval_accuracy: self.hits.value(),
+            mean_selected: self.n_selected.value(),
+            mean_resident: self.n_resident.value(),
+            steps: workload.decode_queries.len(),
+            // Saturating conversion: one observation is pushed per decode
+            // step, and steps are usize-indexed, so the count fits on
+            // every real target (the clamp exists only to stay panic-free).
+            answer_steps: usize::try_from(self.recall.count()).unwrap_or(usize::MAX),
+        }
+    }
+}
+
 /// Runs `policy` over `workload` with the given configuration.
 ///
 /// The harness owns the KV store and all attention math; the policy only
@@ -249,7 +342,6 @@ mod tests {
     use super::*;
     use crate::policies::{FullCache, HybridStaticDynamic, OracleTopK, SnapKv, StreamingLlm, H2O};
     use unicaim_attention::workloads::{multi_hop_task, needle_task, summary_task};
-    use unicaim_attention::KvEntry;
 
     #[test]
     fn full_cache_is_exact() {
@@ -556,13 +648,10 @@ mod tests {
         let mut qstore = KvStore::with_precision(4, 3, Precision::Int8);
         let mut fstore = KvStore::new(4, 3);
         for (t, fill) in [(0usize, 0.3f32), (1, -0.7), (2, 0.9)] {
-            let e = KvEntry {
-                token_id: t,
-                key: vec![fill, -fill, fill * 0.5],
-                value: vec![fill + 1.0, fill, -fill],
-            };
-            qstore.append(e.clone()).unwrap();
-            fstore.append(e).unwrap();
+            let key = [fill, -fill, fill * 0.5];
+            let value = [fill + 1.0, fill, -fill];
+            qstore.append_parts(t, &key, &value).unwrap();
+            fstore.append_parts(t, &key, &value).unwrap();
         }
         let q = [0.6f32, -0.2, 0.4];
         let quantized = attention_over(&qstore, &[0, 2], &q).unwrap();
@@ -586,11 +675,7 @@ mod tests {
     fn empty_selection_is_deterministic_zero_vector() {
         let mut store = KvStore::new(4, 3);
         store
-            .append(KvEntry {
-                token_id: 0,
-                key: vec![1.0, 0.0, 0.0],
-                value: vec![0.5, 0.5, 0.5],
-            })
+            .append_parts(0, &[1.0, 0.0, 0.0], &[0.5, 0.5, 0.5])
             .unwrap();
         assert_eq!(
             attention_over(&store, &[], &[1.0, 0.0, 0.0]).unwrap(),

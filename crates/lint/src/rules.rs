@@ -46,12 +46,6 @@ pub const SIMD_MODULE: &str = "crates/attention/src/simd.rs";
 /// The bench suite registry source.
 pub const SUITE_MODULE: &str = "crates/bench/src/suite.rs";
 
-/// Baselines that intentionally have no [`SUITE_MODULE`] registry entry:
-/// `batch_throughput_pre` is the frozen *pre-refactor* recording that
-/// `batch_throughput --baseline` compares against — it must never be
-/// re-recorded by a suite run.
-pub const EXEMPT_BASELINES: [&str; 1] = ["batch_throughput_pre"];
-
 /// One rule violation (or reason-less allow), pointing at `path:line`.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -383,7 +377,7 @@ pub fn check_registry_sync(root: &Path) -> Vec<Diagnostic> {
         }
     }
     for baseline in &baselines {
-        if !suites.iter().any(|s| s == baseline) && !EXEMPT_BASELINES.contains(&baseline.as_str()) {
+        if !suites.iter().any(|s| s == baseline) {
             out.push(Diagnostic::new(
                 RULE_REGISTRY,
                 &format!("results/baselines/{baseline}.json"),
