@@ -4,18 +4,21 @@
 //! ```text
 //! cargo run --release -p unicaim-bench --bin perf_pairs -- \
 //!     --parent <perfbench binary> --change <perfbench binary> \
-//!     --workload engine_long_decode [--seed 1] [--seconds S] [--pairs 10] \
-//!     [--claim ttft_p50_ms] [--benchmark BENCHMARK.json]
+//!     --workload engine_long_decode[,serve_mixed,...] [--seed 1] \
+//!     [--seconds S] [--pairs 10] [--claim ttft_p50_ms] \
+//!     [--benchmark BENCHMARK.json]
 //! ```
 //!
-//! Runs `--pairs` pairs of the two perfbench binaries on one workload,
+//! Runs `--pairs` pairs of the two perfbench binaries on each workload of
+//! the comma-separated `--workload` list, one workload after another,
 //! alternating which side runs first so that drift on a shared host hits
-//! both sides alike. Each run lasts `--seconds`, by default the
-//! benchmark's own `run_seconds`; shorter runs are too noisy to judge a
-//! change by, so the report then says its timing verdicts are indicative
-//! only. Each run's last standard-output line is perfbench's
-//! JSON result; a run that reports `"correct": false`, a nonzero `failed`
-//! count, or no result fails the comparison.
+//! both sides alike. Each workload gets its own header and table. Each run
+//! lasts `--seconds`, by default the benchmark's own `run_seconds`;
+//! shorter runs are too noisy to judge a change by, so the report then
+//! says its timing verdicts are indicative only. Each run's last
+//! standard-output line is perfbench's JSON result; a run that reports
+//! `"correct": false`, a nonzero `failed` count, or no result fails the
+//! comparison.
 //!
 //! For every end-to-end metric in `BENCHMARK.json` (name, direction and
 //! bound), it prints both sides' median with its quartiles, how many pairs
@@ -23,12 +26,14 @@
 //! median is worse than the parent's by more than the bound. `--claim
 //! <metric>` also checks the gain rule: the change wins at least 9 of 10
 //! pairs, and its median beats the parent's by more than the parent's
-//! interquartile range.
+//! interquartile range. A claim names one metric on one workload, so
+//! `--claim` with more than one workload is a usage error.
 //!
-//! Exit codes: 0 when every metric holds its bound (and a claimed gain
-//! holds); 1 when a metric regresses beyond its bound or a claimed gain
-//! fails; 2 on bad arguments or an unreadable `BENCHMARK.json`; 3 when a
-//! run fails its correctness checks or its result cannot be read. A
+//! Exit codes: 0 when every metric holds its bound on every workload (and
+//! a claimed gain holds); 1 when a metric regresses beyond its bound or a
+//! claimed gain fails; 2 on bad arguments or an unreadable
+//! `BENCHMARK.json`; 3 as soon as a run fails its correctness checks or
+//! its result cannot be read, which stops the comparison at once. A
 //! smoke check of the parser can therefore accept 1 from a single short
 //! pair, whose timings are noise, and still fail on 3.
 
@@ -49,7 +54,7 @@ struct MetricSpec {
 struct Options {
     parent: PathBuf,
     change: PathBuf,
-    workload: String,
+    workloads: Vec<String>,
     seed: u64,
     /// Run length; `None` takes the benchmark's `run_seconds`.
     seconds: Option<f64>,
@@ -62,17 +67,33 @@ struct Options {
 const CHECK_FAILED: u8 = 3;
 
 const USAGE: &str = "usage: perf_pairs --parent <perfbench> --change <perfbench> \
-     --workload <name> [--seed N] [--seconds S] [--pairs N] [--claim <metric>] \
-     [--benchmark BENCHMARK.json]";
+     --workload <name>[,<name>...] [--seed N] [--seconds S] [--pairs N] \
+     [--claim <metric>] [--benchmark BENCHMARK.json]";
+
+/// The workloads of a comma-separated `--workload` value, in order. An
+/// empty item (`a,,b`, a trailing comma, or an empty value) is an error.
+fn parse_workloads(value: &str) -> Result<Vec<String>, String> {
+    value
+        .split(',')
+        .map(|name| {
+            let name = name.trim();
+            if name.is_empty() {
+                Err(format!("--workload {value}: empty workload name"))
+            } else {
+                Ok(name.to_owned())
+            }
+        })
+        .collect()
+}
 
 fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut parent = None;
     let mut change = None;
-    let mut workload = None;
+    let mut workloads = None;
     let mut opts = Options {
         parent: PathBuf::new(),
         change: PathBuf::new(),
-        workload: String::new(),
+        workloads: Vec::new(),
         seed: 1,
         seconds: None,
         pairs: 10,
@@ -85,7 +106,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
         match flag.as_str() {
             "--parent" => parent = Some(PathBuf::from(&value)),
             "--change" => change = Some(PathBuf::from(&value)),
-            "--workload" => workload = Some(value),
+            "--workload" => workloads = Some(parse_workloads(&value)?),
             "--seed" => opts.seed = value.parse().map_err(|e| bad(&e))?,
             "--seconds" => opts.seconds = Some(value.parse().map_err(|e| bad(&e))?),
             "--pairs" => opts.pairs = value.parse().map_err(|e| bad(&e))?,
@@ -96,9 +117,12 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
     }
     opts.parent = parent.ok_or("--parent is required")?;
     opts.change = change.ok_or("--change is required")?;
-    opts.workload = workload.ok_or("--workload is required")?;
+    opts.workloads = workloads.ok_or("--workload is required")?;
     if opts.pairs == 0 {
         return Err("--pairs must be at least 1".into());
+    }
+    if opts.claim.is_some() && opts.workloads.len() > 1 {
+        return Err("--claim names one metric on one workload; give one --workload".into());
     }
     Ok(opts)
 }
@@ -171,11 +195,12 @@ fn metric_value(result: &Value, metric: &str) -> Option<f64> {
     result.get("metrics")?.get(metric)?.get("value")?.as_f64()
 }
 
-/// Runs one perfbench binary for `seconds` and returns its checked result.
-fn run(binary: &PathBuf, opts: &Options, seconds: f64) -> Result<Value, String> {
+/// Runs one perfbench binary on `workload` for `seconds` and returns its
+/// checked result.
+fn run(binary: &PathBuf, workload: &str, seed: u64, seconds: f64) -> Result<Value, String> {
     let output = Command::new(binary)
-        .args(["--workload", &opts.workload])
-        .args(["--seed", &opts.seed.to_string()])
+        .args(["--workload", workload])
+        .args(["--seed", &seed.to_string()])
         .args(["--seconds", &seconds.to_string()])
         .output()
         .map_err(|e| format!("{}: {e}", binary.display()))?;
@@ -245,33 +270,16 @@ fn gain_holds(
     wins * 10 >= pairs * 9 && gap > q3 - q1
 }
 
-fn main() -> ExitCode {
-    let opts = match parse_options(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let (specs, run_seconds) = match std::fs::read_to_string(&opts.benchmark)
-        .map_err(|e| format!("{}: {e}", opts.benchmark.display()))
-        .and_then(|text| serde_json::value_from_str(&text).map_err(|e| e.to_string()))
-        .and_then(|doc| Ok((metric_specs(&doc)?, run_seconds(&doc)?)))
-    {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(claim) = &opts.claim {
-        if !specs.iter().any(|s| &s.name == claim) {
-            eprintln!("error: --claim {claim} is not an end-to-end metric");
-            return ExitCode::from(2);
-        }
-    }
+/// Runs the pairs of one workload and prints its table. Returns whether
+/// every metric held its bound (and a claimed gain held); an error is a
+/// run that failed its checks or a result that could not be read.
+fn compare(
+    opts: &Options,
+    workload: &str,
+    specs: &[MetricSpec],
+    run_seconds: f64,
+) -> Result<bool, String> {
     let seconds = opts.seconds.unwrap_or(run_seconds);
-
     let (mut parent_runs, mut change_runs) = (Vec::new(), Vec::new());
     for pair in 0..opts.pairs {
         // Alternate the order so drift on a shared host hits both sides.
@@ -282,20 +290,16 @@ fn main() -> ExitCode {
             } else {
                 (&opts.change, &mut change_runs)
             };
-            match run(binary, &opts, seconds) {
-                Ok(result) => runs.push(result),
-                Err(e) => {
-                    eprintln!("check failed in pair {}: {e}", pair + 1);
-                    return ExitCode::from(CHECK_FAILED);
-                }
-            }
+            let result = run(binary, workload, opts.seed, seconds)
+                .map_err(|e| format!("check failed in {workload} pair {}: {e}", pair + 1))?;
+            runs.push(result);
         }
-        eprintln!("pair {}/{} done", pair + 1, opts.pairs);
+        eprintln!("{workload}: pair {}/{} done", pair + 1, opts.pairs);
     }
 
     println!(
-        "# perf_pairs workload={} seed={} seconds={seconds} pairs={}",
-        opts.workload, opts.seed, opts.pairs
+        "# perf_pairs workload={workload} seed={} seconds={seconds} pairs={}",
+        opts.seed, opts.pairs
     );
     if seconds < run_seconds {
         println!(
@@ -308,15 +312,14 @@ fn main() -> ExitCode {
         "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "wins"
     );
     let mut ok = true;
-    for spec in &specs {
+    for spec in specs {
         let values = |runs: &[Value]| {
             runs.iter()
                 .map(|r| metric_value(r, &spec.name))
                 .collect::<Option<Vec<f64>>>()
         };
         let (Some(parent), Some(change)) = (values(&parent_runs), values(&change_runs)) else {
-            eprintln!("error: a run did not report {}", spec.name);
-            return ExitCode::from(CHECK_FAILED);
+            return Err(format!("{workload}: a run did not report {}", spec.name));
         };
         let (Some(p), Some(c)) = (quartiles(&parent), quartiles(&change)) else {
             continue;
@@ -352,6 +355,45 @@ fn main() -> ExitCode {
             won,
             opts.pairs,
         );
+    }
+    Ok(ok)
+}
+
+fn main() -> ExitCode {
+    let opts = match parse_options(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let (specs, run_seconds) = match std::fs::read_to_string(&opts.benchmark)
+        .map_err(|e| format!("{}: {e}", opts.benchmark.display()))
+        .and_then(|text| serde_json::value_from_str(&text).map_err(|e| e.to_string()))
+        .and_then(|doc| Ok((metric_specs(&doc)?, run_seconds(&doc)?)))
+    {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if let Some(claim) = &opts.claim {
+        if !specs.iter().any(|s| &s.name == claim) {
+            eprintln!("error: --claim {claim} is not an end-to-end metric");
+            return ExitCode::from(2);
+        }
+    }
+
+    let mut ok = true;
+    for workload in &opts.workloads {
+        match compare(&opts, workload, &specs, run_seconds) {
+            Ok(holds) => ok &= holds,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(CHECK_FAILED);
+            }
+        }
     }
     if ok {
         ExitCode::SUCCESS
@@ -438,6 +480,34 @@ mod tests {
         let doc = serde_json::value_from_str("{\"run_seconds\": 30, \"end_to_end\": []}").unwrap();
         assert_eq!(run_seconds(&doc), Ok(30.0));
         assert!(run_seconds(&serde_json::value_from_str("{}").unwrap()).is_err());
+    }
+
+    fn parse_args(args: &[&str]) -> Result<Options, String> {
+        parse_options(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn workload_lists_split_on_commas_and_reject_empty_items() {
+        let opts = parse_args(&["--parent", "p", "--change", "c", "--workload", "a, b,c"]).unwrap();
+        assert_eq!(opts.workloads, ["a", "b", "c"]);
+        for bad in ["", "a,,b", "a,", ",a", " , "] {
+            assert!(
+                parse_args(&["--parent", "p", "--change", "c", "--workload", bad]).is_err(),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_claim_needs_exactly_one_workload() {
+        let args = ["--parent", "p", "--change", "c", "--claim", "ttft_p50_ms"];
+        let with = |workload: &str| {
+            let mut all = args.to_vec();
+            all.extend(["--workload", workload]);
+            parse_args(&all)
+        };
+        assert_eq!(with("a").unwrap().claim.as_deref(), Some("ttft_p50_ms"));
+        assert!(with("a,b").is_err());
     }
 
     #[test]

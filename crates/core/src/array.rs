@@ -304,6 +304,13 @@ impl UniCaimArray {
             .collect()
     }
 
+    /// Number of occupied rows, counted without allocating (the length
+    /// of [`UniCaimArray::occupied_rows`]).
+    #[must_use]
+    pub fn occupied_count(&self) -> usize {
+        self.tokens.iter().filter(|t| t.is_some()).count()
+    }
+
     /// The first free row, if any.
     #[must_use]
     pub fn free_row(&self) -> Option<usize> {

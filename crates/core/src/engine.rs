@@ -290,7 +290,7 @@ impl UniCaimEngine {
         let prefill_len = workload.prefill_keys.len();
 
         for (step, query) in workload.decode_queries.iter().enumerate() {
-            let resident = self.resident_tokens().len();
+            let resident = self.array.occupied_count();
             let report = self.decode_step(
                 prefill_len + step,
                 query,
@@ -385,6 +385,28 @@ mod tests {
         }
         // 24 generated into 8 reserved rows: 16 steps must evict.
         assert_eq!(evictions, 16);
+    }
+
+    #[test]
+    fn occupied_count_tracks_resident_tokens() {
+        let w = needle_task(96, 24, 3);
+        let mut e = engine(40, 8, 12, w.dim);
+        e.load_prefill(&w).unwrap();
+        assert_eq!(e.array().occupied_count(), e.resident_tokens().len());
+        for step in 0..w.decode_queries.len() {
+            e.decode_step(
+                96 + step,
+                &w.decode_queries[step],
+                &w.decode_keys[step],
+                &w.decode_values[step],
+            )
+            .unwrap();
+            assert_eq!(
+                e.array().occupied_count(),
+                e.resident_tokens().len(),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

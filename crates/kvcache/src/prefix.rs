@@ -36,11 +36,20 @@
 //! until the last holder drops); fully cold pages go back on the arena's
 //! free list zeroed.
 //!
+//! # Fingerprint and verification
+//!
+//! The fingerprint is a 64-bit hash that [`prefix_fingerprint`] computes
+//! in place over the workload's key, value and query planes, word by word
+//! through four independent multiply lanes, so a lookup costs about one
+//! read of the prompt and copies nothing. Each entry stores the prefix
+//! content once, flattened to bit patterns, when it is inserted (on a
+//! miss). A lookup verifies a hit by comparing those stored words with
+//! the planes directly, bit for bit: `+0.0` and `-0.0` differ, and a
+//! prompt that contains a NaN hits its own entry.
+//!
 //! # Collisions
 //!
-//! The fingerprint is a 64-bit content hash, so the registry keeps the
-//! exact prefix content alongside it and verifies every lookup. A
-//! collision (same hash, different content) is counted in
+//! A collision (same fingerprint, different content) is counted in
 //! [`PrefixStats::collisions`] and reported as a miss that must **not**
 //! cache: the caller falls back to a cold prefill and leaves the resident
 //! entry untouched.
@@ -216,9 +225,14 @@ impl PrefixRegistry {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Looks up the cached prefill attention matrix for a prefix,
-    /// verifying the exact content against the stored copy.
-    pub(crate) fn lookup_matrix(&self, fingerprint: u64, content: &[u32]) -> MatrixLookup {
+    /// Looks up the cached prefill attention matrix for `workload`'s
+    /// prefix under `fingerprint`, verifying the entry's stored content
+    /// against the workload's planes bit for bit, in place.
+    pub(crate) fn lookup_matrix(
+        &self,
+        fingerprint: u64,
+        workload: &DecodeWorkload,
+    ) -> MatrixLookup {
         let mut inner = self.locked();
         let clock = inner.clock + 1;
         inner.clock = clock;
@@ -230,7 +244,7 @@ impl PrefixRegistry {
             inner.stats.misses += 1;
             return MatrixLookup::Miss;
         };
-        if entry.content != content {
+        if !content_matches(&entry.content, workload) {
             inner.stats.collisions += 1;
             return MatrixLookup::Collision;
         }
@@ -240,10 +254,17 @@ impl PrefixRegistry {
         MatrixLookup::Hit(attn)
     }
 
-    /// Caches the prefill attention matrix of a freshly computed prefix.
-    /// A no-op if an entry already resides under this fingerprint (the
-    /// resident entry wins; colliding content must not displace it).
-    pub(crate) fn insert_matrix(&self, fingerprint: u64, content: Vec<u32>, attn: Arc<Matrix>) {
+    /// Caches the prefill attention matrix of `workload`'s freshly
+    /// computed prefix, storing its flattened content for later
+    /// verification. A no-op if an entry already resides under this
+    /// fingerprint (the resident entry wins; colliding content must not
+    /// displace it), in which case no content is built.
+    pub(crate) fn insert_matrix(
+        &self,
+        fingerprint: u64,
+        workload: &DecodeWorkload,
+        attn: Arc<Matrix>,
+    ) {
         let mut inner = self.locked();
         if inner.entries.iter().any(|e| e.fingerprint == fingerprint) {
             return;
@@ -252,7 +273,7 @@ impl PrefixRegistry {
         inner.clock = clock;
         inner.entries.push(Entry {
             fingerprint,
-            content,
+            content: prefix_content(workload),
             attn,
             variants: Vec::new(),
             last_used: clock,
@@ -351,41 +372,195 @@ impl PrefixRegistry {
     }
 }
 
-/// The content fingerprint of a workload's prefix: a 64-bit FNV-1a hash
-/// over the exact bit patterns of the prefill keys, values, and queries
-/// (plus the dimension and length), together with the flattened bit
-/// content itself for collision verification.
-#[must_use]
-pub(crate) fn prefix_fingerprint(workload: &DecodeWorkload) -> (u64, Vec<u32>) {
-    let prefill_len = workload.prefill_keys.len();
-    let mut content = Vec::with_capacity(2 + 3 * prefill_len * workload.dim);
-    content.push(u32::try_from(workload.dim).unwrap_or(u32::MAX));
-    content.push(u32::try_from(prefill_len).unwrap_or(u32::MAX));
-    for plane in [
+/// The planes a prefix's content covers, in content order.
+fn prefix_planes(workload: &DecodeWorkload) -> [&[Vec<f32>]; 3] {
+    [
         &workload.prefill_keys,
         &workload.prefill_values,
         &workload.prefill_queries,
-    ] {
+    ]
+}
+
+/// The two header words that lead a prefix's content: dimension and
+/// prefill length.
+fn prefix_header(workload: &DecodeWorkload) -> [u32; 2] {
+    [
+        u32::try_from(workload.dim).unwrap_or(u32::MAX),
+        u32::try_from(workload.prefill_keys.len()).unwrap_or(u32::MAX),
+    ]
+}
+
+/// Number of words in a prefix's content: the two header words plus
+/// every element of the key, value and query planes.
+#[must_use]
+pub(crate) fn prefix_words(workload: &DecodeWorkload) -> usize {
+    2 + prefix_planes(workload)
+        .into_iter()
+        .flatten()
+        .map(Vec::len)
+        .sum::<usize>()
+}
+
+/// A prefix's content flattened to bit patterns: the header, then every
+/// row of the key, value and query planes. Built once per entry, on
+/// insert.
+fn prefix_content(workload: &DecodeWorkload) -> Vec<u32> {
+    let mut content = Vec::with_capacity(prefix_words(workload));
+    content.extend(prefix_header(workload));
+    for row in prefix_planes(workload).into_iter().flatten() {
+        content.extend(row.iter().map(|x| x.to_bits()));
+    }
+    content
+}
+
+/// Whether stored `content` is exactly `workload`'s prefix content: same
+/// header, same word count, and the same bit pattern in every element.
+/// Compares bits, never `f32` values, so `+0.0 != -0.0` and a NaN equals
+/// itself. Each row is an OR-fold of XORs with no branch inside it.
+fn content_matches(content: &[u32], workload: &DecodeWorkload) -> bool {
+    if content.len() != prefix_words(workload) {
+        return false;
+    }
+    let Some((header, mut rest)) = content.split_first_chunk::<2>() else {
+        return false;
+    };
+    if *header != prefix_header(workload) {
+        return false;
+    }
+    for row in prefix_planes(workload).into_iter().flatten() {
+        let Some((stored, tail)) = rest.split_at_checked(row.len()) else {
+            return false;
+        };
+        let diff = stored
+            .iter()
+            .zip(row)
+            .fold(0, |acc, (&word, x)| acc | (word ^ x.to_bits()));
+        if diff != 0 {
+            return false;
+        }
+        rest = tail;
+    }
+    true
+}
+
+/// Independent hash lanes of [`prefix_fingerprint`]. Each lane's chain of
+/// multiplies runs alongside the others', so the hash is bound by
+/// multiply throughput rather than latency.
+const LANES: usize = 4;
+
+/// The two odd multipliers of a lane step (xxHash64's first two primes).
+const LANE_MUL: u64 = 0x9E37_79B1_85EB_CA87;
+const INPUT_MUL: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// One lane step: multiply the input, xor it in, rotate, multiply. Each
+/// step is a bijection of the lane state for a fixed input and of the
+/// input for a fixed state, so changing any one input word always changes
+/// its lane. Multiplying the input before the xor matters: with a bare
+/// `lane ^ x`, a flip of an input's top bit leaves the state differing in
+/// a single bit that a later input (or the fold of another lane) can
+/// cancel exactly.
+fn lane_step(lane: u64, x: u64) -> u64 {
+    (lane ^ x.wrapping_mul(INPUT_MUL))
+        .rotate_left(31)
+        .wrapping_mul(LANE_MUL)
+}
+
+/// A chunk of one or two row elements as one `u64` lane input, the first
+/// element in the low half.
+fn pair_word(chunk: &[f32]) -> u64 {
+    chunk
+        .iter()
+        .rev()
+        .fold(0, |word, x| (word << 32) | u64::from(x.to_bits()))
+}
+
+/// The content fingerprint of a workload's prefix: a 64-bit hash over
+/// the dimension, the prefill length and the exact bit patterns of the
+/// prefill keys, values and queries, read in place.
+///
+/// Each plane mixes a tag and its row count into every lane; each row is
+/// fed as word pairs (`u64`) to [`LANES`] lanes in turn, and the lanes are
+/// folded together with the same step. Nothing persists a fingerprint and
+/// every hit is verified against the stored content, so the hash only has
+/// to keep distinct prefixes apart: a collision caches nothing.
+#[must_use]
+pub(crate) fn prefix_fingerprint(workload: &DecodeWorkload) -> u64 {
+    let [dim, prefill_len] = prefix_header(workload);
+    let header = u64::from(dim) | (u64::from(prefill_len) << 32);
+    let mut lanes: [u64; LANES] =
+        std::array::from_fn(|i| lane_step(LANE_MUL.wrapping_mul(i as u64 + 1), header));
+    for (tag, plane) in (1u64..).zip(prefix_planes(workload)) {
+        let plane_tag = (tag << 32) | plane.len() as u64;
+        for lane in &mut lanes {
+            *lane = lane_step(*lane, plane_tag);
+        }
         for row in plane {
-            content.extend(row.iter().map(|x| x.to_bits()));
+            let mut blocks = row.chunks_exact(2 * LANES);
+            for block in &mut blocks {
+                for (lane, pair) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+                    *lane = lane_step(*lane, pair_word(pair));
+                }
+            }
+            // Fewer than 2·LANES words remain: chunk `i` of them (a pair,
+            // or an odd last word) goes to lane `i`.
+            for (lane, chunk) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
+                *lane = lane_step(*lane, pair_word(chunk));
+            }
         }
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in &content {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    (hash, content)
+    lanes[1..]
+        .iter()
+        .fold(lanes[0], |hash, &lane| lane_step(hash, lane))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use unicaim_attention::workloads::needle_task;
 
     fn matrix() -> Arc<Matrix> {
         Arc::new(Matrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5]]))
+    }
+
+    /// A prefix of `tokens` rows, `dim` wide, whose elements are all
+    /// distinct and depend on `seed`. No decode steps: these tests only
+    /// look at the prefix, and stay small enough for Miri.
+    fn sized_prefix(seed: u16, dim: u16, tokens: u16) -> DecodeWorkload {
+        let plane = |p: u16| -> Vec<Vec<f32>> {
+            (0..tokens)
+                .map(|t| {
+                    (0..dim)
+                        .map(|i| f32::from(((seed * 3 + p) * tokens + t) * dim + i))
+                        .collect()
+                })
+                .collect()
+        };
+        DecodeWorkload {
+            name: "tiny".into(),
+            dim: dim.into(),
+            prefill_keys: plane(0),
+            prefill_values: plane(1),
+            prefill_queries: plane(2),
+            decode_queries: Vec::new(),
+            decode_keys: Vec::new(),
+            decode_values: Vec::new(),
+            salient_at: Vec::new(),
+            answer_steps: Vec::new(),
+        }
+    }
+
+    /// A 2-token, 2-wide prefix.
+    fn prefix(seed: u16) -> DecodeWorkload {
+        sized_prefix(seed, 2, 2)
+    }
+
+    fn plane_mut(w: &mut DecodeWorkload, plane: usize) -> &mut Vec<Vec<f32>> {
+        match plane {
+            0 => &mut w.prefill_keys,
+            1 => &mut w.prefill_values,
+            _ => &mut w.prefill_queries,
+        }
     }
 
     #[test]
@@ -407,10 +582,10 @@ mod tests {
     #[test]
     fn matrix_hits_after_insert_and_counts() {
         let reg = PrefixRegistry::new(2, 4).unwrap();
-        let content = vec![1, 2, 3];
-        assert!(matches!(reg.lookup_matrix(7, &content), MatrixLookup::Miss));
-        reg.insert_matrix(7, content.clone(), matrix());
-        let MatrixLookup::Hit(attn) = reg.lookup_matrix(7, &content) else {
+        let w = prefix(1);
+        assert!(matches!(reg.lookup_matrix(7, &w), MatrixLookup::Miss));
+        reg.insert_matrix(7, &w, matrix());
+        let MatrixLookup::Hit(attn) = reg.lookup_matrix(7, &w) else {
             panic!("expected a hit");
         };
         assert_eq!(attn.row(1), &[0.5, 0.5]);
@@ -421,24 +596,86 @@ mod tests {
     #[test]
     fn same_hash_different_content_is_a_collision() {
         let reg = PrefixRegistry::new(2, 4).unwrap();
-        reg.insert_matrix(7, vec![1, 2, 3], matrix());
+        reg.insert_matrix(7, &prefix(1), matrix());
         // Same fingerprint, different exact content: must not hit, and
         // must not displace the resident entry.
         assert!(matches!(
-            reg.lookup_matrix(7, &[9, 9, 9]),
+            reg.lookup_matrix(7, &prefix(2)),
             MatrixLookup::Collision
         ));
         assert_eq!(reg.stats().collisions, 1);
         assert!(matches!(
-            reg.lookup_matrix(7, &[1, 2, 3]),
+            reg.lookup_matrix(7, &prefix(1)),
             MatrixLookup::Hit(_)
         ));
     }
 
     #[test]
+    fn verification_compares_bit_patterns() {
+        const NAN_A: u32 = 0x7fc0_0001;
+        const NAN_B: u32 = 0x7fc0_0002;
+        // Element 0 of each plane's first row is +0.0, element 1 a NaN.
+        let mut base = prefix(1);
+        for plane in 0..3 {
+            let row = &mut plane_mut(&mut base, plane)[0];
+            row[0] = 0.0;
+            row[1] = f32::from_bits(NAN_A);
+        }
+        let reg = PrefixRegistry::new(2, 4).unwrap();
+        reg.insert_matrix(7, &base, matrix());
+        // A prompt that contains a NaN hits its own entry.
+        assert!(matches!(reg.lookup_matrix(7, &base), MatrixLookup::Hit(_)));
+        // One element of one plane changed to a value `==` cannot tell
+        // apart (+0.0 → −0.0) or to another NaN payload: never a hit.
+        for plane in 0..3 {
+            for (col, bits) in [(0, (-0.0f32).to_bits()), (1, NAN_B)] {
+                let mut probe = base.clone();
+                plane_mut(&mut probe, plane)[0][col] = f32::from_bits(bits);
+                assert!(
+                    matches!(reg.lookup_matrix(7, &probe), MatrixLookup::Collision),
+                    "plane {plane}, element {col}"
+                );
+            }
+        }
+        let stats = reg.stats();
+        assert_eq!((stats.hits, stats.collisions), (1, 6));
+    }
+
+    #[test]
+    fn same_words_in_another_shape_do_not_hit() {
+        let base = prefix(1);
+        let rows: Vec<Vec<f32>> = prefix_planes(&base).concat();
+        // Same rows under another declared dimension.
+        let mut relabelled = base.clone();
+        relabelled.dim = 3;
+        // Same 2-wide rows, re-split so the prefill length differs.
+        let mut resplit = base.clone();
+        resplit.prefill_keys = rows[..1].to_vec();
+        resplit.prefill_values = rows[1..3].to_vec();
+        resplit.prefill_queries = rows[3..].to_vec();
+        // Same words as one 4-wide row per plane.
+        let mut widened = base.clone();
+        widened.dim = 4;
+        for plane in 0..3 {
+            let row = plane_mut(&mut widened, plane).concat();
+            *plane_mut(&mut widened, plane) = vec![row];
+        }
+        let reg = PrefixRegistry::new(2, 4).unwrap();
+        reg.insert_matrix(7, &base, matrix());
+        for probe in [&relabelled, &resplit, &widened] {
+            assert_eq!(prefix_content(probe)[2..], prefix_content(&base)[2..]);
+            assert!(matches!(
+                reg.lookup_matrix(7, probe),
+                MatrixLookup::Collision
+            ));
+        }
+        assert!(matches!(reg.lookup_matrix(7, &base), MatrixLookup::Hit(_)));
+    }
+
+    #[test]
     fn variant_lookup_bumps_refcounts() {
         let reg = PrefixRegistry::with_shape(2, 2, 8).unwrap();
-        reg.insert_matrix(1, vec![1], matrix());
+        reg.insert_matrix(1, &prefix(1), matrix());
         let pages = vec![reg.arena().alloc(), reg.arena().alloc()];
         reg.register_variant(1, Precision::F32, &[0, 1, 2], &pages);
         assert_eq!(reg.cached_pages(), 2);
@@ -456,28 +693,37 @@ mod tests {
     #[test]
     fn lru_eviction_recycles_cold_pages() {
         let reg = PrefixRegistry::with_shape(2, 2, 2).unwrap();
-        reg.insert_matrix(1, vec![1], matrix());
+        reg.insert_matrix(1, &prefix(1), matrix());
         reg.register_variant(1, Precision::F32, &[0], &[reg.arena().alloc()]);
-        reg.insert_matrix(2, vec![2], matrix());
+        reg.insert_matrix(2, &prefix(2), matrix());
         reg.register_variant(2, Precision::F32, &[0], &[reg.arena().alloc()]);
         assert_eq!(reg.cached_pages(), 2);
         // Touch prefix 1 so prefix 2 is the LRU victim.
-        assert!(matches!(reg.lookup_matrix(1, &[1]), MatrixLookup::Hit(_)));
-        reg.insert_matrix(3, vec![3], matrix());
+        assert!(matches!(
+            reg.lookup_matrix(1, &prefix(1)),
+            MatrixLookup::Hit(_)
+        ));
+        reg.insert_matrix(3, &prefix(3), matrix());
         reg.register_variant(3, Precision::F32, &[0], &[reg.arena().alloc()]);
         assert_eq!(reg.cached_pages(), 2);
         assert_eq!(reg.entries(), 2);
         assert_eq!(reg.stats().evictions, 1);
         // Prefix 2's page had no other holders: it went back zeroed.
         assert_eq!(reg.arena().free_pages(), 1);
-        assert!(matches!(reg.lookup_matrix(2, &[2]), MatrixLookup::Miss));
-        assert!(matches!(reg.lookup_matrix(1, &[1]), MatrixLookup::Hit(_)));
+        assert!(matches!(
+            reg.lookup_matrix(2, &prefix(2)),
+            MatrixLookup::Miss
+        ));
+        assert!(matches!(
+            reg.lookup_matrix(1, &prefix(1)),
+            MatrixLookup::Hit(_)
+        ));
     }
 
     #[test]
     fn oversized_protected_entry_is_not_evicted() {
         let reg = PrefixRegistry::with_shape(2, 2, 1).unwrap();
-        reg.insert_matrix(1, vec![1], matrix());
+        reg.insert_matrix(1, &prefix(1), matrix());
         let pages = vec![reg.arena().alloc(), reg.arena().alloc()];
         reg.register_variant(1, Precision::F32, &[0, 1, 2], &pages);
         // Two pages pinned against a budget of one, but the entry that
@@ -489,19 +735,45 @@ mod tests {
 
     #[test]
     fn fingerprint_separates_prefix_content() {
-        let a = unicaim_attention::workloads::needle_task(24, 6, 11);
-        let b = unicaim_attention::workloads::needle_task(24, 6, 12);
-        let (fp_a, content_a) = prefix_fingerprint(&a);
-        let (fp_a2, content_a2) = prefix_fingerprint(&a);
-        let (fp_b, content_b) = prefix_fingerprint(&b);
+        let a = needle_task(24, 6, 11);
+        let b = needle_task(24, 6, 12);
+        let (fp_a, content_a) = (prefix_fingerprint(&a), prefix_content(&a));
+        let (fp_a2, content_a2) = (prefix_fingerprint(&a), prefix_content(&a));
+        let (fp_b, content_b) = (prefix_fingerprint(&b), prefix_content(&b));
         assert_eq!(fp_a, fp_a2);
         assert_eq!(content_a, content_a2);
         assert_ne!(fp_a, fp_b);
         assert_ne!(content_a, content_b);
+        assert_eq!(content_a.len(), prefix_words(&a));
+        assert!(content_matches(&content_a, &a));
+        assert!(!content_matches(&content_a, &b));
         // Decode-side content is deliberately excluded: only the prefix
         // determines the fingerprint.
         let mut c = a.clone();
         c.decode_queries[0][0] += 1.0;
-        assert_eq!(prefix_fingerprint(&c).0, fp_a);
+        assert_eq!(prefix_fingerprint(&c), fp_a);
+    }
+
+    #[test]
+    fn every_single_word_flip_moves_the_fingerprint() {
+        // 11-wide rows cross every path of the lane feed: one full block
+        // of four pairs, one leftover pair and one odd word.
+        let base = sized_prefix(1, 11, 2);
+        let mut seen = BTreeSet::from([prefix_fingerprint(&base)]);
+        let mut probes = 1;
+        for plane in 0..3 {
+            for row in 0..2 {
+                for col in 0..11 {
+                    for mask in [1, 1 << 31] {
+                        let mut probe = base.clone();
+                        let x = &mut plane_mut(&mut probe, plane)[row][col];
+                        *x = f32::from_bits(x.to_bits() ^ mask);
+                        seen.insert(prefix_fingerprint(&probe));
+                        probes += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), probes);
     }
 }

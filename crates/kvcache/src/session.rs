@@ -25,7 +25,7 @@ use unicaim_attention::{softmax_in_place, AttentionError, KvStore};
 
 use crate::error::HarnessError;
 use crate::policy::Policy;
-use crate::prefix::{prefix_fingerprint, MatrixLookup, PrefixRegistry};
+use crate::prefix::{prefix_fingerprint, prefix_words, MatrixLookup, PrefixRegistry};
 use crate::sim::{prefill_attention_matrix, DecodeMetrics, SimConfig, SimResult};
 use crate::spec::PolicySpec;
 
@@ -256,12 +256,12 @@ impl<'w> DecodeSession<'w, 'static> {
         let mut policy = PolicyHolder::Owned(spec.build());
         let dim = workload.dim;
         let prefill_len = workload.prefill_keys.len();
-        let (fingerprint, content) = prefix_fingerprint(workload);
-        let (attn, prefix_hit, collision) = match registry.lookup_matrix(fingerprint, &content) {
+        let fingerprint = prefix_fingerprint(workload);
+        let (attn, prefix_hit, collision) = match registry.lookup_matrix(fingerprint, workload) {
             MatrixLookup::Hit(attn) => (attn, true, false),
             MatrixLookup::Miss => {
                 let attn = Arc::new(prefill_attention_matrix(workload));
-                registry.insert_matrix(fingerprint, content.clone(), Arc::clone(&attn));
+                registry.insert_matrix(fingerprint, workload, Arc::clone(&attn));
                 (attn, false, false)
             }
             MatrixLookup::Collision => (Arc::new(prefill_attention_matrix(workload)), false, true),
@@ -311,11 +311,11 @@ impl<'w> DecodeSession<'w, 'static> {
         // causal matrix build is D·P(P+1)/2, each kept row write is D
         // key + D value moves plus D quantization steps when the store
         // keeps an i8 shadow, and the fingerprint hash/verify each touch
-        // every content word once.
+        // every prefix content word (header and three planes) once.
         let quantized = config.precision.is_quantized();
         let matrix_flops = (dim as u64) * (prefill_len as u64) * (prefill_len as u64 + 1) / 2;
         let write_flops = (keep.len() as u64) * (dim as u64) * if quantized { 3 } else { 2 };
-        let hash_flops = content.len() as u64;
+        let hash_flops = prefix_words(workload) as u64;
         let flops_cold = matrix_flops + write_flops;
         let mut flops_spent = hash_flops;
         if prefix_hit || collision {
@@ -835,13 +835,13 @@ mod tests {
         cold.run_to_completion().unwrap();
         let expected = cold.finish();
 
-        // Plant an entry under this workload's fingerprint with *other*
-        // content: every lookup for the real prefix now collides.
+        // Plant another workload's content under this workload's
+        // fingerprint: every lookup for the real prefix now collides.
         let registry = PrefixRegistry::new(w.dim, 16).unwrap();
-        let (fingerprint, _) = prefix_fingerprint(&w);
+        let fingerprint = prefix_fingerprint(&w);
         registry.insert_matrix(
             fingerprint,
-            vec![0xdead_beef],
+            &needle_task(64, 8, 6),
             Arc::new(Matrix::zeros(1, 1)),
         );
 

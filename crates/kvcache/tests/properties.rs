@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use unicaim_attention::workloads::{
-    generate, poisson_arrivals, ArrivalSpec, NeedleSpec, WorkloadSpec,
+    generate, poisson_arrivals, ArrivalSpec, DecodeWorkload, NeedleSpec, WorkloadSpec,
 };
 use unicaim_attention::Matrix;
 use unicaim_kvcache::{
@@ -12,11 +12,7 @@ use unicaim_kvcache::{
     StreamingLlm,
 };
 
-fn small_workload(
-    seed: u64,
-    prefill: usize,
-    decode: usize,
-) -> unicaim_attention::workloads::DecodeWorkload {
+fn small_workload(seed: u64, prefill: usize, decode: usize) -> DecodeWorkload {
     let spec = WorkloadSpec {
         name: "prop".into(),
         dim: 16,
@@ -47,6 +43,34 @@ fn run_policy(
 ) -> unicaim_kvcache::SimResult {
     let w = small_workload(seed, 48, 12);
     simulate_decode(&w, policy, &SimConfig::new(capacity, k)).expect("contract upheld")
+}
+
+/// The reference for prefix verification: dimension, prefill length,
+/// then every key, value and query row flattened to bit patterns, copied
+/// into one vector. The registry verifies in place, without this copy; a
+/// lookup must hit exactly when two workloads' vectors are equal.
+fn reference_prefix_content(w: &DecodeWorkload) -> Vec<u32> {
+    let prefill_len = w.prefill_keys.len();
+    let mut content = Vec::with_capacity(2 + 3 * prefill_len * w.dim);
+    content.push(u32::try_from(w.dim).unwrap_or(u32::MAX));
+    content.push(u32::try_from(prefill_len).unwrap_or(u32::MAX));
+    for plane in [&w.prefill_keys, &w.prefill_values, &w.prefill_queries] {
+        for row in plane {
+            content.extend(row.iter().map(|x| x.to_bits()));
+        }
+    }
+    content
+}
+
+/// Element `col` of row `row` of prefix plane `plane` (0 keys, 1 values,
+/// 2 queries).
+fn prefix_word(w: &mut DecodeWorkload, plane: usize, row: usize, col: usize) -> &mut f32 {
+    let plane = match plane {
+        0 => &mut w.prefill_keys,
+        1 => &mut w.prefill_values,
+        _ => &mut w.prefill_queries,
+    };
+    &mut plane[row][col]
 }
 
 /// The registry specs of every shipped policy, sized so each fits the
@@ -530,6 +554,52 @@ proptest! {
         }
     }
 
+    /// A prefix hit is exactly content equality, judged bit for bit. A
+    /// registry admits a workload; a clone of it must hit and splice,
+    /// while a copy with one word of one plane changed must never hit.
+    /// Each outcome is checked against equality of
+    /// `reference_prefix_content`. The changed word is drawn at random,
+    /// and so is its change: a low-bit flip, a sign flip, +0.0 → −0.0, or
+    /// one NaN payload for another (for the last two the admitted
+    /// workload holds +0.0 or the first NaN at that word, so a prompt
+    /// with a NaN must hit its own entry).
+    #[test]
+    fn prefix_hit_is_exactly_bitwise_content_equality(
+        seed in 0u64..500,
+        plane in 0usize..3,
+        row in 0usize..24,
+        col in 0usize..16,
+        change in 0usize..4,
+    ) {
+        let mut admitted = small_workload(seed, 24, 4);
+        let bits = prefix_word(&mut admitted, plane, row, col).to_bits();
+        let (before, after) = match change {
+            0 => (bits, bits ^ 1),
+            1 => (bits, bits ^ (1 << 31)),
+            2 => (0.0f32.to_bits(), (-0.0f32).to_bits()),
+            _ => (0x7fc0_0001, 0x7fc0_0002),
+        };
+        *prefix_word(&mut admitted, plane, row, col) = f32::from_bits(before);
+        let mut changed = admitted.clone();
+        *prefix_word(&mut changed, plane, row, col) = f32::from_bits(after);
+
+        let cfg = SimConfig::new(16, 4);
+        let spec = PolicySpec::hybrid_for_share(16, 4, 4);
+        let registry = PrefixRegistry::new(admitted.dim, 64).expect("valid registry");
+        let (_, first) = DecodeSession::prefill_shared(&admitted, &spec, &cfg, &registry)
+            .expect("registering prefill");
+        prop_assert!(!first.prefix_hit);
+        let reference = reference_prefix_content(&admitted);
+        for (probe, is_clone) in [(admitted.clone(), true), (changed, false)] {
+            let (_, report) = DecodeSession::prefill_shared(&probe, &spec, &cfg, &registry)
+                .expect("probing prefill");
+            prop_assert_eq!(report.prefix_hit, reference_prefix_content(&probe) == reference);
+            prop_assert_eq!(report.prefix_hit, is_clone);
+            prop_assert_eq!(report.spliced, is_clone);
+        }
+        prop_assert_eq!(registry.stats().hits, 1);
+    }
+
     /// A one-layer stack under the `Uniform` allocator is the identity
     /// wrapper: for every shipped policy and every key-arena precision,
     /// its single per-layer `SimResult` is bit-identical to driving the
@@ -607,6 +677,38 @@ proptest! {
             }
         }
     }
+}
+
+/// Fingerprints keep distinct prefixes apart: eight distinct prompts,
+/// plus every single-word flip (lowest bit and sign bit) of one of them,
+/// admitted into one registry that never evicts, each find no entry under
+/// their fingerprint. Two equal fingerprints would read as a collision; a
+/// degenerate lane mixer would read as many and quietly cut the hit rate.
+#[test]
+fn distinct_prefixes_get_distinct_fingerprints() {
+    let base = small_workload(0, 16, 2);
+    let mut prefixes: Vec<DecodeWorkload> = (0..8).map(|s| small_workload(s, 16, 2)).collect();
+    for plane in 0..3 {
+        for row in 0..16 {
+            for col in 0..base.dim {
+                for mask in [1, 1 << 31] {
+                    let mut w = base.clone();
+                    let x = prefix_word(&mut w, plane, row, col);
+                    *x = f32::from_bits(x.to_bits() ^ mask);
+                    prefixes.push(w);
+                }
+            }
+        }
+    }
+    let registry = PrefixRegistry::new(base.dim, 1 << 16).expect("valid registry");
+    let cfg = SimConfig::new(24, 4);
+    for w in &prefixes {
+        DecodeSession::prefill_shared(w, &PolicySpec::Full, &cfg, &registry).expect("prefill");
+    }
+    let stats = registry.stats();
+    assert_eq!((stats.hits, stats.collisions, stats.evictions), (0, 0, 0));
+    assert_eq!(stats.misses, prefixes.len() as u64);
+    assert_eq!(registry.entries(), prefixes.len());
 }
 
 #[test]
