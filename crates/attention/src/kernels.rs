@@ -8,10 +8,9 @@
 //! buffers, so the kernels add no heap traffic to a decode step.
 //!
 //! Layout convention: a [`RowView`] describes `n` logical rows of `dim`
-//! contiguous `f32`s inside a flat buffer, with consecutive rows `stride`
-//! elements apart (`stride >= dim`). A plain matrix is `stride == dim`; a
-//! per-head slice of a multi-head projection is `stride == d_model`,
-//! `dim == d_head`, with the head offset folded into the buffer slice.
+//! `f32`s packed back to back in a flat row-major buffer, so row `r` is
+//! `data[r * dim..(r + 1) * dim]`; [`QuantRowView`] lays out its `i8`
+//! levels the same way, with one scale per row.
 //!
 //! The kernels themselves are generic over the [`Rows`] / [`QuantRows`]
 //! access traits: every row is one contiguous slice, but consecutive rows
@@ -292,54 +291,32 @@ fn axpy_queries_fn(backend: KernelBackend) -> AxpyQueriesFn {
 
 /// A borrowed view of row-major `f32` rows inside a flat buffer.
 ///
-/// Row `r` is `data[r * stride .. r * stride + dim]`. The view itself does
-/// not fix a row count; accessors bound-check through the underlying slice.
+/// Row `r` is `data[r * dim..(r + 1) * dim]`. The view itself does not fix
+/// a row count; accessors bound-check through the underlying slice.
 #[derive(Debug, Clone, Copy)]
 pub struct RowView<'a> {
     data: &'a [f32],
-    stride: usize,
     dim: usize,
 }
 
 impl<'a> RowView<'a> {
-    /// Creates a view with the given row stride and logical row width.
+    /// A view of rows of `dim` elements packed back to back.
     ///
     /// # Panics
     ///
-    /// Panics if `dim > stride`, or if `stride == 0` while `dim != 0`.
-    #[must_use]
-    pub fn new(data: &'a [f32], stride: usize, dim: usize) -> Self {
-        assert!(
-            dim <= stride || dim == 0,
-            "row dim {dim} exceeds stride {stride}"
-        );
-        assert!(stride > 0 || dim == 0, "zero stride with nonzero dim");
-        Self { data, stride, dim }
-    }
-
-    /// A contiguous view (`stride == dim`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`: a zero-dim contiguous view would give every
-    /// row the same empty slice, silently aliasing all rows instead of
-    /// surfacing the degenerate shape at the call site.
+    /// Panics if `dim == 0`: a zero-dim view would give every row the same
+    /// empty slice, silently aliasing all rows instead of surfacing the
+    /// degenerate shape at the call site.
     #[must_use]
     pub fn contiguous(data: &'a [f32], dim: usize) -> Self {
         assert!(dim > 0, "contiguous RowView requires dim > 0");
-        Self::new(data, dim, dim)
+        Self { data, dim }
     }
 
     /// Logical row width.
     #[must_use]
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Elements between consecutive row starts.
-    #[must_use]
-    pub fn stride(&self) -> usize {
-        self.stride
     }
 
     /// Borrow row `r`.
@@ -350,17 +327,17 @@ impl<'a> RowView<'a> {
     #[inline]
     #[must_use]
     pub fn row(&self, r: usize) -> &'a [f32] {
-        &self.data[r * self.stride..r * self.stride + self.dim]
+        &self.data[r * self.dim..(r + 1) * self.dim]
     }
 }
 
 /// Row-addressable `f32` rows: the access contract the gather/attend
 /// kernels read keys and values through. Each row is one contiguous
 /// slice of length [`Rows::dim`], but consecutive rows need not be
-/// adjacent in memory — the flat [`RowView`] strides through one buffer
-/// while the paged [`PagedRows`](crate::paged::PagedRows) resolves each
-/// row into its page. Implementations are cheap `Copy` views, so kernels
-/// take them by value.
+/// adjacent in memory — the flat [`RowView`] walks one buffer while the
+/// paged [`PagedRows`](crate::paged::PagedRows) resolves each row into its
+/// page. Implementations are cheap `Copy` views, so kernels take them by
+/// value.
 pub trait Rows: Copy {
     /// Logical row width.
     fn dim(&self) -> usize;
@@ -848,7 +825,7 @@ impl KernelBackend {
 /// the quantized twin of [`RowView`].
 ///
 /// Row `r` holds `dim` signed integer levels at
-/// `data[r * stride .. r * stride + dim]`; its real value is
+/// `data[r * dim..(r + 1) * dim]`; its real value is
 /// `scales[r] · data[r][i]`. This is the layout of the quantized key arena
 /// ([`KvStore::quant_keys_view`](crate::KvStore::quant_keys_view)): 1 byte
 /// per element plus one scale per row, a ~4× traffic reduction over the
@@ -857,49 +834,26 @@ impl KernelBackend {
 pub struct QuantRowView<'a> {
     data: &'a [i8],
     scales: &'a [f32],
-    stride: usize,
     dim: usize,
 }
 
 impl<'a> QuantRowView<'a> {
-    /// Creates a view with the given row stride and logical row width.
+    /// A view of rows of `dim` levels packed back to back.
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0` or `dim > stride` (same degenerate-shape
-    /// contract as [`RowView::contiguous`]).
-    #[must_use]
-    pub fn new(data: &'a [i8], scales: &'a [f32], stride: usize, dim: usize) -> Self {
-        assert!(dim > 0, "QuantRowView requires dim > 0");
-        assert!(dim <= stride, "row dim {dim} exceeds stride {stride}");
-        Self {
-            data,
-            scales,
-            stride,
-            dim,
-        }
-    }
-
-    /// A contiguous view (`stride == dim`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
+    /// Panics if `dim == 0` (same degenerate-shape contract as
+    /// [`RowView::contiguous`]).
     #[must_use]
     pub fn contiguous(data: &'a [i8], scales: &'a [f32], dim: usize) -> Self {
-        Self::new(data, scales, dim, dim)
+        assert!(dim > 0, "QuantRowView requires dim > 0");
+        Self { data, scales, dim }
     }
 
     /// Logical row width.
     #[must_use]
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Elements between consecutive row starts.
-    #[must_use]
-    pub fn stride(&self) -> usize {
-        self.stride
     }
 
     /// Borrow the integer levels of row `r`.
@@ -910,7 +864,7 @@ impl<'a> QuantRowView<'a> {
     #[inline]
     #[must_use]
     pub fn row(&self, r: usize) -> &'a [i8] {
-        &self.data[r * self.stride..r * self.stride + self.dim]
+        &self.data[r * self.dim..(r + 1) * self.dim]
     }
 
     /// The dequantization scale of row `r` (`value = scale · level`).
@@ -1250,7 +1204,7 @@ pub fn partial_top_k(values: &[f32], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mha::attention_output;
+    use crate::matrix::attention_output;
 
     #[test]
     fn dot_matches_sequential() {
@@ -1295,23 +1249,6 @@ mod tests {
         for backend in KernelBackend::supported() {
             assert_eq!(backend.dot_i8(&a, &b), scalar, "{}", backend.label());
         }
-    }
-
-    #[test]
-    fn row_view_strided_access() {
-        // 3 rows of stride 4, logical width 2, offset 1 folded into slice.
-        let data: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let v = RowView::new(&data[1..], 4, 2);
-        assert_eq!(v.row(0), &[1.0, 2.0]);
-        assert_eq!(v.row(1), &[5.0, 6.0]);
-        assert_eq!(v.row(2), &[9.0, 10.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds stride")]
-    fn row_view_rejects_wide_rows() {
-        let data = [0.0f32; 8];
-        let _ = RowView::new(&data, 2, 3);
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //! of scope for a self-contained Rust repository, so this crate provides the
 //! pieces that the *pruning* evaluation actually needs:
 //!
-//! * small dense linear algebra ([`Matrix`], [`softmax_rows`], top-k utils),
-//! * exact attention and KV-cache storage ([`MultiHeadAttention`],
+//! * small dense linear algebra ([`Matrix`], [`softmax_in_place`], top-k
+//!   utils),
+//! * exact attention and KV-cache storage ([`attention_output`],
 //!   [`KvStore`]),
-//! * a deterministic, seeded [`TinyTransformer`] that produces
-//!   realistically structured attention (sink tokens, locality, heavy
-//!   hitters),
 //! * long-context retrieval [`workloads`] with *ground-truth salient sets*
 //!   so retrieval F1 is exactly measurable (single-needle, multi-hop
 //!   "HotpotQA-like", diffuse "NarrativeQA-like"),
@@ -20,10 +18,10 @@
 //! # Quickstart
 //!
 //! ```
-//! use unicaim_attention::{Matrix, softmax_rows};
+//! use unicaim_attention::{Matrix, softmax_in_place};
 //!
 //! let mut scores = Matrix::from_rows(&[vec![0.0, 1.0, 2.0]]);
-//! softmax_rows(&mut scores);
+//! softmax_in_place(scores.as_mut_slice());
 //! let row: f32 = scores.row(0).iter().sum();
 //! assert!((row - 1.0).abs() < 1e-6);
 //! ```
@@ -39,20 +37,16 @@ mod kv;
 pub mod llama;
 mod matrix;
 pub mod metrics;
-mod mha;
 pub mod paged;
 mod simd;
-mod transformer;
 pub mod workloads;
 
 pub use kernels::{active_backend, KernelBackend};
 pub use kv::{KvStore, Precision};
-pub use matrix::{layer_norm_in_place, softmax_in_place, softmax_rows, Matrix};
-pub use mha::{attention_output, attention_scores, AttentionConfig, MultiHeadAttention};
+pub use matrix::{attention_output, attention_scores, softmax_in_place, Matrix};
 pub use paged::{
     ArenaStats, Page, PageArena, PageHandle, PagedQuantRows, PagedRows, DEFAULT_PAGE_ROWS,
 };
-pub use transformer::{TinyTransformer, TransformerConfig};
 
 /// Errors reported by the attention substrate.
 #[derive(Debug, Clone, PartialEq)]

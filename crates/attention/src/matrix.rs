@@ -1,15 +1,14 @@
-//! Minimal row-major dense matrix with the handful of kernels attention
-//! needs: matmul, transpose, row softmax, top-k.
+//! Minimal row-major dense matrix, the numerically stable softmax, and
+//! the exact single-query attention that the fused kernels are tested
+//! against.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::LANES;
-use crate::AttentionError;
 
 /// A row-major dense `f32` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -46,33 +45,6 @@ impl Matrix {
             cols: n_cols,
             data,
         }
-    }
-
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttentionError::ShapeMismatch`] when `data.len() != rows*cols`.
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, AttentionError> {
-        if data.len() != rows * cols {
-            return Err(AttentionError::ShapeMismatch {
-                context: format!(
-                    "flat buffer of {} elements cannot be {rows}x{cols}",
-                    data.len()
-                ),
-            });
-        }
-        Ok(Self { rows, cols, data })
-    }
-
-    /// A matrix with i.i.d. entries uniform in `[-scale, scale]`, seeded.
-    #[must_use]
-    pub fn random_uniform(rows: usize, cols: usize, scale: f32, seed: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let data = (0..rows * cols)
-            .map(|_| rng.gen_range(-scale..=scale))
-            .collect();
-        Self { rows, cols, data }
     }
 
     /// A matrix with i.i.d. standard-normal entries scaled by `scale`, seeded.
@@ -112,17 +84,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutably borrow row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    #[must_use]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {r} out of range ({} rows)", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Element accessor.
     ///
     /// # Panics
@@ -132,16 +93,6 @@ impl Matrix {
     pub fn get(&self, r: usize, c: usize) -> f32 {
         assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
-    }
-
-    /// Element setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
     }
 
     /// The flat row-major data.
@@ -154,57 +105,6 @@ impl Matrix {
     #[must_use]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Matrix product `self · other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttentionError::ShapeMismatch`] when inner dimensions
-    /// disagree.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, AttentionError> {
-        if self.cols != other.rows {
-            return Err(AttentionError::ShapeMismatch {
-                context: format!(
-                    "matmul {}x{} by {}x{}",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Transposed copy.
-    #[must_use]
-    pub fn transposed(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
     }
 
     /// Dot product of two equal-length slices (helper used across crates).
@@ -351,26 +251,43 @@ fn exp_nonpositive(x: f32) -> f32 {
     }
 }
 
-/// Applies [`softmax_in_place`] to every row of the matrix.
-pub fn softmax_rows(m: &mut Matrix) {
-    for r in 0..m.rows() {
-        softmax_in_place(m.row_mut(r));
-    }
+/// Attention scores of one query against a set of keys:
+/// `q · kᵀ / √d` (the paper's Eq. 1 similarity, scaled as usual).
+///
+/// # Panics
+///
+/// Panics if any key's length differs from the query's.
+#[must_use]
+pub fn attention_scores(query: &[f32], keys: &[&[f32]]) -> Vec<f32> {
+    let scale = 1.0 / (query.len() as f32).sqrt();
+    keys.iter().map(|k| Matrix::dot(query, k) * scale).collect()
 }
 
-/// In-place layer normalization of one slice: zero mean, unit variance,
-/// with `eps` guarding degenerate variance.
-pub fn layer_norm_in_place(xs: &mut [f32], eps: f32) {
-    if xs.is_empty() {
-        return;
+/// Exact single-query attention output: `softmax(q·Kᵀ/√d) · V`.
+///
+/// `keys` and `values` must be parallel slices of equal length; an empty key
+/// set yields a zero vector.
+///
+/// # Panics
+///
+/// Panics if `keys.len() != values.len()` or dimensions disagree.
+#[must_use]
+pub fn attention_output(query: &[f32], keys: &[&[f32]], values: &[&[f32]]) -> Vec<f32> {
+    assert_eq!(keys.len(), values.len(), "keys/values must be parallel");
+    if keys.is_empty() {
+        return vec![0.0; query.len()];
     }
-    let n = xs.len() as f32;
-    let mean: f32 = xs.iter().sum::<f32>() / n;
-    let var: f32 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n;
-    let inv = 1.0 / (var + eps).sqrt();
-    for x in xs.iter_mut() {
-        *x = (*x - mean) * inv;
+    let mut weights = attention_scores(query, keys);
+    softmax_in_place(&mut weights);
+    let dim = values[0].len();
+    let mut out = vec![0.0f32; dim];
+    for (w, v) in weights.iter().zip(values) {
+        assert_eq!(v.len(), dim, "all values must share a dimension");
+        for (o, &x) in out.iter_mut().zip(*v) {
+            *o += w * x;
+        }
     }
+    out
 }
 
 #[cfg(test)]
@@ -378,37 +295,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
+    fn scores_scale_by_sqrt_d() {
+        let q = vec![1.0f32, 0.0, 0.0, 0.0];
+        let k = vec![2.0f32, 0.0, 0.0, 0.0];
+        let s = attention_scores(&q, &[&k]);
+        assert!((s[0] - 1.0).abs() < 1e-6); // 2 / sqrt(4)
     }
 
     #[test]
-    fn matmul_shape_mismatch_rejected() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
+    fn output_is_convex_combination() {
+        let q = vec![0.3f32, -0.7];
+        let keys = [vec![1.0f32, 0.0], vec![0.0f32, 1.0], vec![0.5f32, 0.5]];
+        let values = [vec![1.0f32, 2.0], vec![3.0f32, 4.0], vec![5.0f32, 6.0]];
+        let kr: Vec<&[f32]> = keys.iter().map(Vec::as_slice).collect();
+        let vr: Vec<&[f32]> = values.iter().map(Vec::as_slice).collect();
+        let out = attention_output(&q, &kr, &vr);
+        // Each output coordinate lies inside the convex hull of the values.
+        assert!(out[0] > 1.0 && out[0] < 5.0);
+        assert!(out[1] > 2.0 && out[1] < 6.0);
     }
 
     #[test]
-    fn transpose_roundtrip() {
-        let a = Matrix::random_uniform(3, 5, 1.0, 7);
-        let t = a.transposed().transposed();
-        assert_eq!(a, t);
+    fn single_key_attention_returns_value() {
+        let q = vec![0.1f32, 0.2];
+        let k = vec![1.0f32, -1.0];
+        let v = vec![7.0f32, 9.0];
+        let out = attention_output(&q, &[&k], &[&v]);
+        assert_eq!(out, vec![7.0, 9.0]);
     }
 
     #[test]
-    fn softmax_rows_sum_to_one() {
-        let mut m = Matrix::random_uniform(4, 9, 3.0, 11);
-        softmax_rows(&mut m);
-        for r in 0..4 {
-            let s: f32 = m.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-            assert!(m.row(r).iter().all(|&v| v >= 0.0));
-        }
+    fn empty_keys_give_zero_output() {
+        let out = attention_output(&[1.0, 2.0], &[], &[]);
+        assert_eq!(out, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -559,23 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_norm_normalizes() {
-        let mut xs = vec![1.0f32, 2.0, 3.0, 4.0];
-        layer_norm_in_place(&mut xs, 1e-6);
-        let mean: f32 = xs.iter().sum::<f32>() / 4.0;
-        let var: f32 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-5);
-        assert!((var - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn layer_norm_handles_constant_input() {
-        let mut xs = vec![5.0f32; 8];
-        layer_norm_in_place(&mut xs, 1e-6);
-        assert!(xs.iter().all(|x| x.abs() < 1e-2));
-    }
-
-    #[test]
     fn argtop_k_orders_and_breaks_ties() {
         use crate::kernels::partial_top_k;
         let v = vec![0.1, 0.9, 0.5, 0.9, 0.2];
@@ -591,12 +493,6 @@ mod tests {
         let c = Matrix::random_normal(4, 4, 1.0, 43);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn from_flat_validates_shape() {
-        assert!(Matrix::from_flat(2, 3, vec![0.0; 6]).is_ok());
-        assert!(Matrix::from_flat(2, 3, vec![0.0; 5]).is_err());
     }
 
     #[test]

@@ -93,50 +93,6 @@ impl Page {
     pub fn rows(&self) -> usize {
         self.rows
     }
-
-    /// The key row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    #[inline]
-    #[must_use]
-    pub fn key_row(&self, r: usize) -> &[f32] {
-        &self.keys[r * self.dim..(r + 1) * self.dim]
-    }
-
-    /// The value row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    #[inline]
-    #[must_use]
-    pub fn value_row(&self, r: usize) -> &[f32] {
-        &self.values[r * self.dim..(r + 1) * self.dim]
-    }
-
-    /// The quantized key levels of row `r` (all zeros in an `f32` store).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    #[inline]
-    #[must_use]
-    pub fn quant_row(&self, r: usize) -> &[i8] {
-        &self.qkeys[r * self.dim..(r + 1) * self.dim]
-    }
-
-    /// The dequantization scale of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    #[inline]
-    #[must_use]
-    pub fn quant_scale(&self, r: usize) -> f32 {
-        self.qscales[r]
-    }
 }
 
 /// A refcounted handle to a [`Page`]. The strong count *is* the page's

@@ -671,53 +671,6 @@ pub fn poisson_arrivals(spec: &ArrivalSpec) -> Vec<ArrivalEvent> {
         .collect()
 }
 
-/// A workload whose queries and keys come from an actual (random-weight)
-/// [`crate::TinyTransformer`] forward pass — realistic softmax statistics
-/// with no planted structure (salient sets are empty; use it for cost and
-/// throughput studies, not retrieval scoring).
-///
-/// # Panics
-///
-/// Panics if `prefill_len + decode_len` exceeds the transformer's maximum
-/// sequence length.
-#[must_use]
-pub fn transformer_trace(prefill_len: usize, decode_len: usize, seed: u64) -> DecodeWorkload {
-    use crate::transformer::{TinyTransformer, TransformerConfig};
-    let total = prefill_len + decode_len;
-    // lint:allow(no-panic-in-lib): TransformerConfig::default() is validated by a unit test to construct
-    let model = TinyTransformer::new(TransformerConfig::default(), seed).expect("valid config");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7A57);
-    let tokens: Vec<usize> = (0..total).map(|_| rng.gen_range(0..256)).collect();
-    // lint:allow(no-panic-in-lib): the documented `# Panics` contract — total exceeding max_seq is a caller bug
-    let (q, k) = model.last_layer_qk(&tokens, 0).expect("sequence fits");
-    let dim = q.cols();
-    let to_rows = |m: &Matrix, lo: usize, hi: usize| -> Vec<Vec<f32>> {
-        (lo..hi).map(|t| m.row(t).to_vec()).collect()
-    };
-    let values: Vec<Vec<f32>> = (0..total)
-        .map(|t| {
-            let mut v = unit(&mut rng, dim);
-            for x in &mut v {
-                *x *= 0.5;
-            }
-            let _ = t;
-            v
-        })
-        .collect();
-    DecodeWorkload {
-        name: "transformer_trace".to_owned(),
-        dim,
-        prefill_keys: to_rows(&k, 0, prefill_len),
-        prefill_values: values[..prefill_len].to_vec(),
-        prefill_queries: to_rows(&q, 0, prefill_len),
-        decode_queries: to_rows(&q, prefill_len, total),
-        decode_keys: to_rows(&k, prefill_len, total),
-        decode_values: values[prefill_len..].to_vec(),
-        salient_at: vec![BTreeSet::new(); decode_len],
-        answer_steps: Vec::new(),
-    }
-}
-
 /// Per-layer decode workloads for a K-layer attention stack with
 /// depth-varying retrieval difficulty — the workload shape the DepthKV /
 /// LAVa observation predicts: **front layers spread salient mass over many
@@ -777,8 +730,8 @@ pub fn layer_stack_tasks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::attention_scores;
     use crate::metrics::cosine_similarity;
-    use crate::mha::attention_scores;
 
     #[test]
     fn shared_prefix_batch_prefixes_are_bit_identical_and_turns_differ() {
@@ -1072,25 +1025,5 @@ mod tests {
         let mut spec = sample_arrival_spec();
         spec.mean_interarrival_ticks = 0.0;
         let _ = poisson_arrivals(&spec);
-    }
-
-    #[test]
-    fn transformer_trace_produces_consistent_shapes() {
-        let w = transformer_trace(64, 8, 13);
-        assert_eq!(w.prefill_keys.len(), 64);
-        assert_eq!(w.decode_queries.len(), 8);
-        assert_eq!(w.dim, 16); // default tiny transformer: 64/4 heads
-        assert!(w.answer_steps.is_empty());
-        // Deterministic per seed.
-        assert_eq!(w, transformer_trace(64, 8, 13));
-        assert_ne!(w, transformer_trace(64, 8, 14));
-    }
-
-    #[test]
-    fn transformer_trace_reference_is_finite() {
-        let w = transformer_trace(48, 6, 15);
-        for out in w.full_attention_reference() {
-            assert!(out.iter().all(|x| x.is_finite()));
-        }
     }
 }

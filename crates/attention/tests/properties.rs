@@ -54,28 +54,6 @@ proptest! {
         prop_assert!((s2 - s1 * scale).abs() < 1e-3 * s1.abs().max(1.0));
     }
 
-    /// Matmul distributes over addition: (A+B)C = AC + BC.
-    #[test]
-    fn matmul_distributes(seed in 0u64..500) {
-        let a = Matrix::random_uniform(3, 4, 1.0, seed);
-        let b = Matrix::random_uniform(3, 4, 1.0, seed ^ 5);
-        let c = Matrix::random_uniform(4, 2, 1.0, seed ^ 9);
-        let mut ab = Matrix::zeros(3, 4);
-        for r in 0..3 {
-            for col in 0..4 {
-                ab.set(r, col, a.get(r, col) + b.get(r, col));
-            }
-        }
-        let lhs = ab.matmul(&c).unwrap();
-        let ac = a.matmul(&c).unwrap();
-        let bc = b.matmul(&c).unwrap();
-        for r in 0..3 {
-            for col in 0..2 {
-                prop_assert!((lhs.get(r, col) - ac.get(r, col) - bc.get(r, col)).abs() < 1e-4);
-            }
-        }
-    }
-
     /// partial_top_k returns k distinct indices in descending value order.
     #[test]
     fn argtopk_sound(values in proptest::collection::vec(-10.0f32..10.0, 1..64), k in 1usize..16) {

@@ -29,6 +29,8 @@
 //! interquartile range. A claim names one metric on one workload, so
 //! `--claim` with more than one workload is a usage error.
 //!
+//! `-h` or `--help` prints the usage and exits 0.
+//!
 //! Exit codes: 0 when every metric holds its bound on every workload (and
 //! a claimed gain holds); 1 when a metric regresses beyond its bound or a
 //! claimed gain fails; 2 on bad arguments or an unreadable
@@ -86,7 +88,9 @@ fn parse_workloads(value: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
-fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+/// The options of a comparison, or `None` when `-h`/`--help` asks for the
+/// usage.
+fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
     let mut parent = None;
     let mut change = None;
     let mut workloads = None;
@@ -101,6 +105,9 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
         benchmark: PathBuf::from("BENCHMARK.json"),
     };
     while let Some(flag) = args.next() {
+        if flag == "-h" || flag == "--help" {
+            return Ok(None);
+        }
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
         match flag.as_str() {
@@ -124,7 +131,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
     if opts.claim.is_some() && opts.workloads.len() > 1 {
         return Err("--claim names one metric on one workload; give one --workload".into());
     }
-    Ok(opts)
+    Ok(Some(opts))
 }
 
 /// The run length a `BENCHMARK.json` document sets for each run.
@@ -361,7 +368,11 @@ fn compare(
 
 fn main() -> ExitCode {
     let opts = match parse_options(std::env::args().skip(1)) {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::from(2);
@@ -473,7 +484,9 @@ mod tests {
     fn run_length_defaults_to_the_benchmarks_run_seconds() {
         let parse = |extra: &[&str]| {
             let args = ["--parent", "p", "--change", "c", "--workload", "w"];
-            parse_options(args.iter().chain(extra).map(|a| (*a).to_owned())).unwrap()
+            parse_options(args.iter().chain(extra).map(|a| (*a).to_owned()))
+                .unwrap()
+                .unwrap()
         };
         assert_eq!(parse(&[]).seconds, None);
         assert_eq!(parse(&["--seconds", "10"]).seconds, Some(10.0));
@@ -482,13 +495,24 @@ mod tests {
         assert!(run_seconds(&serde_json::value_from_str("{}").unwrap()).is_err());
     }
 
-    fn parse_args(args: &[&str]) -> Result<Options, String> {
+    fn parse_args(args: &[&str]) -> Result<Option<Options>, String> {
         parse_options(args.iter().map(|a| (*a).to_owned()))
     }
 
     #[test]
+    fn help_asks_for_the_usage_wherever_a_flag_may_stand() {
+        for help in ["-h", "--help"] {
+            assert!(parse_args(&[help]).unwrap().is_none(), "{help}");
+            let late = ["--parent", "p", "--workload", "w", help, "--bogus"];
+            assert!(parse_args(&late).unwrap().is_none(), "{help}");
+        }
+    }
+
+    #[test]
     fn workload_lists_split_on_commas_and_reject_empty_items() {
-        let opts = parse_args(&["--parent", "p", "--change", "c", "--workload", "a, b,c"]).unwrap();
+        let opts = parse_args(&["--parent", "p", "--change", "c", "--workload", "a, b,c"])
+            .unwrap()
+            .unwrap();
         assert_eq!(opts.workloads, ["a", "b", "c"]);
         for bad in ["", "a,,b", "a,", ",a", " , "] {
             assert!(
@@ -506,7 +530,10 @@ mod tests {
             all.extend(["--workload", workload]);
             parse_args(&all)
         };
-        assert_eq!(with("a").unwrap().claim.as_deref(), Some("ttft_p50_ms"));
+        assert_eq!(
+            with("a").unwrap().unwrap().claim.as_deref(),
+            Some("ttft_p50_ms")
+        );
         assert!(with("a,b").is_err());
     }
 

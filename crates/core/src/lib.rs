@@ -46,7 +46,6 @@ mod cell;
 mod encoder;
 mod engine;
 mod levels;
-mod multihead;
 mod stats;
 
 pub use array::{ArrayConfig, CamSearch, UniCaimArray};
@@ -56,7 +55,6 @@ pub use engine::{EngineConfig, HardwareRunResult, StepReport, UniCaimEngine};
 pub use levels::{
     level_score, quantize_key, quantize_query, CellPrecision, KeyLevel, QueryLevel, QueryPrecision,
 };
-pub use multihead::{MultiHeadEngine, MultiHeadRunResult};
 pub use stats::OpStats;
 
 /// Errors reported by the UniCAIM core.

@@ -147,13 +147,6 @@ impl FeFetModel {
         dev.polarization = target;
     }
 
-    /// Overrides the stored polarization without a switching event
-    /// (clamped to `[-1, 1]`). Used by the reliability models, where state
-    /// change is thermal relaxation rather than field-driven switching.
-    pub fn set_polarization(&self, dev: &mut FeFet, polarization: f64) {
-        dev.polarization = polarization.clamp(-1.0, 1.0);
-    }
-
     /// Threshold voltage of the device: linear map of polarization across the
     /// memory window, plus the device's static variation offset.
     #[must_use]

@@ -42,7 +42,6 @@ mod device;
 mod multilevel;
 mod params;
 mod preisach;
-mod reliability;
 mod sweep;
 mod variation;
 
@@ -50,7 +49,6 @@ pub use device::{FeFet, FeFetModel};
 pub use multilevel::{LevelProgrammer, VthGrid};
 pub use params::FeFetParams;
 pub use preisach::{saturation_polarization, switching_fraction, width_for_fraction, PulseSpec};
-pub use reliability::{EnduranceModel, RetentionModel};
 pub use sweep::{id_vg_sweep, pv_loop, IdVgCurve, IdVgPoint, PvLoop, PvPoint};
 pub use variation::VariationModel;
 

@@ -36,6 +36,13 @@
 //! until the last holder drops); fully cold pages go back on the arena's
 //! free list zeroed.
 //!
+//! The budget counts variant pages only. Each resident entry also holds
+//! its `P × P` `f32` attention matrix (`4·P²` bytes) and its flattened
+//! content (`2 + 3·P·D` words) outside it. For a 512-token prompt at
+//! `D = 64` that is 1 MiB + 384 KiB per entry, against about 83 KB for
+//! the 9 budgeted pages of one variant (16 rows of `9·D + 4 = 580` bytes
+//! each). So `max_pages` bounds the arena, not what the registry holds.
+//!
 //! # Fingerprint and verification
 //!
 //! The fingerprint is a 64-bit hash that [`prefix_fingerprint`] computes
@@ -132,7 +139,10 @@ pub struct PrefixRegistry {
 
 impl PrefixRegistry {
     /// A registry for prefixes of `dim`-wide rows, pinning at most
-    /// `max_pages` pages ([`DEFAULT_PAGE_ROWS`] rows each).
+    /// `max_pages` pages ([`DEFAULT_PAGE_ROWS`] rows each). The budget
+    /// counts variant pages only: each entry's attention matrix and
+    /// flattened content sit outside it (see "Eviction story" in the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -144,7 +154,8 @@ impl PrefixRegistry {
 
     /// A registry with an explicit page geometry (`page_rows` rows per
     /// page) — useful for forcing page-boundary and eviction behaviour in
-    /// tests.
+    /// tests. As with [`PrefixRegistry::new`], `max_pages` bounds variant
+    /// pages only, not the entries' matrices and content.
     ///
     /// # Errors
     ///
@@ -181,12 +192,6 @@ impl PrefixRegistry {
     #[must_use]
     pub fn dim(&self) -> usize {
         self.arena.dim()
-    }
-
-    /// Maximum number of pages the registry will pin before evicting.
-    #[must_use]
-    pub fn page_budget(&self) -> usize {
-        self.max_pages
     }
 
     /// The page arena backing this registry. Sessions prefilled through

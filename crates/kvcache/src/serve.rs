@@ -130,14 +130,6 @@ impl ServeConfig {
         self
     }
 
-    /// Maximum concurrently running sessions.
-    #[must_use]
-    pub fn max_concurrent(&self) -> usize {
-        self.total_capacity
-            .checked_div(self.session_slots)
-            .unwrap_or(0)
-    }
-
     /// The [`SimConfig`] every admitted session runs under.
     #[must_use]
     pub fn session_config(&self) -> SimConfig {

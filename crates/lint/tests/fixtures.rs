@@ -64,7 +64,7 @@ fn target_feature_is_confined_even_when_the_fixture_is_well_formed() {
     // The *pass* fixture is only a pass inside simd.rs; anywhere else the
     // attribute itself violates confinement.
     let (_, src) = fixture("target-feature-confinement", "pass");
-    let (diags, _) = lint_source("crates/attention/src/mha.rs", &src);
+    let (diags, _) = lint_source("crates/attention/src/kernels.rs", &src);
     assert!(
         rules_of(&diags).contains(&"target-feature-confinement"),
         "{diags:?}"

@@ -1,21 +1,18 @@
 //! The prefill products equal their per-query definitions bit for bit.
 //!
 //! `prefill_attention_matrix` (the causal prompt matrix static pruning
-//! ranks with), `DecodeWorkload::full_attention_reference` (the exact
-//! attention every decode step is scored against) and
-//! `MultiHeadAttention::attention_matrix` group their queries into
-//! staircase tiles of eight. Grouping must not change a bit: each prompt
-//! row must still be one `dot_prefix` plus `softmax_in_place`, and each
-//! decode step one `attend_prefix` over the prompt and the tokens
+//! ranks with) and `DecodeWorkload::full_attention_reference` (the exact
+//! attention every decode step is scored against) group their queries
+//! into staircase tiles of eight. Grouping must not change a bit: each
+//! prompt row must still be one `dot_prefix` plus `softmax_in_place`, and
+//! each decode step one `attend_prefix` over the prompt and the tokens
 //! generated before it. The shapes put every prompt and decode length on
 //! both sides of a group boundary, and the dimensions on both sides of a
 //! SIMD chunk.
 
 use unicaim_repro::attention::kernels::RowView;
 use unicaim_repro::attention::workloads::DecodeWorkload;
-use unicaim_repro::attention::{
-    active_backend, softmax_in_place, AttentionConfig, Matrix, MultiHeadAttention,
-};
+use unicaim_repro::attention::{active_backend, softmax_in_place, Matrix};
 use unicaim_repro::kvcache::prefill_attention_matrix;
 
 const PROMPT_LENS: [usize; 6] = [0, 1, 7, 8, 9, 23];
@@ -122,36 +119,6 @@ fn attention_reference_equals_one_attend_per_step() {
                         "prompt {prompt} decode {decode} dim {dim} step {s}"
                     );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn head_attention_matrix_equals_the_per_row_loop() {
-    for (d_model, n_heads) in [(24, 3), (36, 4)] {
-        let mha = MultiHeadAttention::new(AttentionConfig { d_model, n_heads }, 5).unwrap();
-        let dh = d_model / n_heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        for seq in [1, 7, 8, 9, 20] {
-            let hidden = Matrix::random_normal(seq, d_model, 1.0, seq as u64);
-            let q = mha.project_q(&hidden).unwrap();
-            let k = mha.project_k(&hidden).unwrap();
-            for head in 0..n_heads {
-                let lo = head * dh;
-                let keys = RowView::new(&k.as_slice()[lo..], d_model, dh);
-                let mut want = vec![0.0f32; seq * seq];
-                for t in 0..seq {
-                    let row = &mut want[t * seq..t * seq + t + 1];
-                    active_backend().dot_prefix(&q.row(t)[lo..lo + dh], keys, scale, row);
-                    softmax_in_place(row);
-                }
-                let got = mha.attention_matrix(&hidden, head).unwrap();
-                assert_eq!(
-                    bits(got.as_slice()),
-                    bits(&want),
-                    "d_model {d_model} heads {n_heads} seq {seq} head {head}"
-                );
             }
         }
     }

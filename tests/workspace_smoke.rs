@@ -35,14 +35,6 @@ fn analog_primitives_construct() {
 
 #[test]
 fn attention_defaults_construct() {
-    let config = attention::AttentionConfig {
-        d_model: 64,
-        n_heads: 8,
-    };
-    config.validate().expect("attention config must validate");
-    assert_eq!(config.d_head(), 8);
-    let transformer_cfg = attention::TransformerConfig::default();
-    assert!(transformer_cfg.n_heads > 0);
     let workload = attention::workloads::needle_task(64, 8, 3);
     assert!(workload.total_tokens() > 0);
 }
