@@ -89,8 +89,6 @@ fn policies_for(capacity: usize, m: usize, k: usize) -> Vec<PolicySpec> {
         h: capacity.saturating_sub(m).max(1),
         m,
         k,
-        protect_recent: 1,
-        ewma_alpha: None,
     };
     vec![
         PolicySpec::Full,

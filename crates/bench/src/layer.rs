@@ -124,7 +124,7 @@ fn point_from(
         mean_output_cosine: result.mean_output_cosine,
         total_mean_resident: result.total_mean_resident,
         reallocations: result.reallocations as u64,
-        total_evictions: result.metrics.layer_evictions.iter().sum(),
+        total_evictions: result.layer_evictions.iter().sum(),
         budgets: result.budgets.clone(),
     }
 }

@@ -493,29 +493,25 @@ impl DecodeEngine {
     ///
     /// # Errors
     ///
-    /// [`HarnessError::InvalidSpec`] for an unbuildable spec **or** one
-    /// whose budget does not fit the per-sequence slot share
-    /// ([`PolicySpec::validate_for`] — a hybrid spec with `H + M`
-    /// different from its share would silently mis-prune). A ragged
-    /// split (`total_capacity` not divisible by the batch size) produces
-    /// exactly two share sizes one slot apart; a single spec cannot
-    /// match both, so it is accepted when it matches either (the one-slot
-    /// deviation on the other sequences is inherent to the even split,
-    /// not a misconfiguration). Otherwise the [`DecodeEngine::run_with`]
-    /// contract.
+    /// [`HarnessError::InvalidSpec`] for a spec whose budget does not fit
+    /// the per-sequence slot share ([`PolicySpec::validate_for`] — a
+    /// hybrid spec with `H + M` different from its share would silently
+    /// mis-prune). A ragged split (`total_capacity` not divisible by the
+    /// batch size) produces exactly two share sizes one slot apart; a
+    /// single spec cannot match both, so it is accepted when it matches
+    /// either (the one-slot deviation on the other sequences is inherent
+    /// to the even split, not a misconfiguration). Otherwise the
+    /// [`DecodeEngine::run_with`] contract.
     pub fn run(
         &self,
         workloads: &[DecodeWorkload],
         spec: &PolicySpec,
     ) -> Result<BatchResult, HarnessError> {
         let n = workloads.len();
-        if n == 0 {
-            spec.validate()?;
-        } else {
+        if n > 0 {
             // Shares descend by at most one slot from sequence 0 to n−1;
-            // validating against both extremes covers every sequence
-            // (`validate_for` includes `validate`). When both fail, the
-            // widest share's error is the one reported.
+            // validating against both extremes covers every sequence. When
+            // both fail, the widest share's error is the one reported.
             spec.validate_for(&self.config.batch.sequence_config(n, 0))
                 .or_else(|widest_err| {
                     spec.validate_for(&self.config.batch.sequence_config(n, n - 1))
@@ -690,16 +686,6 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(err, HarnessError::EmptyBatch);
-    }
-
-    #[test]
-    fn invalid_spec_is_rejected_before_any_work() {
-        let workloads = sample_batch();
-        let engine = DecodeEngine::new(EngineConfig::new(5 * 24, 8));
-        assert!(matches!(
-            engine.run(&workloads, &PolicySpec::BlockTopK { block: 0 }),
-            Err(HarnessError::InvalidSpec { .. })
-        ));
     }
 
     #[test]

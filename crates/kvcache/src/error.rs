@@ -82,10 +82,12 @@ pub enum HarnessError {
         /// The unrecognized name.
         name: String,
     },
-    /// A [`PolicySpec`](crate::PolicySpec) carries a parameter no policy
-    /// can be built from.
+    /// A [`PolicySpec`](crate::PolicySpec)'s budget does not fit the
+    /// session it is to run under: a hybrid `H + M` other than the slot
+    /// capacity, or a prefill budget below `H`
+    /// ([`PolicySpec::validate_for`](crate::PolicySpec::validate_for)).
     InvalidSpec {
-        /// Human-readable description of the bad parameter.
+        /// Human-readable description of the mismatched budget.
         reason: String,
     },
     /// A [`ServeConfig`](crate::ServeConfig) carries a parameter no

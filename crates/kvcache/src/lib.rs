@@ -100,9 +100,7 @@ pub use allocator::{AllocatorSpec, BudgetAllocator, DepthDecayed, EntropyDynamic
 pub use engine::{BatchConfig, BatchResult, DecodeEngine, EngineConfig, SchedulerSpec, WorkerPool};
 pub use error::HarnessError;
 pub use metrics::{MetricsSummary, ServerMetrics, OCCUPANCY_BUCKETS};
-pub use policies::{
-    BlockTopK, FullCache, HybridStaticDynamic, OracleTopK, SnapKv, StreamingLlm, H2O,
-};
+pub use policies::{FullCache, HybridStaticDynamic, OracleTopK, SnapKv, StreamingLlm, H2O};
 pub use policy::{accumulated_prefill_scores, top_indices_by_score, Policy, StepDecision};
 pub use prefix::{PrefixRegistry, PrefixStats};
 pub use score::ScoreTable;

@@ -17,9 +17,9 @@ pub const OCCUPANCY_BUCKETS: usize = 10;
 ///
 /// The serving loop feeds this through its lifecycle hooks (`note_*`,
 /// [`ServerMetrics::sample_tick`]); [`ServerMetrics::summary`] folds the
-/// accumulated state into the serializable [`MetricsSummary`]. Counters and
-/// samples are also directly readable mid-run (queue-depth dashboards,
-/// tests).
+/// accumulated state into the serializable [`MetricsSummary`]. Preemption
+/// and rejection counts and the occupancy samples are also directly
+/// readable mid-run.
 #[derive(Debug, Clone)]
 pub struct ServerMetrics {
     total_capacity: usize,
@@ -43,9 +43,6 @@ pub struct ServerMetrics {
     prefix_hits: u64,
     pages_shared: u64,
     prefix_bytes_saved: u64,
-    layer_resident_sums: Vec<u64>,
-    layer_step_samples: Vec<u64>,
-    layer_evictions: Vec<u64>,
 }
 
 impl ServerMetrics {
@@ -74,9 +71,6 @@ impl ServerMetrics {
             prefix_hits: 0,
             pages_shared: 0,
             prefix_bytes_saved: 0,
-            layer_resident_sums: Vec::new(),
-            layer_step_samples: Vec::new(),
-            layer_evictions: Vec::new(),
         }
     }
 
@@ -128,30 +122,6 @@ impl ServerMetrics {
         self.prefix_bytes_saved += bytes_saved as u64;
     }
 
-    /// Records one layer's state after a stacked decode step: its
-    /// resident-token count and how many evictions the step caused there
-    /// (per-step overflow evictions plus any forced shrink when a budget
-    /// allocator took slots away). The per-layer vectors grow on first
-    /// sight of a layer index, so single-layer serving paths that never
-    /// call this keep empty (and serialization-stable) layer columns.
-    pub fn note_layer_step(&mut self, layer: usize, resident: usize, evicted: usize) {
-        if layer >= self.layer_resident_sums.len() {
-            self.layer_resident_sums.resize(layer + 1, 0);
-            self.layer_step_samples.resize(layer + 1, 0);
-            self.layer_evictions.resize(layer + 1, 0);
-        }
-        self.layer_resident_sums[layer] += resident as u64;
-        self.layer_step_samples[layer] += 1;
-        self.layer_evictions[layer] += evicted as u64;
-    }
-
-    /// Evictions recorded per layer so far (empty when
-    /// [`note_layer_step`](Self::note_layer_step) was never called).
-    #[must_use]
-    pub fn layer_evictions(&self) -> &[u64] {
-        &self.layer_evictions
-    }
-
     /// Records a retirement: `latency` ticks end to end, `tokens` decode
     /// steps delivered.
     pub fn note_completed(&mut self, latency: u64, tokens: usize) {
@@ -189,22 +159,10 @@ impl ServerMetrics {
         self.rejected
     }
 
-    /// Ticks elapsed.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
     /// Per-tick occupied-slot samples (index = tick).
     #[must_use]
     pub fn occupancy_samples(&self) -> &[usize] {
         &self.occupancy_samples
-    }
-
-    /// Per-tick queue-depth samples (index = tick).
-    #[must_use]
-    pub fn queue_depth_samples(&self) -> &[usize] {
-        &self.queue_depth_samples
     }
 
     /// Peak resident tokens summed across running sessions at any tick.
@@ -288,13 +246,6 @@ impl ServerMetrics {
             prefix_hits: self.prefix_hits,
             pages_shared: self.pages_shared,
             prefix_bytes_saved: self.prefix_bytes_saved,
-            layer_mean_occupancy: self
-                .layer_resident_sums
-                .iter()
-                .zip(&self.layer_step_samples)
-                .map(|(&sum, &n)| if n == 0 { 0.0 } else { sum as f64 / n as f64 })
-                .collect(),
-            layer_evictions: self.layer_evictions.clone(),
         }
     }
 }
@@ -381,13 +332,6 @@ pub struct MetricsSummary {
     pub pages_shared: u64,
     /// Bytes of per-session KV storage avoided by those splices.
     pub prefix_bytes_saved: u64,
-    /// Mean resident tokens per layer across stacked decode steps (one
-    /// entry per layer; empty when the run had no layer-stacked sessions).
-    pub layer_mean_occupancy: Vec<f64>,
-    /// Evictions per layer across stacked decode steps — per-step
-    /// overflow evictions plus allocator-forced shrinks (empty when the
-    /// run had no layer-stacked sessions).
-    pub layer_evictions: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -473,31 +417,6 @@ mod tests {
         assert_eq!(s.prefix_hits, 2);
         assert_eq!(s.pages_shared, 24);
         assert_eq!(s.prefix_bytes_saved, 18432);
-    }
-
-    #[test]
-    fn layer_counters_accumulate_per_layer() {
-        let mut m = ServerMetrics::new(64);
-        // No stacked decode: both vectors stay empty.
-        assert!(m.summary().layer_mean_occupancy.is_empty());
-        assert!(m.summary().layer_evictions.is_empty());
-
-        // Layers can report out of order; the vectors grow to fit.
-        m.note_layer_step(2, 10, 1);
-        m.note_layer_step(0, 4, 0);
-        m.note_layer_step(0, 8, 2);
-        m.note_layer_step(2, 14, 0);
-        let s = m.summary();
-        assert_eq!(s.layer_mean_occupancy.len(), 3);
-        assert_eq!(s.layer_mean_occupancy[0], 6.0);
-        assert_eq!(s.layer_mean_occupancy[1], 0.0); // never sampled
-        assert_eq!(s.layer_mean_occupancy[2], 12.0);
-        assert_eq!(s.layer_evictions, vec![2, 0, 1]);
-        assert_eq!(m.layer_evictions(), &[2, 0, 1]);
-
-        let text = serde_json::to_string(&s).unwrap();
-        let back: MetricsSummary = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! with an explicit token/index tie-break, so a NaN-poisoned score makes a
 //! deterministic (if garbage) decision instead of a run-dependent one.
 
-use std::collections::VecDeque;
-
 use unicaim_attention::Matrix;
 
 use crate::policy::{accumulated_prefill_scores, top_indices_by_score, Policy, StepDecision};
@@ -292,83 +290,6 @@ impl Policy for OracleTopK {
     }
 }
 
-/// InfLLM/Quest-style block-based dynamic pruning: the cache is viewed in
-/// contiguous token blocks; each block is ranked by its best (maximum)
-/// token score and blocks are selected until the top-k token budget is
-/// covered. Block granularity makes the lookup cheap on conventional
-/// hardware but coarser than per-token top-k.
-#[derive(Debug, Clone)]
-pub struct BlockTopK {
-    block: usize,
-}
-
-impl BlockTopK {
-    /// Creates the policy with the given block size (tokens per block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is zero.
-    #[must_use]
-    pub fn new(block: usize) -> Self {
-        assert!(block > 0, "block size must be nonzero");
-        Self { block }
-    }
-
-    /// The block size.
-    #[must_use]
-    pub fn block(&self) -> usize {
-        self.block
-    }
-}
-
-impl Policy for BlockTopK {
-    fn name(&self) -> &'static str {
-        "block_topk"
-    }
-
-    fn prefill_keep(&mut self, attn: &Matrix, budget: usize) -> Vec<usize> {
-        (0..attn.rows().min(budget)).collect()
-    }
-
-    fn select(&mut self, _step: usize, scored: &[(usize, f32)], k: usize) -> StepDecision {
-        if scored.is_empty() || k == 0 {
-            return StepDecision {
-                selected: Vec::new(),
-            };
-        }
-        // Group resident tokens into blocks by token id.
-        let mut blocks: std::collections::BTreeMap<usize, (f32, Vec<usize>)> =
-            std::collections::BTreeMap::new();
-        for &(token, score) in scored {
-            let entry = blocks
-                .entry(token / self.block)
-                .or_insert((f32::NEG_INFINITY, Vec::new()));
-            entry.0 = entry.0.max(score);
-            entry.1.push(token);
-        }
-        // Rank blocks by representative (max) score; ties break toward the
-        // lower block id (BTreeMap order), totally even under NaN.
-        let mut ranked: Vec<(f32, Vec<usize>)> = blocks.into_values().collect();
-        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let mut selected = Vec::new();
-        for (_, tokens) in ranked {
-            if selected.len() >= k {
-                break;
-            }
-            selected.extend(tokens);
-        }
-        selected.truncate(k.max(self.block));
-        selected.sort_unstable();
-        StepDecision { selected }
-    }
-
-    fn observe(&mut self, _step: usize, _weights: &[(usize, f32)]) {}
-
-    fn evict(&mut self, _step: usize, resident: &[usize]) -> Option<usize> {
-        resident.first().copied()
-    }
-}
-
 /// The paper's hybrid static-dynamic policy (Section III.A):
 ///
 /// * **prefill**: keep the `H` tokens with the highest accumulated
@@ -400,48 +321,26 @@ pub struct HybridStaticDynamic {
     h: usize,
     m: usize,
     k: usize,
-    protect_recent: usize,
     table: ScoreTable,
-    /// The last `protect_recent` inserted tokens, oldest first.
-    newest: VecDeque<usize>,
+    /// The last inserted token, protected from eviction.
+    newest: Option<usize>,
     /// Scratch keys for [`select_top_k`], reused across steps.
     topk_keys: Vec<u32>,
 }
 
 impl HybridStaticDynamic {
     /// Creates the policy with `h` heavy prefill tokens, `m` reserved decode
-    /// slots, and top-`k` dynamic selection. One most-recent generated token
-    /// is protected from eviction (`protect_recent = 1`); use
-    /// [`HybridStaticDynamic::with_options`] to change that or the
-    /// accumulation semantics.
+    /// slots, and top-`k` dynamic selection. Scores accumulate as a plain
+    /// running sum, and the one most recently inserted token is protected
+    /// from eviction.
     #[must_use]
     pub fn new(h: usize, m: usize, k: usize) -> Self {
-        Self::with_options(h, m, k, 1, None)
-    }
-
-    /// Full-control constructor. `ewma_alpha = Some(α)` switches the
-    /// accumulated-score table to the charge-sharing (EWMA) semantics the
-    /// FeFET hardware physically computes; `None` is the paper's plain
-    /// running sum.
-    #[must_use]
-    pub fn with_options(
-        h: usize,
-        m: usize,
-        k: usize,
-        protect_recent: usize,
-        ewma_alpha: Option<f64>,
-    ) -> Self {
-        let table = match ewma_alpha {
-            Some(a) => ScoreTable::ewma(a),
-            None => ScoreTable::accumulating(),
-        };
         Self {
             h,
             m,
             k,
-            protect_recent,
-            table,
-            newest: VecDeque::new(),
+            table: ScoreTable::accumulating(),
+            newest: None,
             topk_keys: Vec::new(),
         }
     }
@@ -498,10 +397,7 @@ impl Policy for HybridStaticDynamic {
     fn evict(&mut self, _step: usize, resident: &[usize]) -> Option<usize> {
         // The lowest-scored unprotected resident, or the lowest-scored of
         // all when every resident is protected.
-        let unprotected = resident
-            .iter()
-            .copied()
-            .filter(|t| !self.newest.contains(t));
+        let unprotected = resident.iter().copied().filter(|&t| Some(t) != self.newest);
         let victim = self
             .table
             .min_of(unprotected)
@@ -512,12 +408,7 @@ impl Policy for HybridStaticDynamic {
 
     fn note_inserted(&mut self, token: usize) {
         self.table.insert(token, 0.0);
-        if self.protect_recent > 0 {
-            if self.newest.len() == self.protect_recent {
-                self.newest.pop_front();
-            }
-            self.newest.push_back(token);
-        }
+        self.newest = Some(token);
     }
 }
 
@@ -619,36 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn block_topk_selects_whole_blocks() {
-        let mut p = BlockTopK::new(4);
-        // Tokens 0..8 in two blocks; token 6 has the best score.
-        let scored: Vec<(usize, f32)> = (0..8)
-            .map(|t| (t, if t == 6 { 0.9 } else { 0.1 }))
-            .collect();
-        let d = p.select(0, &scored, 4);
-        assert_eq!(
-            d.selected,
-            vec![4, 5, 6, 7],
-            "the whole hot block is selected"
-        );
-    }
-
-    #[test]
-    fn block_topk_covers_budget_with_multiple_blocks() {
-        let mut p = BlockTopK::new(2);
-        let scored: Vec<(usize, f32)> =
-            vec![(0, 0.9), (1, 0.1), (2, 0.8), (3, 0.1), (4, 0.0), (5, 0.0)];
-        let d = p.select(0, &scored, 4);
-        assert_eq!(d.selected, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "block size must be nonzero")]
-    fn block_topk_rejects_zero_block() {
-        let _ = BlockTopK::new(0);
-    }
-
-    #[test]
     fn hybrid_prefill_keeps_top_h() {
         let mut p = HybridStaticDynamic::new(3, 2, 2);
         let keep = p.prefill_keep(&sinky_attn(10), 100);
@@ -665,7 +526,7 @@ mod tests {
 
     #[test]
     fn hybrid_evicts_lowest_accumulated() {
-        let mut p = HybridStaticDynamic::with_options(4, 2, 2, 0, None);
+        let mut p = HybridStaticDynamic::new(4, 2, 2);
         p.observe(0, &[(0, 0.7), (1, 0.1), (2, 0.2)]);
         p.observe(1, &[(0, 0.6), (1, 0.05), (2, 0.35)]);
         assert_eq!(p.evict(2, &[0, 1, 2]), Some(1));
@@ -675,26 +536,11 @@ mod tests {
 
     #[test]
     fn hybrid_protects_newest_token() {
-        let mut p = HybridStaticDynamic::with_options(4, 2, 2, 1, None);
+        let mut p = HybridStaticDynamic::new(4, 2, 2);
         p.observe(0, &[(0, 0.9), (1, 0.1)]);
         p.note_inserted(5); // newest token, accumulated score 0
                             // Without protection 5 would be evicted (score 0); with protection
                             // the lowest non-protected is 1.
         assert_eq!(p.evict(1, &[0, 1, 5]), Some(1));
-    }
-
-    #[test]
-    fn hybrid_ewma_mode_tracks_recent_behaviour() {
-        let mut p = HybridStaticDynamic::with_options(4, 2, 2, 0, Some(0.5));
-        // Token 0 was heavy long ago, token 1 heavy recently.
-        p.observe(0, &[(0, 1.0), (1, 0.0)]);
-        for step in 1..6 {
-            p.observe(step, &[(0, 0.0), (1, 0.6)]);
-        }
-        assert_eq!(
-            p.evict(6, &[0, 1]),
-            Some(0),
-            "EWMA must favor the recently heavy token"
-        );
     }
 }

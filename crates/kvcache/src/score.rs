@@ -2,12 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A table of accumulated attention scores per logical token.
-///
-/// Supports both plain accumulation (H2O-style running sums, what the
-/// paper's Fig. 3 "accumulated attention scores" table does) and
-/// exponentially weighted accumulation (what the charge-sharing hardware of
-/// Fig. 8 physically computes, with `α = C_SL/(C_SL+C_Acc)`).
+/// A table of accumulated attention scores per logical token: plain
+/// running sums, what the paper's Fig. 3 "accumulated attention scores"
+/// table holds and what H2O keeps. The charge sharing the array performs
+/// instead (Fig. 8) is modeled in hardware by
+/// `unicaim_core::UniCaimArray::accumulate_and_candidate`.
 ///
 /// Scores live in a flat vector indexed by token id, one entry per row
 /// like the array's per-row accumulation capacitor, so `observe`, `get`
@@ -32,36 +31,13 @@ use serde::{Deserialize, Serialize};
 pub struct ScoreTable {
     /// Score of token `t` at index `t`; `None` = not tracked.
     scores: Vec<Option<f64>>,
-    /// `None` = plain sum; `Some(alpha)` = EWMA with the given mixing factor.
-    ewma_alpha: Option<f64>,
 }
 
 impl ScoreTable {
-    /// A plain accumulating (running-sum) table.
+    /// An empty running-sum table.
     #[must_use]
     pub fn accumulating() -> Self {
-        Self {
-            scores: Vec::new(),
-            ewma_alpha: None,
-        }
-    }
-
-    /// An exponentially weighted table with mixing factor `alpha ∈ (0, 1]`:
-    /// `score' = (1−α)·score + α·observation` (charge-sharing semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn ewma(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "alpha must be in (0,1], got {alpha}"
-        );
-        Self {
-            scores: Vec::new(),
-            ewma_alpha: Some(alpha),
-        }
+        Self { scores: Vec::new() }
     }
 
     /// The entry of `token`, growing the vector to cover it.
@@ -81,12 +57,7 @@ impl ScoreTable {
     /// Records an observation for `token`. Unknown tokens are implicitly
     /// inserted at 0 first.
     pub fn observe(&mut self, token: usize, value: f64) {
-        let alpha = self.ewma_alpha;
-        let entry = self.entry(token).get_or_insert(0.0);
-        match alpha {
-            None => *entry += value,
-            Some(a) => *entry = (1.0 - a) * *entry + a * value,
-        }
+        *self.entry(token).get_or_insert(0.0) += value;
     }
 
     /// Removes a token, returning its accumulated score.
@@ -129,35 +100,19 @@ impl ScoreTable {
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             .map(|(t, _)| t)
     }
-
-    /// Tokens sorted by descending accumulated score (ties toward lower id,
-    /// total order via [`f64::total_cmp`]).
-    #[must_use]
-    pub fn ranked_desc(&self) -> Vec<usize> {
-        let mut v: Vec<(usize, f64)> = self
-            .scores
-            .iter()
-            .enumerate()
-            .filter_map(|(t, s)| s.map(|s| (t, s)))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(t, _)| t).collect()
-    }
 }
 
 impl PartialEq for ScoreTable {
-    /// Logical equality: the same accumulation mode and the same
-    /// (token, score) pairs, whatever the vector lengths (removing the
-    /// highest token leaves trailing `None`s behind).
+    /// Logical equality: the same (token, score) pairs, whatever the
+    /// vector lengths (removing the highest token leaves trailing `None`s
+    /// behind).
     fn eq(&self, other: &Self) -> bool {
         let (short, long) = if self.scores.len() <= other.scores.len() {
             (&self.scores, &other.scores)
         } else {
             (&other.scores, &self.scores)
         };
-        self.ewma_alpha == other.ewma_alpha
-            && short[..] == long[..short.len()]
-            && long[short.len()..].iter().all(Option::is_none)
+        short[..] == long[..short.len()] && long[short.len()..].iter().all(Option::is_none)
     }
 }
 
@@ -174,20 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_mixes() {
-        let mut t = ScoreTable::ewma(0.5);
-        t.observe(1, 1.0); // 0.5
-        t.observe(1, 1.0); // 0.75
-        assert!((t.get(1).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0,1]")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = ScoreTable::ewma(0.0);
-    }
-
-    #[test]
     fn min_among_finds_lowest_and_breaks_ties() {
         let mut t = ScoreTable::accumulating();
         t.insert(1, 0.3);
@@ -198,15 +139,6 @@ mod tests {
         assert_eq!(t.min_among(&[]), None);
         // Unknown candidates count as zero.
         assert_eq!(t.min_among(&[1, 99]), Some(99));
-    }
-
-    #[test]
-    fn ranked_desc_orders() {
-        let mut t = ScoreTable::accumulating();
-        t.insert(10, 0.5);
-        t.insert(20, 0.9);
-        t.insert(30, 0.1);
-        assert_eq!(t.ranked_desc(), vec![20, 10, 30]);
     }
 
     #[test]

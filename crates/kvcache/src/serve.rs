@@ -314,12 +314,6 @@ impl<'w> ServeCore<'w> {
         self
     }
 
-    /// The shared prefix registry, when one is equipped.
-    #[must_use]
-    pub fn prefix_registry(&self) -> Option<&PrefixRegistry> {
-        self.prefix_registry.as_ref()
-    }
-
     /// The core's configuration.
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
@@ -372,7 +366,7 @@ impl<'w> ServeCore<'w> {
     ///
     /// # Errors
     ///
-    /// [`HarnessError::InvalidSpec`] when `spec` cannot run under this
+    /// [`HarnessError::InvalidSpec`] when `spec`'s budget does not fit this
     /// core's per-session config ([`PolicySpec::validate_for`]) — checked
     /// here so a bad spec fails at the front door, not mid-flight.
     pub fn submit(

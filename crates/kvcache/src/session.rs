@@ -200,10 +200,9 @@ impl<'w> DecodeSession<'w, 'static> {
     }
 
     /// Admits a sequence from a serializable [`PolicySpec`], rejecting the
-    /// spec up front when it cannot be built **or when its budget does not
-    /// fit this session's slot budget**
-    /// ([`PolicySpec::validate_for`]) — a hybrid spec whose `H + M` does
-    /// not match `config.capacity` would otherwise silently mis-prune.
+    /// spec up front when its budget does not fit this session's slot
+    /// budget ([`PolicySpec::validate_for`]) — a hybrid spec whose `H + M`
+    /// does not match `config.capacity` would otherwise silently mis-prune.
     ///
     /// # Errors
     ///
@@ -529,12 +528,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
     #[must_use]
     pub fn policy_name(&self) -> &str {
         self.policy.as_ref().name()
-    }
-
-    /// The workload this session decodes.
-    #[must_use]
-    pub fn workload(&self) -> &'w DecodeWorkload {
-        self.workload
     }
 
     /// The configuration the session runs under.

@@ -12,9 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::HarnessError;
-use crate::policies::{
-    BlockTopK, FullCache, HybridStaticDynamic, OracleTopK, SnapKv, StreamingLlm, H2O,
-};
+use crate::policies::{FullCache, HybridStaticDynamic, OracleTopK, SnapKv, StreamingLlm, H2O};
 use crate::policy::Policy;
 use crate::sim::SimConfig;
 
@@ -53,12 +51,8 @@ pub enum PolicySpec {
     },
     /// [`OracleTopK`]: exact per-step dynamic top-k (upper bound).
     OracleTopK,
-    /// [`BlockTopK`]: block-granular dynamic selection.
-    BlockTopK {
-        /// Tokens per block (must be nonzero).
-        block: usize,
-    },
-    /// [`HybridStaticDynamic`]: the paper's hybrid scheme.
+    /// [`HybridStaticDynamic`]: the paper's hybrid scheme, with a
+    /// running-sum score table and the newest token protected.
     HybridStaticDynamic {
         /// Prefill heavy-token budget `H`.
         h: usize,
@@ -66,64 +60,43 @@ pub enum PolicySpec {
         m: usize,
         /// Dynamic top-k width.
         k: usize,
-        /// Most-recent generated tokens protected from eviction.
-        protect_recent: usize,
-        /// `Some(α)` switches the score table to EWMA (charge-sharing)
-        /// semantics; `None` is the paper's plain running sum.
-        ewma_alpha: Option<f64>,
     },
 }
 
 impl PolicySpec {
     /// Every registry name, in [`PolicySpec::from_name`] order. These are
     /// the same strings the built policies report from [`Policy::name`].
-    pub const NAMES: [&'static str; 7] = [
+    pub const NAMES: [&'static str; 6] = [
         "full",
         "streaming_llm",
         "h2o",
         "snapkv",
         "oracle_topk",
-        "block_topk",
         "hybrid_static_dynamic",
     ];
 
     /// The paper's hybrid scheme sized for a per-sequence slot share:
     /// `H = share - m` heavy prefill tokens, `m` reserved decode slots,
-    /// top-`k` selection, default recency protection.
+    /// top-`k` selection.
     #[must_use]
     pub fn hybrid_for_share(share: usize, m: usize, k: usize) -> Self {
         PolicySpec::HybridStaticDynamic {
             h: share.saturating_sub(m),
             m,
             k,
-            protect_recent: 1,
-            ewma_alpha: None,
         }
     }
 
     /// Re-sizes this spec for a per-sequence slot share: the hybrid scheme
-    /// re-splits its budget (`H = share − M`, same `M`, `k`, recency
-    /// protection, and EWMA mode), since its `H + M` *is* the cache size
-    /// ([`PolicySpec::validate_for`]); every other policy is
-    /// share-agnostic and passes through unchanged. This is how a serving
-    /// front end maps one configured policy onto whatever share its
-    /// admission controller hands each request.
+    /// re-splits its budget (`H = share − M`, same `M` and `k`), since its
+    /// `H + M` *is* the cache size ([`PolicySpec::validate_for`]); every
+    /// other policy is share-agnostic and passes through unchanged. This
+    /// is how a serving front end maps one configured policy onto whatever
+    /// share its admission controller hands each request.
     #[must_use]
     pub fn for_share(&self, share: usize) -> Self {
         match *self {
-            PolicySpec::HybridStaticDynamic {
-                m,
-                k,
-                protect_recent,
-                ewma_alpha,
-                ..
-            } => PolicySpec::HybridStaticDynamic {
-                h: share.saturating_sub(m),
-                m,
-                k,
-                protect_recent,
-                ewma_alpha,
-            },
+            PolicySpec::HybridStaticDynamic { m, k, .. } => Self::hybrid_for_share(share, m, k),
             ref other => other.clone(),
         }
     }
@@ -134,15 +107,14 @@ impl PolicySpec {
     ///
     /// The hybrid scheme needs its `M` reserved decode slots plus at least
     /// one static token (`m + 1`); StreamingLLM needs its sinks plus one
-    /// window slot; H2O needs its protected recents plus one heavy hitter;
-    /// BlockTopK needs one full block. Share-agnostic policies (full,
-    /// oracle, snapkv) degrade gracefully down to a single slot.
+    /// window slot; H2O needs its protected recents plus one heavy hitter.
+    /// Share-agnostic policies (full, oracle, snapkv) degrade gracefully
+    /// down to a single slot.
     #[must_use]
     pub fn min_viable_share(&self) -> usize {
         match *self {
             PolicySpec::StreamingLlm { n_sinks } => n_sinks + 1,
             PolicySpec::H2O { recent_budget } => recent_budget + 1,
-            PolicySpec::BlockTopK { block } => block.max(1),
             PolicySpec::HybridStaticDynamic { m, .. } => m + 1,
             PolicySpec::Full | PolicySpec::OracleTopK | PolicySpec::SnapKv { .. } => 1,
         }
@@ -150,9 +122,8 @@ impl PolicySpec {
 
     /// Looks a spec up by policy display name, with documented default
     /// parameters: 4 sinks (`streaming_llm`), recent budget 16 (`h2o`),
-    /// observation window 16 (`snapkv`), block size 8 (`block_topk`), and
-    /// an `H=80, M=16, k=32` hybrid (the 96-slot share the throughput
-    /// bench uses).
+    /// observation window 16 (`snapkv`), and an `H=80, M=16, k=32` hybrid
+    /// (the 96-slot share the throughput bench uses).
     ///
     /// # Errors
     ///
@@ -165,7 +136,6 @@ impl PolicySpec {
             "h2o" => Ok(PolicySpec::H2O { recent_budget: 16 }),
             "snapkv" => Ok(PolicySpec::SnapKv { obs_window: 16 }),
             "oracle_topk" => Ok(PolicySpec::OracleTopK),
-            "block_topk" => Ok(PolicySpec::BlockTopK { block: 8 }),
             "hybrid_static_dynamic" => Ok(PolicySpec::hybrid_for_share(96, 16, 32)),
             other => Err(HarnessError::UnknownPolicy {
                 name: other.to_owned(),
@@ -182,34 +152,12 @@ impl PolicySpec {
             PolicySpec::H2O { .. } => "h2o",
             PolicySpec::SnapKv { .. } => "snapkv",
             PolicySpec::OracleTopK => "oracle_topk",
-            PolicySpec::BlockTopK { .. } => "block_topk",
             PolicySpec::HybridStaticDynamic { .. } => "hybrid_static_dynamic",
         }
     }
 
-    /// Checks the spec's parameters are buildable.
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::InvalidSpec`] describing the bad parameter (today:
-    /// a zero `block_topk` block size, or an EWMA α outside `(0, 1]`).
-    pub fn validate(&self) -> Result<(), HarnessError> {
-        match self {
-            PolicySpec::BlockTopK { block: 0 } => Err(HarnessError::InvalidSpec {
-                reason: "block_topk block size must be nonzero".to_owned(),
-            }),
-            PolicySpec::HybridStaticDynamic {
-                ewma_alpha: Some(a),
-                ..
-            } if !(*a > 0.0 && *a <= 1.0) => Err(HarnessError::InvalidSpec {
-                reason: format!("hybrid ewma_alpha {a} outside (0, 1]"),
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Checks the spec is buildable **and** that its budget is consistent
-    /// with the slot budget of the [`SimConfig`] it is about to run under.
+    /// Checks that the spec's budget is consistent with the slot budget of
+    /// the [`SimConfig`] it is about to run under.
     ///
     /// The hybrid scheme's `H + M` split *is* the paper's fixed cache
     /// size: a spec whose `H + M` differs from the session's capacity
@@ -223,10 +171,8 @@ impl PolicySpec {
     ///
     /// # Errors
     ///
-    /// [`HarnessError::InvalidSpec`] naming the mismatched budget, or any
-    /// [`PolicySpec::validate`] error.
+    /// [`HarnessError::InvalidSpec`] naming the mismatched budget.
     pub fn validate_for(&self, config: &SimConfig) -> Result<(), HarnessError> {
-        self.validate()?;
         if let PolicySpec::HybridStaticDynamic { h, m, .. } = *self {
             if h + m != config.capacity {
                 return Err(HarnessError::InvalidSpec {
@@ -253,12 +199,6 @@ impl PolicySpec {
 
     /// Builds a fresh policy instance. Policies are [`Send`] by trait
     /// bound, so the built box can cross worker-pool threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`PolicySpec::validate`] (the engine
-    /// validates before building; call `validate` yourself when the spec
-    /// comes from untrusted data).
     #[must_use]
     pub fn build(&self) -> Box<dyn Policy> {
         match *self {
@@ -267,20 +207,9 @@ impl PolicySpec {
             PolicySpec::H2O { recent_budget } => Box::new(H2O::new(recent_budget)),
             PolicySpec::SnapKv { obs_window } => Box::new(SnapKv::new(obs_window)),
             PolicySpec::OracleTopK => Box::new(OracleTopK::new()),
-            PolicySpec::BlockTopK { block } => Box::new(BlockTopK::new(block)),
-            PolicySpec::HybridStaticDynamic {
-                h,
-                m,
-                k,
-                protect_recent,
-                ewma_alpha,
-            } => Box::new(HybridStaticDynamic::with_options(
-                h,
-                m,
-                k,
-                protect_recent,
-                ewma_alpha,
-            )),
+            PolicySpec::HybridStaticDynamic { h, m, k } => {
+                Box::new(HybridStaticDynamic::new(h, m, k))
+            }
         }
     }
 }
@@ -294,7 +223,6 @@ mod tests {
         for name in PolicySpec::NAMES {
             let spec = PolicySpec::from_name(name).unwrap();
             assert_eq!(spec.name(), name);
-            spec.validate().unwrap();
             assert_eq!(spec.build().name(), name);
         }
     }
@@ -307,25 +235,6 @@ mod tests {
                 name: "quest".into()
             })
         );
-    }
-
-    #[test]
-    fn invalid_specs_fail_validation() {
-        assert!(matches!(
-            PolicySpec::BlockTopK { block: 0 }.validate(),
-            Err(HarnessError::InvalidSpec { .. })
-        ));
-        let bad_alpha = PolicySpec::HybridStaticDynamic {
-            h: 8,
-            m: 4,
-            k: 4,
-            protect_recent: 1,
-            ewma_alpha: Some(1.5),
-        };
-        assert!(matches!(
-            bad_alpha.validate(),
-            Err(HarnessError::InvalidSpec { .. })
-        ));
     }
 
     #[test]
@@ -352,14 +261,10 @@ mod tests {
             spec.validate_for(&SimConfig::new(96, 32).with_prefill_budget(40)),
             Err(HarnessError::InvalidSpec { .. })
         ));
-        // Non-hybrid specs only need to be buildable.
+        // Non-hybrid specs carry no budget to cross-check.
         PolicySpec::Full
             .validate_for(&SimConfig::new(8, 4))
             .unwrap();
-        assert!(matches!(
-            PolicySpec::BlockTopK { block: 0 }.validate_for(&SimConfig::new(8, 4)),
-            Err(HarnessError::InvalidSpec { .. })
-        ));
     }
 
     #[test]
@@ -378,9 +283,7 @@ mod tests {
             PolicySpec::HybridStaticDynamic {
                 h: 80,
                 m: 16,
-                k: 32,
-                protect_recent: 1,
-                ewma_alpha: None,
+                k: 32
             }
         );
     }
@@ -391,8 +294,6 @@ mod tests {
             h: 80,
             m: 16,
             k: 32,
-            protect_recent: 2,
-            ewma_alpha: Some(0.5),
         };
         let resized = hybrid.for_share(48);
         assert_eq!(
@@ -401,8 +302,6 @@ mod tests {
                 h: 32,
                 m: 16,
                 k: 32,
-                protect_recent: 2,
-                ewma_alpha: Some(0.5),
             }
         );
         resized
@@ -423,7 +322,6 @@ mod tests {
             5
         );
         assert_eq!(PolicySpec::H2O { recent_budget: 16 }.min_viable_share(), 17);
-        assert_eq!(PolicySpec::BlockTopK { block: 8 }.min_viable_share(), 8);
         assert_eq!(
             PolicySpec::hybrid_for_share(96, 16, 32).min_viable_share(),
             17

@@ -30,9 +30,8 @@
 //! respect every layer's policy floor
 //! ([`PolicySpec::min_viable_share`](crate::PolicySpec::min_viable_share)).
 //!
-//! Per-layer occupancy and eviction counters accumulate into a
-//! [`ServerMetrics`] and surface in the final
-//! [`StackResult`]'s [`MetricsSummary`].
+//! The stack counts each layer's resident tokens and evictions itself and
+//! reports them in the final [`StackResult`].
 //!
 //! [`KvStore`]: unicaim_attention::KvStore
 
@@ -42,7 +41,6 @@ use unicaim_attention::Precision;
 
 use crate::allocator::{AllocatorSpec, BudgetAllocator};
 use crate::error::HarnessError;
-use crate::metrics::{MetricsSummary, ServerMetrics};
 use crate::session::{DecodeSession, StepOutcome};
 use crate::sim::{SimConfig, SimResult};
 use crate::spec::PolicySpec;
@@ -120,9 +118,12 @@ pub struct StackResult {
     /// Sum of the per-layer `mean_resident` — the stack's steady-state
     /// occupancy in slots, comparable against `global_budget`.
     pub total_mean_resident: f64,
-    /// Stack-level counters: per-layer mean occupancy and evictions live
-    /// in `layer_mean_occupancy` / `layer_evictions`.
-    pub metrics: MetricsSummary,
+    /// Mean resident tokens per layer, sampled after prefill and after
+    /// every decode step.
+    pub layer_mean_occupancy: Vec<f64>,
+    /// Evictions per layer: per-step overflow evictions plus
+    /// allocator-forced shrinks, the prefill settle included.
+    pub layer_evictions: Vec<u64>,
 }
 
 /// K per-layer [`DecodeSession`]s advanced in lockstep under one global
@@ -150,7 +151,11 @@ pub struct LayerStackSession<'w> {
     steps: usize,
     next_step: usize,
     reallocations: usize,
-    metrics: ServerMetrics,
+    /// Per-layer resident tokens summed over one sample after prefill
+    /// and one after each step.
+    resident_sums: Vec<u64>,
+    /// Per-layer evictions so far.
+    evictions: Vec<u64>,
     /// Per-step per-layer normalized entropies (reused scratch).
     entropy_scratch: Vec<f64>,
 }
@@ -197,7 +202,6 @@ impl<'w> LayerStackSession<'w> {
             }
         }
         allocator_spec.validate()?;
-        policy.validate()?;
 
         let floors: Vec<usize> = vec![policy.min_viable_share(); workloads.len()];
         let total_floor: usize = floors.iter().sum();
@@ -221,8 +225,9 @@ impl<'w> LayerStackSession<'w> {
         debug_assert_eq!(budgets.iter().sum::<usize>(), config.global_budget);
         debug_assert!(ceilings.iter().zip(&budgets).all(|(c, b)| c >= b));
 
-        let mut metrics = ServerMetrics::new(config.global_budget);
         let mut sessions = Vec::with_capacity(workloads.len());
+        let mut resident_sums = Vec::with_capacity(workloads.len());
+        let mut evictions = Vec::with_capacity(workloads.len());
         for (l, workload) in workloads.iter().enumerate() {
             let spec_l = policy.for_share(ceilings[l]);
             let cfg_l = SimConfig::reserved_decode_slots(
@@ -236,7 +241,8 @@ impl<'w> LayerStackSession<'w> {
             // the initial budget through the layer's own policy.
             session.set_capacity_limit(budgets[l]);
             let forced = session.shrink_to_limit()?;
-            metrics.note_layer_step(l, session.resident(), forced);
+            resident_sums.push(session.resident() as u64);
+            evictions.push(forced as u64);
             sessions.push(session);
         }
 
@@ -251,7 +257,8 @@ impl<'w> LayerStackSession<'w> {
             steps,
             next_step: 0,
             reallocations: 0,
-            metrics,
+            resident_sums,
+            evictions,
             entropy_scratch: Vec::with_capacity(workloads.len()),
         })
     }
@@ -314,14 +321,14 @@ impl<'w> LayerStackSession<'w> {
         }
         let step = self.next_step;
         let mut outcomes = Vec::with_capacity(self.sessions.len());
-        let mut evictions = vec![0usize; self.sessions.len()];
+        let mut evicted = vec![0usize; self.sessions.len()];
         self.entropy_scratch.clear();
         for (l, session) in self.sessions.iter_mut().enumerate() {
             let before = session.resident();
             let outcome = session.step()?;
             // An insert that did not grow the resident set replaced an
             // evicted victim.
-            evictions[l] += usize::from(outcome.inserted && outcome.resident == before);
+            evicted[l] += usize::from(outcome.inserted && outcome.resident == before);
             self.entropy_scratch
                 .push(normalized_entropy(session.last_observed()));
             outcomes.push(outcome);
@@ -335,15 +342,15 @@ impl<'w> LayerStackSession<'w> {
             debug_assert_eq!(next.iter().sum::<usize>(), self.global_budget);
             for (l, session) in self.sessions.iter_mut().enumerate() {
                 session.set_capacity_limit(next[l]);
-                evictions[l] += session.shrink_to_limit()?;
+                evicted[l] += session.shrink_to_limit()?;
             }
             self.budgets = next;
             self.reallocations += 1;
         }
 
         for (l, session) in self.sessions.iter().enumerate() {
-            self.metrics
-                .note_layer_step(l, session.resident(), evictions[l]);
+            self.resident_sums[l] += session.resident() as u64;
+            self.evictions[l] += evicted[l] as u64;
         }
         self.next_step += 1;
         Ok(outcomes)
@@ -368,6 +375,12 @@ impl<'w> LayerStackSession<'w> {
     pub fn finish(self) -> StackResult {
         let budgets = self.budgets;
         let reallocations = self.reallocations;
+        let samples = (self.next_step + 1) as f64;
+        let layer_mean_occupancy = self
+            .resident_sums
+            .iter()
+            .map(|&sum| sum as f64 / samples)
+            .collect();
         let per_layer: Vec<SimResult> = self
             .sessions
             .into_iter()
@@ -385,7 +398,8 @@ impl<'w> LayerStackSession<'w> {
             mean_output_cosine: mean(|r| r.output_cosine),
             total_mean_resident: per_layer.iter().map(|r| r.mean_resident).sum(),
             per_layer,
-            metrics: self.metrics.summary(),
+            layer_mean_occupancy,
+            layer_evictions: self.evictions,
         }
     }
 }
@@ -543,9 +557,38 @@ mod tests {
         }
         let result = stack.finish();
         assert_eq!(result.per_layer.len(), 3);
-        assert_eq!(result.metrics.layer_mean_occupancy.len(), 3);
-        assert_eq!(result.metrics.layer_evictions.len(), 3);
+        assert_eq!(result.layer_mean_occupancy.len(), 3);
+        assert_eq!(result.layer_evictions.len(), 3);
         assert!(result.total_mean_resident <= 96.0 + f64::EPSILON);
+    }
+
+    #[test]
+    fn layer_counters_accumulate_per_layer() {
+        let layers = layer_stack_tasks(3, 64, 12, 5);
+        let spec = hybrid_for(24);
+        let config = StackConfig::new(72, 8).with_reserved_decode_slots(8);
+        let mut stack =
+            LayerStackSession::prefill(&layers, &spec, &AllocatorSpec::Uniform, &config).unwrap();
+        let prefilled: Vec<usize> = stack.sessions.iter().map(DecodeSession::resident).collect();
+        let mut sums: Vec<usize> = prefilled.clone();
+        let mut inserted = [0usize; 3];
+        while !stack.is_done() {
+            for (l, outcome) in stack.step().unwrap().iter().enumerate() {
+                sums[l] += outcome.resident;
+                inserted[l] += usize::from(outcome.inserted);
+            }
+        }
+        let last: Vec<usize> = stack.sessions.iter().map(DecodeSession::resident).collect();
+        let result = stack.finish();
+        for l in 0..3 {
+            // One sample after prefill, one after each of the 12 steps.
+            assert_eq!(result.layer_mean_occupancy[l], sums[l] as f64 / 13.0);
+            // A uniform split never shrinks a layer, so every token that
+            // left the cache was a step's eviction.
+            let evicted = prefilled[l] + inserted[l] - last[l];
+            assert_eq!(result.layer_evictions[l], evicted as u64);
+        }
+        assert!(result.layer_evictions.iter().any(|&e| e > 0), "{result:?}");
     }
 
     #[test]

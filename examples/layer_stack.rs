@@ -111,12 +111,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  per-layer mean occupancy {:?}, evictions {:?}",
         dynamic
-            .metrics
             .layer_mean_occupancy
             .iter()
             .map(|x| (x * 10.0).round() / 10.0)
             .collect::<Vec<_>>(),
-        dynamic.metrics.layer_evictions,
+        dynamic.layer_evictions,
     );
     assert!(moves > 0, "the gate scenario must trigger reallocation");
     assert!(dynamic.mean_retrieval_accuracy > uniform.mean_retrieval_accuracy);

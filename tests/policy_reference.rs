@@ -2,13 +2,13 @@
 //! map-based implementations of the same rules.
 //!
 //! The reference policies below keep their state the plain way: a
-//! `BTreeMap` score table with `min_among`, a recency list that grows by
-//! one entry per decoded token, a closure-driven `partial_top_k_by` top-k
-//! over an index vector, and an H2O eviction that copies and sorts the
-//! resident list. Each shipped policy and its reference run through
-//! `DecodeSession` on the same inputs, at every key precision, with caches
-//! small enough that most steps evict; every selection, every eviction
-//! answer and the final `SimResult` must match.
+//! `BTreeMap` running-sum score table with `min_among`, a list of every
+//! inserted token whose last entry is the protected one, a closure-driven
+//! `partial_top_k_by` top-k over an index vector, and an H2O eviction that
+//! copies and sorts the resident list. Each shipped policy and its
+//! reference run through `DecodeSession` on the same inputs, at every key
+//! precision, with caches small enough that most steps evict; every
+//! selection, every eviction answer and the final `SimResult` must match.
 
 use std::collections::BTreeMap;
 
@@ -25,31 +25,21 @@ use unicaim_repro::kvcache::{
 const PREFILL: usize = 64;
 const DECODE: usize = 24;
 const K: usize = 6;
-/// Cache sizes: 3 slots puts every resident under a 3-token recency
+/// Cache sizes: 3 slots puts every resident under H2O's 3-token recency
 /// guard; 16 makes most steps evict past the prefill budget.
 const CAPACITIES: [usize; 2] = [3, 16];
-const PROTECT: [usize; 3] = [0, 1, 3];
+/// H2O recency budgets.
+const RECENT: [usize; 3] = [0, 1, 3];
 
-/// The map-based accumulated-score table.
+/// The map-based running-sum score table.
+#[derive(Default)]
 struct MapScores {
     scores: BTreeMap<usize, f64>,
-    ewma_alpha: Option<f64>,
 }
 
 impl MapScores {
-    fn new(ewma_alpha: Option<f64>) -> Self {
-        Self {
-            scores: BTreeMap::new(),
-            ewma_alpha,
-        }
-    }
-
     fn observe(&mut self, token: usize, value: f64) {
-        let entry = self.scores.entry(token).or_insert(0.0);
-        match self.ewma_alpha {
-            None => *entry += value,
-            Some(a) => *entry = (1.0 - a) * *entry + a * value,
-        }
+        *self.scores.entry(token).or_insert(0.0) += value;
     }
 
     fn min_among(&self, candidates: &[usize]) -> Option<usize> {
@@ -77,9 +67,9 @@ fn reference_top_k(scored: &[(usize, f32)], k: usize) -> StepDecision {
 struct ReferenceHybrid {
     h: usize,
     k: usize,
-    protect_recent: usize,
     table: MapScores,
-    newest: Vec<usize>,
+    /// Every inserted token, in insertion order.
+    inserted: Vec<usize>,
 }
 
 impl Policy for ReferenceHybrid {
@@ -110,17 +100,11 @@ impl Policy for ReferenceHybrid {
         if resident.is_empty() {
             return None;
         }
-        let protected: Vec<usize> = self
-            .newest
-            .iter()
-            .rev()
-            .take(self.protect_recent)
-            .copied()
-            .collect();
+        let protected = self.inserted.last();
         let candidates: Vec<usize> = resident
             .iter()
             .copied()
-            .filter(|t| !protected.contains(t))
+            .filter(|t| Some(t) != protected)
             .collect();
         let victim = if candidates.is_empty() {
             resident.to_vec()
@@ -136,7 +120,7 @@ impl Policy for ReferenceHybrid {
 
     fn note_inserted(&mut self, token: usize) {
         self.table.scores.insert(token, 0.0);
-        self.newest.push(token);
+        self.inserted.push(token);
     }
 }
 
@@ -324,32 +308,23 @@ fn hybrid_decides_like_the_map_based_reference() {
                 let cfg =
                     SimConfig::reserved_decode_slots(capacity, K, m).with_precision(precision);
                 let h = capacity - m;
-                for protect in PROTECT {
-                    for alpha in [None, Some(0.25)] {
-                        let label = format!(
-                            "{} {} cap {capacity} protect {protect} ewma {alpha:?}",
-                            workload.name,
-                            precision.label()
-                        );
-                        let evictions = assert_same(
-                            &label,
-                            workload,
-                            &cfg,
-                            HybridStaticDynamic::with_options(h, m, K, protect, alpha),
-                            ReferenceHybrid {
-                                h,
-                                k: K,
-                                protect_recent: protect,
-                                table: MapScores::new(alpha),
-                                newest: Vec::new(),
-                            },
-                        );
-                        assert!(
-                            evictions >= DECODE - m,
-                            "{label}: only {evictions} evictions"
-                        );
-                    }
-                }
+                let label = format!("{} {} cap {capacity}", workload.name, precision.label());
+                let evictions = assert_same(
+                    &label,
+                    workload,
+                    &cfg,
+                    HybridStaticDynamic::new(h, m, K),
+                    ReferenceHybrid {
+                        h,
+                        k: K,
+                        table: MapScores::default(),
+                        inserted: Vec::new(),
+                    },
+                );
+                assert!(
+                    evictions >= DECODE - m,
+                    "{label}: only {evictions} evictions"
+                );
             }
         }
     }
@@ -361,7 +336,7 @@ fn h2o_evicts_like_the_copy_and_sort_reference() {
         for precision in Precision::ALL {
             for capacity in CAPACITIES {
                 let cfg = SimConfig::new(capacity, K).with_precision(precision);
-                for recent in PROTECT {
+                for recent in RECENT {
                     let label = format!(
                         "{} {} cap {capacity} recent {recent}",
                         workload.name,
@@ -374,7 +349,7 @@ fn h2o_evicts_like_the_copy_and_sort_reference() {
                         H2O::new(recent),
                         ReferenceH2O {
                             recent_budget: recent,
-                            table: MapScores::new(None),
+                            table: MapScores::default(),
                         },
                     );
                     assert_eq!(evictions, DECODE, "{label}: every step must evict");
