@@ -17,19 +17,19 @@
 //!
 //! # Layout
 //!
-//! Keys, values, and the quantized key shadow live in fixed-size
-//! [`Page`]s drawn from a shared [`PageArena`]; the store holds a logical
-//! page table mapping slot `s` to row `s % page_rows` of page
-//! `s / page_rows`. Rows never span pages, so slot `s` is still one
-//! contiguous `dim`-wide slice and the decode hot path (score every
-//! resident, fused attention over a selection) runs over the paged views
-//! ([`PagedRows`], [`PagedQuantRows`]) with one extra indirection per
-//! row. Pages are refcounted ([`PageHandle`]): cloning a store — or
-//! splicing a cached prefix into a fresh one via
-//! [`KvStore::from_shared_prefix`] — shares the physical pages, and any
-//! write or eviction that touches a shared page copies it first
-//! (copy-on-write, see the [`paged`](crate::paged) module docs). Freed
-//! slots are zeroed so structural equality sees only logical content.
+//! Keys, values, and the quantized key shadow live in [`Page`]s of
+//! [`PAGE_ROWS`] rows drawn from a shared [`PageArena`]; the store holds a
+//! logical page table mapping each slot to its page and row. Rows never
+//! span pages, so a slot is still one contiguous `dim`-wide slice and the
+//! decode hot path (score every resident, fused attention over a
+//! selection) runs over the paged views ([`PagedRows`],
+//! [`PagedQuantRows`]) with one extra indirection per row. Pages are
+//! refcounted ([`PageHandle`]): cloning a store — or splicing a cached
+//! prefix into a fresh one via [`KvStore::from_shared_prefix`] — shares
+//! the physical pages, and any write or eviction that touches a shared
+//! page copies it first (copy-on-write, see the [`paged`](crate::paged)
+//! module docs). Freed slots are zeroed so structural equality sees only
+//! logical content.
 //!
 //! Token ids must be unique across occupied slots (the token → slot index
 //! requires it); writing a token that is already resident in a *different*
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::kernels;
-use crate::paged::{Page, PageArena, PageHandle, PagedQuantRows, PagedRows, DEFAULT_PAGE_ROWS};
+use crate::paged::{Page, PageArena, PageHandle, PagedQuantRows, PagedRows, PAGE_ROWS};
 use crate::AttentionError;
 
 /// Key-arena storage precision: how [`KvStore`] stores (and the decode
@@ -104,20 +104,18 @@ impl Precision {
 /// original (refcounts bump, no row is copied), and copy-on-write keeps
 /// the two logically independent from the first mutation onward.
 /// Equality is *logical*: two stores compare equal when their per-slot
-/// contents match, regardless of how the rows are distributed over pages
-/// or which arena owns them.
+/// contents match, regardless of which pages are shared or which arena
+/// owns them.
 #[derive(Debug, Clone)]
 pub struct KvStore {
     dim: usize,
     capacity: usize,
     /// Key-arena storage precision.
     precision: Precision,
-    /// Rows per page (fixed per arena).
-    page_rows: usize,
     /// The arena pages are drawn from and recycled into.
     arena: PageArena,
-    /// The page table: slot `s` lives in `pages[s / page_rows]` at row
-    /// `s % page_rows`. Always `ceil(capacity / page_rows)` entries.
+    /// The page table: slot `s` lives in `pages[s / PAGE_ROWS]` at row
+    /// `s % PAGE_ROWS`. Always `ceil(capacity / PAGE_ROWS)` entries.
     pages: Vec<PageHandle>,
     /// Logical token held by each slot.
     tokens: Vec<Option<usize>>,
@@ -155,26 +153,23 @@ impl KvStore {
     #[must_use]
     pub fn with_precision(capacity: usize, dim: usize, precision: Precision) -> Self {
         assert!(dim > 0, "KvStore requires dim > 0");
-        let arena = PageArena::new(dim, DEFAULT_PAGE_ROWS);
+        let arena = PageArena::new(dim);
         Self::with_arena(&arena, capacity, precision)
     }
 
-    /// Creates an empty store drawing its pages from `arena` (the shape —
-    /// `dim`, rows per page — comes from the arena, and [`PageArena::new`]
-    /// already rejects degenerate shapes). Stores sharing one arena reuse
-    /// each other's recycled pages and share one set of
-    /// [`ArenaStats`](crate::paged::ArenaStats).
+    /// Creates an empty store drawing its pages from `arena` (`dim` comes
+    /// from the arena, and [`PageArena::new`] already rejects a zero
+    /// `dim`). Stores sharing one arena reuse each other's recycled pages
+    /// and share one set of [`ArenaStats`](crate::paged::ArenaStats).
     #[must_use]
     pub fn with_arena(arena: &PageArena, capacity: usize, precision: Precision) -> Self {
         let dim = arena.dim();
-        let page_rows = arena.page_rows();
-        let n_pages = capacity.div_ceil(page_rows);
+        let n_pages = capacity.div_ceil(PAGE_ROWS);
         let pages = (0..n_pages).map(|_| arena.alloc()).collect();
         Self {
             dim,
             capacity,
             precision,
-            page_rows,
             arena: arena.clone(),
             pages,
             tokens: vec![None; capacity],
@@ -192,7 +187,7 @@ impl KvStore {
     ///
     /// # Panics
     ///
-    /// Panics if the shared pages don't match the arena's page shape, if
+    /// Panics if the shared pages don't match the arena's row width, if
     /// they exceed the store's page table, if `prefix_tokens` addresses
     /// rows past the shared pages (or `capacity`), or if a prefix token
     /// id repeats.
@@ -205,23 +200,22 @@ impl KvStore {
         prefix_tokens: &[usize],
     ) -> Self {
         let dim = arena.dim();
-        let page_rows = arena.page_rows();
-        let n_pages = capacity.div_ceil(page_rows);
+        let n_pages = capacity.div_ceil(PAGE_ROWS);
         assert!(
             shared.len() <= n_pages,
             "shared prefix of {} pages exceeds the {n_pages}-page table",
             shared.len()
         );
         assert!(
-            prefix_tokens.len() <= shared.len() * page_rows && prefix_tokens.len() <= capacity,
+            prefix_tokens.len() <= shared.len() * PAGE_ROWS && prefix_tokens.len() <= capacity,
             "{} prefix tokens do not fit the shared pages / capacity {capacity}",
             prefix_tokens.len()
         );
         let mut pages: Vec<PageHandle> = Vec::with_capacity(n_pages);
         for page in shared {
             assert!(
-                page.dim() == dim && page.rows() == page_rows,
-                "shared page shape does not match the arena"
+                page.dim() == dim,
+                "shared page dim does not match the arena"
             );
             pages.push(Arc::clone(page));
         }
@@ -240,7 +234,6 @@ impl KvStore {
             dim,
             capacity,
             precision,
-            page_rows,
             arena: arena.clone(),
             pages,
             tokens,
@@ -278,13 +271,7 @@ impl KvStore {
         self.by_token.is_empty()
     }
 
-    /// Rows per page in this store's page table.
-    #[must_use]
-    pub fn page_rows(&self) -> usize {
-        self.page_rows
-    }
-
-    /// The page table (one handle per `page_rows` slots).
+    /// The page table (one handle per [`PAGE_ROWS`] slots).
     #[must_use]
     pub fn pages(&self) -> &[PageHandle] {
         &self.pages
@@ -322,13 +309,13 @@ impl KvStore {
     /// read [`KvStore::quant_keys_view`] instead.
     #[must_use]
     pub fn keys_view(&self) -> PagedRows<'_> {
-        PagedRows::keys(&self.pages, self.dim, self.page_rows)
+        PagedRows::keys(&self.pages, self.dim)
     }
 
     /// The value plane as a [`PagedRows`] view.
     #[must_use]
     pub fn values_view(&self) -> PagedRows<'_> {
-        PagedRows::values(&self.pages, self.dim, self.page_rows)
+        PagedRows::values(&self.pages, self.dim)
     }
 
     /// The quantized key plane as a [`PagedQuantRows`] view, or `None` for
@@ -337,7 +324,7 @@ impl KvStore {
     pub fn quant_keys_view(&self) -> Option<PagedQuantRows<'_>> {
         self.precision
             .is_quantized()
-            .then(|| PagedQuantRows::new(&self.pages, self.dim, self.page_rows))
+            .then(|| PagedQuantRows::new(&self.pages, self.dim))
     }
 
     /// Key bytes a full scan reads at this store's precision: `f32`
@@ -417,8 +404,8 @@ impl KvStore {
         }
         let dim = self.dim;
         let precision = self.precision;
-        let row = slot % self.page_rows;
-        let page = self.page_mut(slot / self.page_rows);
+        let row = slot % PAGE_ROWS;
+        let page = self.page_mut(slot / PAGE_ROWS);
         let base = row * dim;
         page.keys[base..base + dim].copy_from_slice(key);
         page.values[base..base + dim].copy_from_slice(value);
@@ -489,8 +476,8 @@ impl KvStore {
         if let Some(token) = prev {
             self.unindex(token);
             let dim = self.dim;
-            let row = slot % self.page_rows;
-            let page = self.page_mut(slot / self.page_rows);
+            let row = slot % PAGE_ROWS;
+            let page = self.page_mut(slot / PAGE_ROWS);
             let base = row * dim;
             page.keys[base..base + dim].fill(0.0);
             page.values[base..base + dim].fill(0.0);
@@ -523,9 +510,9 @@ impl KvStore {
 
 impl PartialEq for KvStore {
     /// Logical equality: same shape, precision, occupancy, and per-slot
-    /// contents. Page-table layout (rows per page, which pages are
-    /// shared, which arena owns them) is invisible — a spliced store and
-    /// a cold-built one with the same rows compare equal.
+    /// contents. Page-table layout (which pages are shared, which arena
+    /// owns them) is invisible — a spliced store and a cold-built one with
+    /// the same rows compare equal.
     fn eq(&self, other: &Self) -> bool {
         if self.dim != other.dim
             || self.capacity != other.capacity
@@ -804,49 +791,53 @@ mod tests {
     #[test]
     fn dropping_last_holder_returns_pages_to_free_list() {
         // CoW edge case (satellite): refcount reaching zero recycles.
-        let arena = PageArena::new(2, 2);
-        let pages_for = |cap: usize| cap.div_ceil(2);
+        let arena = PageArena::new(2);
+        let pages_for = |cap: usize| cap.div_ceil(PAGE_ROWS);
         {
-            let mut store = KvStore::with_arena(&arena, 4, Precision::F32);
-            append(&mut store, 1, 2, 0.3).unwrap();
+            // A prompt longer than one page.
+            let mut store = KvStore::with_arena(&arena, 40, Precision::F32);
+            for t in 0..20 {
+                append(&mut store, t, 2, 0.3).unwrap();
+            }
             assert_eq!(arena.free_pages(), 0);
         }
-        assert_eq!(arena.free_pages(), pages_for(4));
-        assert_eq!(arena.stats().recycled as usize, pages_for(4));
+        assert_eq!(arena.free_pages(), pages_for(40));
+        assert_eq!(arena.stats().recycled as usize, pages_for(40));
         // A clone pair only recycles once both are gone.
-        let store = KvStore::with_arena(&arena, 2, Precision::F32);
+        let store = KvStore::with_arena(&arena, 20, Precision::F32);
         let twin = store.clone();
         drop(store);
-        assert_eq!(arena.free_pages(), pages_for(4) - pages_for(2));
+        assert_eq!(arena.free_pages(), pages_for(40) - pages_for(20));
         drop(twin);
-        assert_eq!(arena.free_pages(), pages_for(4));
+        assert_eq!(arena.free_pages(), pages_for(40));
     }
 
     #[test]
     fn from_shared_prefix_splices_pages_bit_identically() {
-        // The prefix is not in token order, so the token index is sorted
-        // on splice rather than taken from slot order.
-        let prefix = [9usize, 4, 7];
-        let arena = PageArena::new(3, 2);
-        let mut cold = KvStore::with_arena(&arena, 6, Precision::Cell3Bit);
+        // A 20-token prefix spanning two pages, not in token order, so the
+        // token index is sorted on splice rather than taken from slot
+        // order.
+        let prefix: Vec<usize> = (0..20).map(|i| (i * 7 + 9) % 20).collect();
+        let arena = PageArena::new(3);
+        let mut cold = KvStore::with_arena(&arena, 48, Precision::Cell3Bit);
         for (i, t) in prefix.iter().enumerate() {
             cold.write_slot_parts(i, *t, &[0.1 * (i as f32 + 1.0); 3], &[0.2; 3])
                 .unwrap();
         }
-        // Cache the pages covering the three prefix rows (2 of 3 pages).
+        // Cache the pages covering the prefix rows (2 of 3 pages).
         let shared: Vec<PageHandle> = cold.pages()[..2].to_vec();
-        let spliced = KvStore::from_shared_prefix(&arena, 6, Precision::Cell3Bit, &shared, &prefix);
+        let spliced =
+            KvStore::from_shared_prefix(&arena, 48, Precision::Cell3Bit, &shared, &prefix);
         assert_eq!(spliced, cold, "splice must reproduce the prefix exactly");
-        assert_eq!(spliced.len(), 3);
-        assert_eq!(
-            spliced.iter_tokens().collect::<Vec<_>>(),
-            vec![(4, 1), (7, 2), (9, 0)]
-        );
-        assert_eq!(spliced.slot_of_token(9), Some(0));
-        assert_eq!(spliced.slot_of_token(4), Some(1));
-        assert_eq!(spliced.slot_of_token(5), None);
+        assert_eq!(spliced.len(), 20);
+        assert!(spliced.iter_tokens().map(|(t, _)| t).eq(0..20));
+        for (slot, &t) in prefix.iter().enumerate() {
+            assert_eq!(spliced.slot_of_token(t), Some(slot));
+        }
+        assert_eq!(spliced.slot_of_token(20), None);
         // Shared pages: cold + registry handle + spliced = refcount 3.
         assert_eq!(spliced.page_refcount(0), 3);
+        assert_eq!(spliced.page_refcount(1), 3);
         // The tail page was freshly allocated, not shared.
         assert_eq!(spliced.page_refcount(2), 1);
     }
@@ -854,22 +845,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "prefix token 4 repeats")]
     fn from_shared_prefix_rejects_a_repeated_token() {
-        let arena = PageArena::new(2, 4);
+        let arena = PageArena::new(2);
         let shared = vec![arena.alloc()];
         let _ = KvStore::from_shared_prefix(&arena, 4, Precision::F32, &shared, &[4, 9, 4]);
     }
 
     #[test]
-    fn equality_is_logical_across_page_geometries() {
-        let coarse = PageArena::new(2, 4);
-        let fine = PageArena::new(2, 1);
-        let mut a = KvStore::with_arena(&coarse, 3, Precision::Int8);
-        let mut b = KvStore::with_arena(&fine, 3, Precision::Int8);
+    fn equality_is_logical_across_arenas_and_sharing() {
+        let arena = PageArena::new(2);
+        let mut a = KvStore::with_arena(&arena, 3, Precision::Int8);
+        let mut b = KvStore::with_precision(3, 2, Precision::Int8);
         for s in [&mut a, &mut b] {
             append(s, 5, 2, 0.7).unwrap();
             append(s, 6, 2, 0.1).unwrap();
         }
-        assert_eq!(a, b, "page geometry must not affect equality");
+        let twin = a.clone();
+        assert_eq!(a, b, "arena and page sharing must not affect equality");
+        assert_eq!(twin, b);
         b.evict_slot(1).unwrap();
         assert_ne!(a, b);
     }

@@ -44,9 +44,7 @@ pub mod workloads;
 pub use kernels::{active_backend, KernelBackend};
 pub use kv::{KvStore, Precision};
 pub use matrix::{attention_output, attention_scores, softmax_in_place, Matrix};
-pub use paged::{
-    ArenaStats, Page, PageArena, PageHandle, PagedQuantRows, PagedRows, DEFAULT_PAGE_ROWS,
-};
+pub use paged::{ArenaStats, Page, PageArena, PageHandle, PagedQuantRows, PagedRows, PAGE_ROWS};
 
 /// Errors reported by the attention substrate.
 #[derive(Debug, Clone, PartialEq)]

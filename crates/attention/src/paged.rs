@@ -5,11 +5,12 @@
 //! historically keeps one private `capacity × dim` arena per store, so N
 //! sessions decoding against the same system prompt hold N physical copies
 //! of identical prefix rows. This module restructures the storage into
-//! **pages**: fixed-size blocks of [`Page::rows`] KV rows (key plane,
+//! **pages**: fixed-size blocks of [`PAGE_ROWS`] KV rows (key plane,
 //! value plane, and the quantized key shadow in lockstep) handed out as
 //! refcounted [`PageHandle`]s. A store's "arena" becomes a logical page
-//! table mapping slot `s` to `(page s / rows, row s % rows)`, and two
-//! stores that share a prefix simply hold clones of the same handles.
+//! table mapping slot `s` to `(page s / PAGE_ROWS, row s % PAGE_ROWS)`,
+//! and two stores that share a prefix simply hold clones of the same
+//! handles.
 //!
 //! # Refcount / copy-on-write invariants
 //!
@@ -35,19 +36,18 @@
 
 use std::sync::{Arc, Mutex};
 
-/// Rows per page when a store allocates its own arena: small enough that
-/// a partially filled tail page wastes little, large enough that the
-/// slot → page indirection stays off the profile.
-pub const DEFAULT_PAGE_ROWS: usize = 16;
+/// Rows per page: small enough that a partially filled tail page wastes
+/// little, large enough that the slot → page indirection stays off the
+/// profile. A power of two, so that indirection is a shift and a mask.
+pub const PAGE_ROWS: usize = 16;
 
-/// One fixed-size block of KV rows: `rows × dim` keys and values plus the
-/// quantized key shadow (`i8` levels and one scale per row), all zeroed
-/// until written. Pages are immutable while shared — mutation goes
+/// One fixed-size block of KV rows: `PAGE_ROWS × dim` keys and values
+/// plus the quantized key shadow (`i8` levels and one scale per row), all
+/// zeroed until written. Pages are immutable while shared — mutation goes
 /// through a [`PageHandle`] with refcount 1 (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Page {
     dim: usize,
-    rows: usize,
     pub(crate) keys: Vec<f32>,
     pub(crate) values: Vec<f32>,
     pub(crate) qkeys: Vec<i8>,
@@ -55,14 +55,13 @@ pub struct Page {
 }
 
 impl Page {
-    fn zeroed(dim: usize, rows: usize) -> Self {
+    fn zeroed(dim: usize) -> Self {
         Self {
             dim,
-            rows,
-            keys: vec![0.0; rows * dim],
-            values: vec![0.0; rows * dim],
-            qkeys: vec![0; rows * dim],
-            qscales: vec![0.0; rows],
+            keys: vec![0.0; PAGE_ROWS * dim],
+            values: vec![0.0; PAGE_ROWS * dim],
+            qkeys: vec![0; PAGE_ROWS * dim],
+            qscales: vec![0.0; PAGE_ROWS],
         }
     }
 
@@ -75,7 +74,6 @@ impl Page {
 
     fn copy_from(&mut self, src: &Page) {
         debug_assert_eq!(self.dim, src.dim);
-        debug_assert_eq!(self.rows, src.rows);
         self.keys.copy_from_slice(&src.keys);
         self.values.copy_from_slice(&src.values);
         self.qkeys.copy_from_slice(&src.qkeys);
@@ -86,12 +84,6 @@ impl Page {
     #[must_use]
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Number of rows this page holds.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 }
 
@@ -127,7 +119,6 @@ pub struct ArenaStats {
 pub struct PageArena {
     inner: Arc<Mutex<ArenaInner>>,
     dim: usize,
-    page_rows: usize,
 }
 
 #[derive(Debug, Default)]
@@ -137,21 +128,18 @@ struct ArenaInner {
 }
 
 impl PageArena {
-    /// Creates an arena for pages of `page_rows` rows of width `dim`.
+    /// Creates an arena for pages whose rows are `dim` wide.
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0` or `page_rows == 0` (degenerate pages would
-    /// alias every row, same contract as
-    /// [`KvStore::new`](crate::KvStore::new)).
+    /// Panics if `dim == 0` (degenerate pages would alias every row, same
+    /// contract as [`KvStore::new`](crate::KvStore::new)).
     #[must_use]
-    pub fn new(dim: usize, page_rows: usize) -> Self {
+    pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "PageArena requires dim > 0");
-        assert!(page_rows > 0, "PageArena requires page_rows > 0");
         Self {
             inner: Arc::new(Mutex::new(ArenaInner::default())),
             dim,
-            page_rows,
         }
     }
 
@@ -159,12 +147,6 @@ impl PageArena {
     #[must_use]
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Rows per page.
-    #[must_use]
-    pub fn page_rows(&self) -> usize {
-        self.page_rows
     }
 
     fn locked(&self) -> std::sync::MutexGuard<'_, ArenaInner> {
@@ -186,7 +168,7 @@ impl PageArena {
             }
             None => {
                 inner.stats.allocated += 1;
-                Page::zeroed(self.dim, self.page_rows)
+                Page::zeroed(self.dim)
             }
         }
     }
@@ -202,11 +184,10 @@ impl PageArena {
     ///
     /// # Panics
     ///
-    /// Panics if `src` came from an arena with a different page shape.
+    /// Panics if `src` came from an arena with a different row width.
     #[must_use]
     pub fn cow_copy(&self, src: &PageHandle) -> PageHandle {
         assert_eq!(src.dim(), self.dim, "page dim mismatch");
-        assert_eq!(src.rows(), self.page_rows, "page rows mismatch");
         let mut page = self.take_or_create();
         page.copy_from(src);
         self.locked().stats.cow_copies += 1;
@@ -220,7 +201,7 @@ impl PageArena {
     /// remaining holders keep the page alive.
     pub fn recycle(&self, page: PageHandle) {
         if let Ok(mut page) = Arc::try_unwrap(page) {
-            if page.dim() == self.dim && page.rows() == self.page_rows {
+            if page.dim() == self.dim {
                 page.zero();
                 let mut inner = self.locked();
                 inner.stats.recycled += 1;
@@ -252,7 +233,7 @@ enum Plane {
 /// A non-allocating, row-addressable view over the `f32` key or value
 /// plane of a page table — the paged twin of
 /// [`RowView`](crate::kernels::RowView). Logical row `r` resolves to row
-/// `r % page_rows` of page `r / page_rows`; rows never span pages, so
+/// `r % PAGE_ROWS` of page `r / PAGE_ROWS`; rows never span pages, so
 /// each row is still one contiguous slice and the flat kernels walk the
 /// non-contiguous pages through the [`Rows`](crate::kernels::Rows) trait
 /// without copying.
@@ -261,39 +242,32 @@ pub struct PagedRows<'a> {
     pages: &'a [PageHandle],
     plane: Plane,
     dim: usize,
-    page_rows: usize,
 }
 
 impl<'a> PagedRows<'a> {
-    fn new(pages: &'a [PageHandle], plane: Plane, dim: usize, page_rows: usize) -> Self {
+    fn new(pages: &'a [PageHandle], plane: Plane, dim: usize) -> Self {
         assert!(dim > 0, "PagedRows requires dim > 0");
-        assert!(page_rows > 0, "PagedRows requires page_rows > 0");
-        Self {
-            pages,
-            plane,
-            dim,
-            page_rows,
-        }
+        Self { pages, plane, dim }
     }
 
     /// A view of the key plane.
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0` or `page_rows == 0`.
+    /// Panics if `dim == 0`.
     #[must_use]
-    pub fn keys(pages: &'a [PageHandle], dim: usize, page_rows: usize) -> Self {
-        Self::new(pages, Plane::Keys, dim, page_rows)
+    pub fn keys(pages: &'a [PageHandle], dim: usize) -> Self {
+        Self::new(pages, Plane::Keys, dim)
     }
 
     /// A view of the value plane.
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0` or `page_rows == 0`.
+    /// Panics if `dim == 0`.
     #[must_use]
-    pub fn values(pages: &'a [PageHandle], dim: usize, page_rows: usize) -> Self {
-        Self::new(pages, Plane::Values, dim, page_rows)
+    pub fn values(pages: &'a [PageHandle], dim: usize) -> Self {
+        Self::new(pages, Plane::Values, dim)
     }
 
     /// Logical row width.
@@ -310,8 +284,8 @@ impl<'a> PagedRows<'a> {
     #[inline]
     #[must_use]
     pub fn row(&self, r: usize) -> &'a [f32] {
-        let page: &'a Page = &self.pages[r / self.page_rows];
-        let row = r % self.page_rows;
+        let page: &'a Page = &self.pages[r / PAGE_ROWS];
+        let row = r % PAGE_ROWS;
         match self.plane {
             Plane::Keys => &page.keys[row * self.dim..(row + 1) * self.dim],
             Plane::Values => &page.values[row * self.dim..(row + 1) * self.dim],
@@ -337,7 +311,6 @@ impl crate::kernels::Rows for PagedRows<'_> {
 pub struct PagedQuantRows<'a> {
     pages: &'a [PageHandle],
     dim: usize,
-    page_rows: usize,
 }
 
 impl<'a> PagedQuantRows<'a> {
@@ -345,16 +318,11 @@ impl<'a> PagedQuantRows<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0` or `page_rows == 0`.
+    /// Panics if `dim == 0`.
     #[must_use]
-    pub fn new(pages: &'a [PageHandle], dim: usize, page_rows: usize) -> Self {
+    pub fn new(pages: &'a [PageHandle], dim: usize) -> Self {
         assert!(dim > 0, "PagedQuantRows requires dim > 0");
-        assert!(page_rows > 0, "PagedQuantRows requires page_rows > 0");
-        Self {
-            pages,
-            dim,
-            page_rows,
-        }
+        Self { pages, dim }
     }
 
     /// Logical row width.
@@ -371,8 +339,8 @@ impl<'a> PagedQuantRows<'a> {
     #[inline]
     #[must_use]
     pub fn row(&self, r: usize) -> &'a [i8] {
-        let page: &'a Page = &self.pages[r / self.page_rows];
-        let row = r % self.page_rows;
+        let page: &'a Page = &self.pages[r / PAGE_ROWS];
+        let row = r % PAGE_ROWS;
         &page.qkeys[row * self.dim..(row + 1) * self.dim]
     }
 
@@ -384,7 +352,7 @@ impl<'a> PagedQuantRows<'a> {
     #[inline]
     #[must_use]
     pub fn scale(&self, r: usize) -> f32 {
-        self.pages[r / self.page_rows].qscales[r % self.page_rows]
+        self.pages[r / PAGE_ROWS].qscales[r % PAGE_ROWS]
     }
 }
 
@@ -408,7 +376,7 @@ mod tests {
 
     #[test]
     fn alloc_recycle_reuse_cycle() {
-        let arena = PageArena::new(4, 2);
+        let arena = PageArena::new(4);
         let page = arena.alloc();
         assert_eq!(arena.stats().allocated, 1);
         assert_eq!(arena.free_pages(), 0);
@@ -427,7 +395,7 @@ mod tests {
 
     #[test]
     fn recycle_of_shared_page_is_a_noop() {
-        let arena = PageArena::new(4, 2);
+        let arena = PageArena::new(4);
         let page = arena.alloc();
         let shared = Arc::clone(&page);
         arena.recycle(page);
@@ -439,7 +407,7 @@ mod tests {
 
     #[test]
     fn cow_copy_is_counted_and_content_equal() {
-        let arena = PageArena::new(2, 2);
+        let arena = PageArena::new(2);
         let page = arena.alloc();
         let copy = arena.cow_copy(&page);
         assert_eq!(arena.stats().cow_copies, 1);
@@ -449,46 +417,45 @@ mod tests {
 
     #[test]
     fn recycled_pages_come_back_zeroed() {
-        let arena = PageArena::new(2, 1);
+        let arena = PageArena::new(2);
         let mut page = arena.alloc();
         Arc::get_mut(&mut page).unwrap().keys[0] = 9.0;
         arena.recycle(page);
         let fresh = arena.alloc();
-        assert_eq!(fresh.keys, vec![0.0, 0.0]);
+        assert_eq!(fresh.keys, vec![0.0; 2 * PAGE_ROWS]);
     }
 
     #[test]
     fn paged_views_resolve_rows_across_pages() {
-        let arena = PageArena::new(2, 2);
-        let mut a = arena.alloc();
-        let mut b = arena.alloc();
-        {
-            let a = Arc::get_mut(&mut a).unwrap();
-            a.keys.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-            a.values.copy_from_slice(&[10.0, 20.0, 30.0, 40.0]);
-            a.qkeys.copy_from_slice(&[1, 2, 3, 4]);
-            a.qscales.copy_from_slice(&[0.5, 0.25]);
+        // Logical row r holds keys [r, -r], values [10r, 0], level r and
+        // scale 1/(r + 1), on two pages.
+        let arena = PageArena::new(2);
+        let mut pages = [arena.alloc(), arena.alloc()];
+        for (p, page) in pages.iter_mut().enumerate() {
+            let page = Arc::get_mut(page).unwrap();
+            for row in 0..PAGE_ROWS {
+                let r = (p * PAGE_ROWS + row) as f32;
+                page.keys[2 * row..2 * row + 2].copy_from_slice(&[r, -r]);
+                page.values[2 * row] = 10.0 * r;
+                page.qkeys[2 * row] = r as i8;
+                page.qscales[row] = 1.0 / (r + 1.0);
+            }
         }
-        {
-            let b = Arc::get_mut(&mut b).unwrap();
-            b.keys.copy_from_slice(&[5.0, 6.0, 7.0, 8.0]);
+        let keys = PagedRows::keys(&pages, 2);
+        let values = PagedRows::values(&pages, 2);
+        let quant = PagedQuantRows::new(&pages, 2);
+        for r in [0, PAGE_ROWS - 1, PAGE_ROWS, 2 * PAGE_ROWS - 1] {
+            let x = r as f32;
+            assert_eq!(keys.row(r), &[x, -x]);
+            assert_eq!(values.row(r), &[10.0 * x, 0.0]);
+            assert_eq!(quant.row(r), &[r as i8, 0]);
+            assert_eq!(quant.scale(r), 1.0 / (x + 1.0));
         }
-        let pages = [a, b];
-        let keys = PagedRows::keys(&pages, 2, 2);
-        assert_eq!(keys.row(0), &[1.0, 2.0]);
-        assert_eq!(keys.row(1), &[3.0, 4.0]);
-        assert_eq!(keys.row(2), &[5.0, 6.0]);
-        assert_eq!(keys.row(3), &[7.0, 8.0]);
-        let values = PagedRows::values(&pages, 2, 2);
-        assert_eq!(values.row(1), &[30.0, 40.0]);
-        let quant = PagedQuantRows::new(&pages, 2, 2);
-        assert_eq!(quant.row(1), &[3, 4]);
-        assert_eq!(quant.scale(1), 0.25);
     }
 
     #[test]
     #[should_panic(expected = "dim > 0")]
     fn zero_dim_arena_rejected() {
-        let _ = PageArena::new(0, 4);
+        let _ = PageArena::new(0);
     }
 }

@@ -263,11 +263,11 @@ fn check_against_model<K: Rows, V: Rows>(
     Ok(())
 }
 
-/// Runs [`check_against_model`] on contiguous and paged (`page_rows` rows
-/// per page) copies of the same `MODEL_ROWS`-row keys and values.
+/// Runs [`check_against_model`] on contiguous and paged copies of the
+/// same `MODEL_ROWS`-row keys and values (the paged copy spans several
+/// pages).
 fn check_every_layout(
     dim: usize,
-    page_rows: usize,
     gather: &[usize],
     staircases: &[(usize, usize)],
     seed: u64,
@@ -284,7 +284,7 @@ fn check_every_layout(
         seed,
     )?;
 
-    let arena = PageArena::new(dim, page_rows);
+    let arena = PageArena::new(dim);
     let mut store = KvStore::with_arena(&arena, m, Precision::F32);
     for t in 0..m {
         prop_assert!(store
@@ -310,7 +310,7 @@ fn f32_kernels_equal_the_per_row_model_at_edge_dims() {
         .collect();
     let staircases = every_staircase();
     for &dim in &EDGE_DIMS {
-        let checked = check_every_layout(dim, 5, &gather, &staircases, 900 + dim as u64);
+        let checked = check_every_layout(dim, &gather, &staircases, 900 + dim as u64);
         assert_eq!(checked, Ok(()), "dim {dim}");
     }
 }
@@ -663,7 +663,6 @@ proptest! {
     #[test]
     fn f32_kernels_equal_the_per_row_model_on_every_tier(
         dim in 1usize..=140,
-        page_rows in 1usize..8,
         seed in 0u64..1000,
         first in 0usize..=MODEL_MAX_ROWS,
         queries in 1usize..=STAIRCASE_MAX_QUERIES,
@@ -674,6 +673,6 @@ proptest! {
         let gather: Vec<usize> = (0..MODEL_MAX_ROWS)
             .map(|i| if i % 3 == 2 { (i - 2) * 17 % m } else { (i * 17 + seed as usize) % m })
             .collect();
-        check_every_layout(dim, page_rows, &gather, &[(first, queries)], seed)?;
+        check_every_layout(dim, &gather, &[(first, queries)], seed)?;
     }
 }

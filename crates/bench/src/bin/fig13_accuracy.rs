@@ -198,7 +198,7 @@ fn run_allocator_sweep(rows: &mut Vec<AllocatorRow>) {
         let global = GATE_LAYERS * share;
         for name in AllocatorSpec::NAMES {
             let spec = AllocatorSpec::from_name(name).expect("registry name");
-            let point = run_point(&spec, GATE_LAYERS, global, Precision::F32);
+            let point = run_point(spec, GATE_LAYERS, global, Precision::F32);
             println!(
                 "{:>6} {:>16} {:>7.1} {:>7.1} {:>7.3} {:>8}  {:?}",
                 global,

@@ -62,7 +62,7 @@ fn main() {
                 for name in AllocatorSpec::NAMES {
                     let spec = AllocatorSpec::from_name(name).expect("registry name");
                     let start = Instant::now();
-                    let point = run_point(&spec, layers, global, precision);
+                    let point = run_point(spec, layers, global, precision);
                     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                     println!(
                         "{:>16} {:>2} {:>6} {:>5} {:>6.3} {:>6.3} {:>6.3} {:>7.1} {:>7} {:>6} {:>8} {wall_ms:>8.1}",

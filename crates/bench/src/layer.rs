@@ -93,7 +93,7 @@ pub fn scenario_spec(layers: usize, global_budget: usize) -> PolicySpec {
 /// harness contract — both would be bugs in this crate.
 #[must_use]
 pub fn run_point(
-    allocator: &AllocatorSpec,
+    allocator: AllocatorSpec,
     layers: usize,
     global_budget: usize,
     precision: Precision,
@@ -133,14 +133,14 @@ fn point_from(
 mod tests {
     use super::*;
 
-    fn gate_point(allocator: &AllocatorSpec) -> LayerBudgetPoint {
+    fn gate_point(allocator: AllocatorSpec) -> LayerBudgetPoint {
         run_point(allocator, GATE_LAYERS, GATE_GLOBAL_BUDGET, Precision::F32)
     }
 
     #[test]
     fn depth_decayed_beats_uniform_at_equal_total_memory() {
-        let uniform = gate_point(&AllocatorSpec::Uniform);
-        let decayed = gate_point(&AllocatorSpec::from_name("depth_decayed").unwrap());
+        let uniform = gate_point(AllocatorSpec::Uniform);
+        let decayed = gate_point(AllocatorSpec::DepthDecayed);
         assert_eq!(uniform.global_budget, decayed.global_budget);
         // The PR's acceptance criterion: at the gate point a non-uniform
         // split wins on retrieval accuracy AND salient F1, with a solid
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn entropy_dynamic_reallocates_and_respects_the_global_budget() {
-        let dynamic = gate_point(&AllocatorSpec::from_name("entropy_dynamic").unwrap());
+        let dynamic = gate_point(AllocatorSpec::EntropyDynamic);
         assert!(dynamic.reallocations > 0, "{dynamic:?}");
         assert_eq!(
             dynamic.budgets.iter().sum::<usize>(),
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn points_are_deterministic() {
-        let spec = AllocatorSpec::from_name("depth_decayed").unwrap();
-        assert_eq!(gate_point(&spec), gate_point(&spec));
+        let spec = AllocatorSpec::DepthDecayed;
+        assert_eq!(gate_point(spec), gate_point(spec));
     }
 }

@@ -763,7 +763,7 @@ fn layer_budget_suite() -> Vec<Case> {
         let shared = Rc::clone(&shared);
         Case::metric(name, tolerance, unit, move || {
             pick(shared.get_or_init(|| {
-                let at = |spec: &AllocatorSpec| {
+                let at = |spec: AllocatorSpec| {
                     crate::layer::run_point(
                         spec,
                         crate::layer::GATE_LAYERS,
@@ -772,9 +772,9 @@ fn layer_budget_suite() -> Vec<Case> {
                     )
                 };
                 GatePoints {
-                    uniform: at(&AllocatorSpec::Uniform),
-                    depth_decayed: at(&AllocatorSpec::from_name("depth_decayed").unwrap()),
-                    entropy_dynamic: at(&AllocatorSpec::from_name("entropy_dynamic").unwrap()),
+                    uniform: at(AllocatorSpec::Uniform),
+                    depth_decayed: at(AllocatorSpec::DepthDecayed),
+                    entropy_dynamic: at(AllocatorSpec::EntropyDynamic),
                 }
             }))
         })

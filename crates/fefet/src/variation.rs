@@ -4,8 +4,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::FeFet;
-
 /// Seeded generator of static device-to-device threshold-voltage offsets.
 ///
 /// The UniCAIM paper assumes Gaussian `V_TH` variation with a standard
@@ -62,12 +60,6 @@ impl VariationModel {
         let u2: f64 = rng.gen_range(0.0..1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         z * self.sigma_vth
-    }
-
-    /// A fresh (erased) device with this model's offset for `device_index`.
-    #[must_use]
-    pub fn make_device(&self, device_index: u64) -> FeFet {
-        FeFet::with_vth_offset(self.offset(device_index))
     }
 
     /// Samples `n` offsets (device indices `0..n`).

@@ -3,20 +3,21 @@
 //!
 //! The single-layer harness prunes against a per-sequence capacity; a
 //! multi-layer decode ([`LayerStackSession`](crate::LayerStackSession))
-//! instead holds **one global HBM budget** that a [`BudgetAllocator`]
-//! divides among the layers. The menu mirrors the paper family:
+//! instead holds **one global HBM budget** that [`LayerBudgets`] divides
+//! among the layers. The menu mirrors the paper family:
 //!
 //! | Allocator | Split | Reference |
 //! |---|---|---|
-//! | [`Uniform`] | `global / K` per layer | the implicit baseline |
-//! | [`DepthDecayed`] | front-loaded geometric weights `decay^l` | DepthKV |
-//! | [`EntropyDynamic`] | periodic reallocation from observed per-layer attention entropy, with hysteresis | LAVa |
+//! | [`AllocatorSpec::Uniform`] | `global / K` per layer | the implicit baseline |
+//! | [`AllocatorSpec::DepthDecayed`] | front-loaded geometric weights `0.7^l` | DepthKV |
+//! | [`AllocatorSpec::EntropyDynamic`] | reallocation every 8 steps from observed per-layer attention entropy, with hysteresis 0.02 | LAVa |
 //!
-//! All splits respect per-layer **floors** (each layer policy's
-//! [`PolicySpec::min_viable_share`](crate::PolicySpec::min_viable_share))
-//! and conserve the global budget exactly: `Σ budgets == global` after the
-//! initial split and after every reallocation event (property-tested in
-//! `tests/properties.rs`).
+//! Every layer runs the same policy, so every layer has the same floor
+//! (that policy's
+//! [`PolicySpec::min_viable_share`](crate::PolicySpec::min_viable_share)).
+//! All splits respect it and conserve the global budget exactly:
+//! `Σ budgets == global` after the initial split and after every
+//! reallocation event (property-tested in `tests/properties.rs`).
 //!
 //! [`AllocatorSpec`] is the serializable registry entry — benches and CLI
 //! binaries name an allocator as data, exactly like
@@ -26,71 +27,262 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::HarnessError;
 
-/// Splits a global slot budget across the layers of a stacked decode and,
-/// for dynamic allocators, moves slots between layers mid-decode.
+/// Per-layer weight decay of [`AllocatorSpec::DepthDecayed`].
+const DEPTH_DECAY: f64 = 0.7;
+/// Decode steps between [`AllocatorSpec::EntropyDynamic`] reallocation
+/// events.
+const REALLOCATION_PERIOD: usize = 8;
+/// Minimum normalized-entropy gap (recipient − donor) before
+/// [`AllocatorSpec::EntropyDynamic`] moves any budget — the anti-thrash
+/// margin.
+const HYSTERESIS: f64 = 0.02;
+
+/// Which budget allocator a layer stack runs — the
+/// [`PolicySpec`](crate::PolicySpec) pattern applied to layer budgets.
+///
+/// ```
+/// use unicaim_kvcache::AllocatorSpec;
+///
+/// let spec = AllocatorSpec::from_name("depth_decayed").unwrap();
+/// assert_eq!(spec, AllocatorSpec::DepthDecayed);
+/// assert_eq!(spec.name(), "depth_decayed");
+///
+/// let text = serde_json::to_string(&spec).unwrap();
+/// let back: AllocatorSpec = serde_json::from_str(&text).unwrap();
+/// assert_eq!(back, spec);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum AllocatorSpec {
+    /// `global / K` per layer (remainder to the front layers). Never
+    /// reallocates.
+    Uniform,
+    /// DepthKV-style front-loaded geometric split: layer `l` gets weight
+    /// `0.7^l`, so early layers — which spread attention over many
+    /// tokens — hold more of the budget than late, concentrated ones.
+    /// Never reallocates.
+    DepthDecayed,
+    /// LAVa-style dynamic reallocation: starts from the uniform split,
+    /// watches normalized per-layer attention entropy during decode, and
+    /// every 8 steps moves a small parcel of budget from the most
+    /// *concentrated* layer (lowest mean entropy — its attention mass sits
+    /// on few tokens, so pruning it is cheap) to the most *diffuse* one
+    /// (highest mean entropy — it needs more residents to cover its
+    /// attention mass).
+    ///
+    /// Two stabilizers keep budgets from thrashing:
+    ///
+    /// * **hysteresis** — no transfer happens unless the entropy gap
+    ///   between recipient and donor exceeds 0.02, so near-tied layers
+    ///   never trade slots back and forth;
+    /// * **parcel size** — each event moves at most `max(1, global / (8K))`
+    ///   slots, so one noisy window cannot swing a layer's budget.
+    ///
+    /// Each layer's ceiling is twice its fair share, capped so every other
+    /// layer keeps the floor: the headroom budgets can grow into without
+    /// moving stored rows.
+    EntropyDynamic,
+}
+
+impl AllocatorSpec {
+    /// Every registry name, in [`AllocatorSpec::from_name`] order.
+    pub const NAMES: [&'static str; 3] = ["uniform", "depth_decayed", "entropy_dynamic"];
+
+    /// Looks a spec up by allocator display name.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::UnknownAllocator`] for a name outside
+    /// [`AllocatorSpec::NAMES`].
+    pub fn from_name(name: &str) -> Result<Self, HarnessError> {
+        match name {
+            "uniform" => Ok(AllocatorSpec::Uniform),
+            "depth_decayed" => Ok(AllocatorSpec::DepthDecayed),
+            "entropy_dynamic" => Ok(AllocatorSpec::EntropyDynamic),
+            other => Err(HarnessError::UnknownAllocator {
+                name: other.to_owned(),
+            }),
+        }
+    }
+
+    /// The allocator's display name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            AllocatorSpec::Uniform => "uniform",
+            AllocatorSpec::DepthDecayed => "depth_decayed",
+            AllocatorSpec::EntropyDynamic => "entropy_dynamic",
+        }
+    }
+}
+
+/// One stack's per-layer budgets under an [`AllocatorSpec`]: the initial
+/// split, the per-layer physical ceilings, and — for
+/// [`AllocatorSpec::EntropyDynamic`] — the entropy window that moves
+/// budgets between layers mid-decode.
 ///
 /// The contract, checked by the stack and by property tests:
 ///
-/// * [`initial_split`](BudgetAllocator::initial_split) returns one budget
-///   per floor entry with `budget[l] >= floors[l]` and
-///   `Σ budgets == global` (callers guarantee `global >= Σ floors`);
-/// * [`envelope`](BudgetAllocator::envelope) returns per-layer *physical*
-///   ceilings with `envelope[l] >= initial_split[l]` — static allocators
-///   return the split itself (no slack ever needed), dynamic ones
-///   over-provision so budgets can grow without moving stored rows;
-/// * [`reallocate`](BudgetAllocator::reallocate) either returns `None`
-///   (budgets unchanged) or a full new budget vector that still conserves
-///   the global sum and respects every floor and ceiling.
-pub trait BudgetAllocator: Send {
-    /// The allocator's display name (matches [`AllocatorSpec::name`]).
-    fn name(&self) -> &'static str;
+/// * every budget is at least the floor and `Σ budgets == global`, from
+///   construction through every [`observe`](LayerBudgets::observe);
+/// * every budget stays at or below its layer's
+///   [`ceiling`](LayerBudgets::ceilings). Static allocators' ceilings are
+///   the split itself (no slack ever needed); the dynamic one
+///   over-provisions so budgets can grow without moving stored rows.
+#[derive(Debug, Clone)]
+pub struct LayerBudgets {
+    spec: AllocatorSpec,
+    floor: usize,
+    budgets: Vec<usize>,
+    ceilings: Vec<usize>,
+    /// Per-layer entropy summed since the last reallocation event.
+    entropy_sums: Vec<f64>,
+    entropy_samples: usize,
+}
 
-    /// The initial per-layer budgets: one entry per layer, each at least
-    /// its floor, summing exactly to `global`.
-    fn initial_split(&self, global: usize, floors: &[usize]) -> Vec<usize>;
-
-    /// Per-layer physical slot ceilings the KV stores are built at. The
-    /// default is the initial split itself (no slack — the right answer
-    /// for any allocator that never moves budgets).
-    fn envelope(&self, global: usize, floors: &[usize]) -> Vec<usize> {
-        self.initial_split(global, floors)
+impl LayerBudgets {
+    /// Splits `global` slots across `layers` layers under `spec`, giving
+    /// every layer at least `floor` slots.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::InvalidLayerConfig`] for zero layers, or a global
+    /// budget below `layers × floor`.
+    pub fn new(
+        spec: AllocatorSpec,
+        layers: usize,
+        floor: usize,
+        global: usize,
+    ) -> Result<Self, HarnessError> {
+        if layers == 0 {
+            return Err(HarnessError::InvalidLayerConfig {
+                reason: "a layer stack needs at least one layer (zero layers given)".to_owned(),
+            });
+        }
+        let total_floor = layers.saturating_mul(floor);
+        if global < total_floor {
+            return Err(HarnessError::InvalidLayerConfig {
+                reason: format!(
+                    "global budget of {global} slots cannot give all {layers} layers the \
+                     minimum viable share of {floor} slots each (needs at least {total_floor})"
+                ),
+            });
+        }
+        let weights: Vec<f64> = match spec {
+            AllocatorSpec::DepthDecayed => {
+                (0..layers).map(|l| DEPTH_DECAY.powi(l as i32)).collect()
+            }
+            AllocatorSpec::Uniform | AllocatorSpec::EntropyDynamic => vec![1.0; layers],
+        };
+        let budgets = split_with_floor(global, &weights, floor);
+        let ceilings = match spec {
+            AllocatorSpec::EntropyDynamic => budgets
+                .iter()
+                // Twice the fair share, but never so large that the other
+                // layers could not keep the floor if this layer grew to its
+                // ceiling.
+                .map(|&b| (2 * b).min(global - (total_floor - floor)).max(b))
+                .collect(),
+            AllocatorSpec::Uniform | AllocatorSpec::DepthDecayed => budgets.clone(),
+        };
+        Ok(Self {
+            spec,
+            floor,
+            budgets,
+            ceilings,
+            entropy_sums: vec![0.0; layers],
+            entropy_samples: 0,
+        })
     }
 
-    /// Feeds the allocator one decode step's per-layer attention
-    /// entropies (normalized to `[0, 1]` by the stack). Default: ignored.
-    fn observe(&mut self, step: usize, entropies: &[f64]) {
-        let _ = (step, entropies);
+    /// The allocator this split runs.
+    #[must_use]
+    pub(crate) fn spec(&self) -> AllocatorSpec {
+        self.spec
     }
 
-    /// Gives the allocator a chance to move budgets after `step`.
-    /// Returns the full new budget vector when anything changed, `None`
-    /// otherwise. Default: never reallocates.
-    fn reallocate(
-        &mut self,
-        step: usize,
-        budgets: &[usize],
-        floors: &[usize],
-        ceilings: &[usize],
-    ) -> Option<Vec<usize>> {
-        let _ = (step, budgets, floors, ceilings);
-        None
+    /// The floor no layer's budget goes below.
+    #[must_use]
+    pub(crate) fn floor(&self) -> usize {
+        self.floor
+    }
+
+    /// Current per-layer budgets (`Σ == global` always).
+    #[must_use]
+    pub fn budgets(&self) -> &[usize] {
+        &self.budgets
+    }
+
+    /// Per-layer physical slot ceilings the KV stores are built at.
+    #[must_use]
+    pub fn ceilings(&self) -> &[usize] {
+        &self.ceilings
+    }
+
+    /// Feeds one decode step's per-layer attention entropies (normalized
+    /// to `[0, 1]`, one per layer) and returns whether the budgets moved.
+    /// Only [`AllocatorSpec::EntropyDynamic`] on two or more layers ever
+    /// moves them, once every 8 observed steps.
+    pub fn observe(&mut self, entropies: &[f64]) -> bool {
+        if self.spec != AllocatorSpec::EntropyDynamic || self.budgets.len() < 2 {
+            return false;
+        }
+        for (sum, &e) in self.entropy_sums.iter_mut().zip(entropies) {
+            *sum += e;
+        }
+        self.entropy_samples += 1;
+        if self.entropy_samples < REALLOCATION_PERIOD {
+            return false;
+        }
+        let means: Vec<f64> = self
+            .entropy_sums
+            .iter()
+            .map(|s| s / self.entropy_samples as f64)
+            .collect();
+        // The accumulation window ends at every event, hit or miss: stale
+        // entropy from before the last decision should not keep steering.
+        self.entropy_sums.fill(0.0);
+        self.entropy_samples = 0;
+
+        // Donor: most concentrated layer that can still give (above the
+        // floor). Recipient: most diffuse layer that can still take (below
+        // its ceiling). Ties break toward the front layer.
+        let (budgets, ceilings, floor) = (&self.budgets, &self.ceilings, self.floor);
+        let Some(donor) = (0..budgets.len())
+            .filter(|&l| budgets[l] > floor)
+            .min_by(|&a, &b| means[a].total_cmp(&means[b]).then(a.cmp(&b)))
+        else {
+            return false;
+        };
+        let Some(recipient) = (0..budgets.len())
+            .filter(|&l| budgets[l] < ceilings[l])
+            .max_by(|&a, &b| means[a].total_cmp(&means[b]).then(b.cmp(&a)))
+        else {
+            return false;
+        };
+        if donor == recipient || means[recipient] - means[donor] <= HYSTERESIS {
+            return false;
+        }
+        let parcel = (budgets.iter().sum::<usize>() / (8 * budgets.len())).max(1);
+        let delta = parcel
+            .min(budgets[donor] - floor)
+            .min(ceilings[recipient] - budgets[recipient]);
+        if delta == 0 {
+            return false;
+        }
+        self.budgets[donor] -= delta;
+        self.budgets[recipient] += delta;
+        true
     }
 }
 
 /// Weighted largest-remainder split of `global` across the layers: every
-/// layer gets its floor, and the spare `global − Σ floors` is distributed
+/// layer gets `floor`, and the spare `global − K·floor` is distributed
 /// proportionally to `weights` (remainders broken by descending fraction,
 /// then by layer index, so the split is deterministic).
-fn split_with_floors(global: usize, weights: &[f64], floors: &[usize]) -> Vec<usize> {
-    debug_assert_eq!(weights.len(), floors.len());
-    let total_floor: usize = floors.iter().sum();
-    debug_assert!(global >= total_floor, "caller validates the floor sum");
-    let spare = global - total_floor;
+fn split_with_floor(global: usize, weights: &[f64], floor: usize) -> Vec<usize> {
+    let spare = global - weights.len() * floor;
     let wsum: f64 = weights.iter().sum();
-    let mut budgets: Vec<usize> = floors.to_vec();
-    if spare == 0 || wsum <= 0.0 {
-        return budgets;
-    }
+    let mut budgets = vec![floor; weights.len()];
     let exact: Vec<f64> = weights.iter().map(|w| spare as f64 * (w / wsum)).collect();
     let mut assigned = 0usize;
     let mut fracs: Vec<(usize, f64)> = Vec::with_capacity(weights.len());
@@ -107,339 +299,18 @@ fn split_with_floors(global: usize, weights: &[f64], floors: &[usize]) -> Vec<us
     budgets
 }
 
-/// The uniform baseline: `global / K` slots per layer (remainder to the
-/// front layers), floors respected. Never reallocates, so its envelope is
-/// the split itself — a K=1 stack under `Uniform` is **bit-identical** to
-/// a plain [`DecodeSession`](crate::DecodeSession) (property-tested).
-#[derive(Debug, Clone, Default)]
-pub struct Uniform;
-
-impl BudgetAllocator for Uniform {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-
-    fn initial_split(&self, global: usize, floors: &[usize]) -> Vec<usize> {
-        split_with_floors(global, &vec![1.0; floors.len()], floors)
-    }
-}
-
-/// DepthKV-style front-loaded geometric split: layer `l` gets weight
-/// `decay^l`, so early layers — which spread attention over many tokens —
-/// hold more of the budget than late, concentrated ones. `decay == 1.0`
-/// degenerates to [`Uniform`].
-#[derive(Debug, Clone)]
-pub struct DepthDecayed {
-    decay: f64,
-}
-
-impl DepthDecayed {
-    /// Creates the allocator with the given per-layer decay in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `decay` is outside `(0, 1]` (construct through
-    /// [`AllocatorSpec::validate`] + [`AllocatorSpec::build`] to get a
-    /// typed error instead).
-    #[must_use]
-    pub fn new(decay: f64) -> Self {
-        assert!(
-            decay > 0.0 && decay <= 1.0,
-            "depth decay {decay} outside (0, 1]"
-        );
-        Self { decay }
-    }
-}
-
-impl BudgetAllocator for DepthDecayed {
-    fn name(&self) -> &'static str {
-        "depth_decayed"
-    }
-
-    fn initial_split(&self, global: usize, floors: &[usize]) -> Vec<usize> {
-        let weights: Vec<f64> = (0..floors.len())
-            .map(|l| self.decay.powi(l as i32))
-            .collect();
-        split_with_floors(global, &weights, floors)
-    }
-}
-
-/// LAVa-style dynamic reallocation: starts from a uniform split, watches
-/// normalized per-layer attention entropy during decode, and every
-/// `period` steps moves a small parcel of budget from the most
-/// *concentrated* layer (lowest mean entropy — its attention mass sits on
-/// few tokens, so pruning it is cheap) to the most *diffuse* one (highest
-/// mean entropy — it needs more residents to cover its attention mass).
-///
-/// Two stabilizers keep budgets from thrashing:
-///
-/// * **hysteresis** — no transfer happens unless the entropy gap between
-///   recipient and donor exceeds the margin, so near-tied layers never
-///   trade slots back and forth;
-/// * **parcel size** — each event moves at most `max(1, global / (8K))`
-///   slots, so one noisy window cannot swing a layer's budget.
-///
-/// Budgets stay within `[floor, ceiling]` per layer and always sum to the
-/// global budget; the envelope over-provisions each layer to twice its
-/// fair share (capped so the rest of the stack keeps its floors), which
-/// is the headroom budgets can grow into without moving stored rows.
-#[derive(Debug, Clone)]
-pub struct EntropyDynamic {
-    period: usize,
-    hysteresis: f64,
-    entropy_sums: Vec<f64>,
-    entropy_samples: usize,
-}
-
-impl EntropyDynamic {
-    /// Creates the allocator: reallocation every `period > 0` decode
-    /// steps, transfers gated by a normalized-entropy gap above
-    /// `hysteresis` (must be finite and non-negative).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero period or an invalid hysteresis (construct
-    /// through [`AllocatorSpec::validate`] + [`AllocatorSpec::build`] to
-    /// get a typed error instead).
-    #[must_use]
-    pub fn new(period: usize, hysteresis: f64) -> Self {
-        assert!(period > 0, "reallocation period must be nonzero");
-        assert!(
-            hysteresis.is_finite() && hysteresis >= 0.0,
-            "hysteresis margin {hysteresis} must be finite and non-negative"
-        );
-        Self {
-            period,
-            hysteresis,
-            entropy_sums: Vec::new(),
-            entropy_samples: 0,
-        }
-    }
-
-    /// Slots moved per reallocation event for a given stack shape.
-    fn parcel(global: usize, layers: usize) -> usize {
-        (global / (8 * layers.max(1))).max(1)
-    }
-}
-
-impl BudgetAllocator for EntropyDynamic {
-    fn name(&self) -> &'static str {
-        "entropy_dynamic"
-    }
-
-    fn initial_split(&self, global: usize, floors: &[usize]) -> Vec<usize> {
-        split_with_floors(global, &vec![1.0; floors.len()], floors)
-    }
-
-    fn envelope(&self, global: usize, floors: &[usize]) -> Vec<usize> {
-        let initial = self.initial_split(global, floors);
-        let total_floor: usize = floors.iter().sum();
-        initial
-            .iter()
-            .zip(floors)
-            .map(|(&b, &floor)| {
-                // Twice the fair share, but never so large that the other
-                // layers could not keep their floors if this layer grew to
-                // its ceiling.
-                (2 * b).min(global - (total_floor - floor)).max(b)
-            })
-            .collect()
-    }
-
-    fn observe(&mut self, _step: usize, entropies: &[f64]) {
-        if self.entropy_sums.len() != entropies.len() {
-            self.entropy_sums = vec![0.0; entropies.len()];
-            self.entropy_samples = 0;
-        }
-        for (sum, &e) in self.entropy_sums.iter_mut().zip(entropies) {
-            *sum += e;
-        }
-        self.entropy_samples += 1;
-    }
-
-    fn reallocate(
-        &mut self,
-        step: usize,
-        budgets: &[usize],
-        floors: &[usize],
-        ceilings: &[usize],
-    ) -> Option<Vec<usize>> {
-        if budgets.len() < 2 || self.entropy_samples == 0 || !(step + 1).is_multiple_of(self.period)
-        {
-            return None;
-        }
-        let means: Vec<f64> = self
-            .entropy_sums
-            .iter()
-            .map(|s| s / self.entropy_samples as f64)
-            .collect();
-        // The accumulation window ends at every event, hit or miss: stale
-        // entropy from before the last decision should not keep steering.
-        self.entropy_sums.iter_mut().for_each(|s| *s = 0.0);
-        self.entropy_samples = 0;
-
-        // Donor: most concentrated layer that can still give (above its
-        // floor). Recipient: most diffuse layer that can still take
-        // (below its ceiling). Ties break toward the front layer.
-        let donor = (0..budgets.len())
-            .filter(|&l| budgets[l] > floors[l])
-            .min_by(|&a, &b| means[a].total_cmp(&means[b]).then(a.cmp(&b)))?;
-        let recipient = (0..budgets.len())
-            .filter(|&l| budgets[l] < ceilings[l])
-            .max_by(|&a, &b| means[a].total_cmp(&means[b]).then(b.cmp(&a)))?;
-        if donor == recipient || means[recipient] - means[donor] <= self.hysteresis {
-            return None;
-        }
-        let delta = Self::parcel(budgets.iter().sum(), budgets.len())
-            .min(budgets[donor] - floors[donor])
-            .min(ceilings[recipient] - budgets[recipient]);
-        if delta == 0 {
-            return None;
-        }
-        let mut next = budgets.to_vec();
-        next[donor] -= delta;
-        next[recipient] += delta;
-        Some(next)
-    }
-}
-
-/// A buildable, serializable description of one budget-allocator
-/// configuration — the [`PolicySpec`](crate::PolicySpec) pattern applied
-/// to layer budgets.
-///
-/// ```
-/// use unicaim_kvcache::AllocatorSpec;
-///
-/// let spec = AllocatorSpec::DepthDecayed { decay: 0.7 };
-/// spec.validate().unwrap();
-/// assert_eq!(spec.build().name(), "depth_decayed");
-///
-/// let text = serde_json::to_string(&spec).unwrap();
-/// let back: AllocatorSpec = serde_json::from_str(&text).unwrap();
-/// assert_eq!(back, spec);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AllocatorSpec {
-    /// [`Uniform`]: `global / K` per layer.
-    Uniform,
-    /// [`DepthDecayed`]: front-loaded geometric split.
-    DepthDecayed {
-        /// Per-layer weight decay in `(0, 1]` (`1.0` is uniform).
-        decay: f64,
-    },
-    /// [`EntropyDynamic`]: LAVa-style periodic entropy-driven
-    /// reallocation.
-    EntropyDynamic {
-        /// Decode steps between reallocation events (must be nonzero).
-        period: usize,
-        /// Minimum normalized-entropy gap (recipient − donor) before any
-        /// budget moves — the anti-thrash margin.
-        hysteresis: f64,
-    },
-}
-
-impl AllocatorSpec {
-    /// Every registry name, in [`AllocatorSpec::from_name`] order. These
-    /// are the same strings the built allocators report from
-    /// [`BudgetAllocator::name`].
-    pub const NAMES: [&'static str; 3] = ["uniform", "depth_decayed", "entropy_dynamic"];
-
-    /// Looks a spec up by allocator display name, with documented default
-    /// parameters: decay `0.7` (`depth_decayed`); period `8`, hysteresis
-    /// `0.02` (`entropy_dynamic`).
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::UnknownAllocator`] for a name outside
-    /// [`AllocatorSpec::NAMES`].
-    pub fn from_name(name: &str) -> Result<Self, HarnessError> {
-        match name {
-            "uniform" => Ok(AllocatorSpec::Uniform),
-            "depth_decayed" => Ok(AllocatorSpec::DepthDecayed { decay: 0.7 }),
-            "entropy_dynamic" => Ok(AllocatorSpec::EntropyDynamic {
-                period: 8,
-                hysteresis: 0.02,
-            }),
-            other => Err(HarnessError::UnknownAllocator {
-                name: other.to_owned(),
-            }),
-        }
-    }
-
-    /// The display name the built allocator will report.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            AllocatorSpec::Uniform => "uniform",
-            AllocatorSpec::DepthDecayed { .. } => "depth_decayed",
-            AllocatorSpec::EntropyDynamic { .. } => "entropy_dynamic",
-        }
-    }
-
-    /// Checks the spec's parameters are buildable.
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::InvalidAllocator`] describing the bad parameter (a
-    /// decay outside `(0, 1]`, a zero period, or a non-finite/negative
-    /// hysteresis).
-    pub fn validate(&self) -> Result<(), HarnessError> {
-        match *self {
-            AllocatorSpec::Uniform => Ok(()),
-            AllocatorSpec::DepthDecayed { decay } if !(decay > 0.0 && decay <= 1.0) => {
-                Err(HarnessError::InvalidAllocator {
-                    reason: format!("depth_decayed decay {decay} outside (0, 1]"),
-                })
-            }
-            AllocatorSpec::DepthDecayed { .. } => Ok(()),
-            AllocatorSpec::EntropyDynamic { period: 0, .. } => {
-                Err(HarnessError::InvalidAllocator {
-                    reason: "entropy_dynamic period must be nonzero".to_owned(),
-                })
-            }
-            AllocatorSpec::EntropyDynamic { hysteresis, .. }
-                if !(hysteresis.is_finite() && hysteresis >= 0.0) =>
-            {
-                Err(HarnessError::InvalidAllocator {
-                    reason: format!(
-                        "entropy_dynamic hysteresis {hysteresis} must be finite and non-negative"
-                    ),
-                })
-            }
-            AllocatorSpec::EntropyDynamic { .. } => Ok(()),
-        }
-    }
-
-    /// Builds a fresh allocator instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`AllocatorSpec::validate`] (the stack
-    /// validates before building; call `validate` yourself when the spec
-    /// comes from untrusted data).
-    #[must_use]
-    pub fn build(&self) -> Box<dyn BudgetAllocator> {
-        match *self {
-            AllocatorSpec::Uniform => Box::new(Uniform),
-            AllocatorSpec::DepthDecayed { decay } => Box::new(DepthDecayed::new(decay)),
-            AllocatorSpec::EntropyDynamic { period, hysteresis } => {
-                Box::new(EntropyDynamic::new(period, hysteresis))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn budgets(spec: AllocatorSpec, layers: usize, floor: usize, global: usize) -> LayerBudgets {
+        LayerBudgets::new(spec, layers, floor, global).unwrap()
+    }
+
     #[test]
-    fn every_name_resolves_and_builds_with_matching_name() {
+    fn every_name_resolves_with_matching_name() {
         for name in AllocatorSpec::NAMES {
-            let spec = AllocatorSpec::from_name(name).unwrap();
-            assert_eq!(spec.name(), name);
-            spec.validate().unwrap();
-            assert_eq!(spec.build().name(), name);
+            assert_eq!(AllocatorSpec::from_name(name).unwrap().name(), name);
         }
     }
 
@@ -454,141 +325,93 @@ mod tests {
     }
 
     #[test]
-    fn invalid_specs_fail_validation() {
-        for bad in [
-            AllocatorSpec::DepthDecayed { decay: 0.0 },
-            AllocatorSpec::DepthDecayed { decay: 1.5 },
-            AllocatorSpec::EntropyDynamic {
-                period: 0,
-                hysteresis: 0.1,
-            },
-            AllocatorSpec::EntropyDynamic {
-                period: 8,
-                hysteresis: -0.1,
-            },
-            AllocatorSpec::EntropyDynamic {
-                period: 8,
-                hysteresis: f64::NAN,
-            },
-        ] {
-            assert!(
-                matches!(bad.validate(), Err(HarnessError::InvalidAllocator { .. })),
-                "{bad:?} must fail validation"
-            );
-        }
-    }
-
-    #[test]
     fn uniform_split_conserves_and_front_loads_the_remainder() {
-        let floors = vec![1usize; 3];
-        let split = Uniform.initial_split(100, &floors);
-        assert_eq!(split.iter().sum::<usize>(), 100);
-        assert_eq!(split, vec![34, 33, 33]);
-        assert_eq!(Uniform.envelope(100, &floors), split);
+        let split = budgets(AllocatorSpec::Uniform, 3, 1, 100);
+        assert_eq!(split.budgets(), &[34, 33, 33]);
+        assert_eq!(split.ceilings(), split.budgets());
     }
 
     #[test]
-    fn uniform_split_respects_floors() {
-        // One layer's floor exceeds the fair share: it keeps its floor and
-        // the spare is split over the rest.
-        let floors = vec![40, 1, 1];
-        let split = Uniform.initial_split(60, &floors);
-        assert_eq!(split.iter().sum::<usize>(), 60);
-        assert!(split[0] >= 40);
-        assert!(split.iter().zip(&floors).all(|(b, f)| b >= f));
+    fn uniform_split_respects_the_floor() {
+        // The floor takes most of the budget: every layer keeps it and the
+        // spare is split evenly.
+        let split = budgets(AllocatorSpec::Uniform, 3, 18, 60);
+        assert_eq!(split.budgets(), &[20, 20, 20]);
     }
 
     #[test]
     fn depth_decayed_front_loads_geometrically() {
-        let floors = vec![1usize; 4];
-        let split = DepthDecayed::new(0.5).initial_split(120, &floors);
-        assert_eq!(split.iter().sum::<usize>(), 120);
-        for w in split.windows(2) {
+        let split = budgets(AllocatorSpec::DepthDecayed, 4, 1, 120);
+        assert_eq!(split.budgets().iter().sum::<usize>(), 120);
+        for w in split.budgets().windows(2) {
             assert!(w[0] > w[1], "front layers must hold more: {split:?}");
         }
-        // decay 1.0 degenerates to the uniform split.
-        assert_eq!(
-            DepthDecayed::new(1.0).initial_split(100, &[1; 3]),
-            Uniform.initial_split(100, &[1; 3])
-        );
+        assert_eq!(split.ceilings(), split.budgets());
     }
 
     #[test]
-    fn entropy_dynamic_envelope_over_provisions_within_floor_safety() {
-        let alloc = EntropyDynamic::new(4, 0.0);
-        let floors = vec![5usize; 4];
-        let global = 80;
-        let initial = alloc.initial_split(global, &floors);
-        let env = alloc.envelope(global, &floors);
-        for (l, (&e, &b)) in env.iter().zip(&initial).enumerate() {
-            assert!(e >= b, "ceiling below initial at layer {l}");
-            // Even at its ceiling, every other layer keeps its floor.
-            let others_floor: usize = floors.iter().sum::<usize>() - floors[l];
-            assert!(e + others_floor <= global, "ceiling {e} starves floors");
+    fn entropy_dynamic_ceilings_over_provision_within_floor_safety() {
+        let (floor, global) = (5, 80);
+        let split = budgets(AllocatorSpec::EntropyDynamic, 4, floor, global);
+        for (l, (&c, &b)) in split.ceilings().iter().zip(split.budgets()).enumerate() {
+            assert!(c > b, "no headroom at layer {l}");
+            // Even at its ceiling, every other layer keeps the floor.
+            assert!(c + 3 * floor <= global, "ceiling {c} starves the others");
         }
     }
 
     #[test]
     fn entropy_dynamic_moves_budget_toward_high_entropy_with_hysteresis() {
-        let mut alloc = EntropyDynamic::new(4, 0.1);
-        let floors = vec![2usize; 3];
-        let global = 60;
-        let budgets = alloc.initial_split(global, &floors);
-        let ceilings = alloc.envelope(global, &floors);
+        let mut split = budgets(AllocatorSpec::EntropyDynamic, 3, 2, 60);
+        let initial = split.budgets().to_vec();
         // Layer 2 is diffuse, layer 0 concentrated; the gap beats the
-        // hysteresis margin.
-        for step in 0..4 {
-            alloc.observe(step, &[0.2, 0.5, 0.9]);
+        // hysteresis margin, and only the eighth step's event fires.
+        for _ in 0..REALLOCATION_PERIOD - 1 {
+            assert!(!split.observe(&[0.2, 0.5, 0.9]));
         }
-        let next = alloc.reallocate(3, &budgets, &floors, &ceilings).unwrap();
-        assert_eq!(next.iter().sum::<usize>(), global);
-        assert!(next[2] > budgets[2], "diffuse layer must gain: {next:?}");
-        assert!(next[0] < budgets[0], "concentrated layer must give");
-        // Off-period steps never fire.
-        alloc.observe(4, &[0.2, 0.5, 0.9]);
-        assert!(alloc.reallocate(4, &next, &floors, &ceilings).is_none());
-        // A gap inside the hysteresis margin never fires either.
-        let mut calm = EntropyDynamic::new(4, 0.5);
-        for step in 0..4 {
-            calm.observe(step, &[0.5, 0.55, 0.6]);
+        assert!(split.observe(&[0.2, 0.5, 0.9]));
+        let next = split.budgets();
+        assert_eq!(next.iter().sum::<usize>(), 60);
+        assert!(next[2] > initial[2], "diffuse layer must gain: {next:?}");
+        assert!(next[0] < initial[0], "concentrated layer must give");
+        // A gap inside the hysteresis margin never fires.
+        let mut calm = budgets(AllocatorSpec::EntropyDynamic, 3, 2, 60);
+        for _ in 0..REALLOCATION_PERIOD {
+            assert!(!calm.observe(&[0.5, 0.505, 0.51]));
         }
-        assert!(calm.reallocate(3, &budgets, &floors, &ceilings).is_none());
+        assert_eq!(calm.budgets(), initial.as_slice());
     }
 
     #[test]
-    fn entropy_dynamic_never_breaks_floors_or_ceilings() {
-        let mut alloc = EntropyDynamic::new(1, 0.0);
-        let floors = vec![3usize, 3, 3];
-        let global = 30;
-        let mut budgets = alloc.initial_split(global, &floors);
-        let ceilings = alloc.envelope(global, &floors);
+    fn entropy_dynamic_never_breaks_the_floor_or_ceilings() {
+        let mut split = budgets(AllocatorSpec::EntropyDynamic, 3, 3, 30);
         // Hammer one extreme signal for many events: the donor must stop
-        // at its floor and the recipient at its ceiling.
-        for step in 0..64 {
-            alloc.observe(step, &[0.0, 0.5, 1.0]);
-            if let Some(next) = alloc.reallocate(step, &budgets, &floors, &ceilings) {
-                budgets = next;
-            }
-            assert_eq!(budgets.iter().sum::<usize>(), global);
+        // at the floor and the recipient at its ceiling.
+        for _ in 0..64 * REALLOCATION_PERIOD {
+            split.observe(&[0.0, 0.5, 1.0]);
+            assert_eq!(split.budgets().iter().sum::<usize>(), 30);
             for l in 0..3 {
-                assert!(budgets[l] >= floors[l], "floor broken at {l}: {budgets:?}");
+                assert!(split.budgets()[l] >= 3, "floor broken at {l}: {split:?}");
                 assert!(
-                    budgets[l] <= ceilings[l],
-                    "ceiling broken at {l}: {budgets:?}"
+                    split.budgets()[l] <= split.ceilings()[l],
+                    "ceiling broken at {l}: {split:?}"
                 );
             }
         }
         assert!(
-            budgets[2] > budgets[0],
+            split.budgets()[2] > split.budgets()[0],
             "budget must have flowed to layer 2"
         );
     }
 
     #[test]
     fn single_layer_stack_never_reallocates() {
-        let mut alloc = EntropyDynamic::new(1, 0.0);
-        alloc.observe(0, &[0.9]);
-        assert!(alloc.reallocate(0, &[32], &[1], &[64]).is_none());
+        let mut split = budgets(AllocatorSpec::EntropyDynamic, 1, 1, 32);
+        assert_eq!(split.ceilings(), &[32]);
+        for _ in 0..2 * REALLOCATION_PERIOD {
+            assert!(!split.observe(&[0.9]));
+        }
+        assert_eq!(split.budgets(), &[32]);
     }
 
     #[test]

@@ -563,12 +563,12 @@ mod tests {
     fn batch_of_one_matches_simulate_decode_bit_for_bit() {
         let w = needle_task(128, 16, 3);
         let cfg = SimConfig::new(64, 16).with_prefill_budget(48);
-        let mut single = HybridStaticDynamic::new(48, 16, 16);
+        let mut single = HybridStaticDynamic::new(48, 16);
         let expected = simulate_decode(&w, &mut single, &cfg).unwrap();
 
         let batch = engine_for(BatchConfig::per_sequence(&cfg, 1))
             .run_with(std::slice::from_ref(&w), &mut |_| {
-                Box::new(HybridStaticDynamic::new(48, 16, 16))
+                Box::new(HybridStaticDynamic::new(48, 16))
             })
             .unwrap();
         assert_eq!(batch.per_sequence.len(), 1);
@@ -613,11 +613,7 @@ mod tests {
         let r = engine_for(cfg)
             .run_with(&batch, &mut |i| {
                 let share = cfg.share(6, i);
-                Box::new(HybridStaticDynamic::new(
-                    share.saturating_sub(4).max(1),
-                    4,
-                    16,
-                ))
+                Box::new(HybridStaticDynamic::new(share.saturating_sub(4).max(1), 16))
             })
             .unwrap();
         assert!(r.peak_resident <= cfg.total_capacity, "{r:?}");

@@ -61,12 +61,6 @@ pub enum HarnessError {
         /// The colliding token id.
         token: usize,
     },
-    /// A token passed to [`attention_over`](crate::attention_over) is not
-    /// resident in the store.
-    NonResidentToken {
-        /// The non-resident token id.
-        token: usize,
-    },
     /// [`DecodeSession::step`](crate::DecodeSession::step) was called on a
     /// session whose decode steps are all done.
     SessionExhausted {
@@ -98,8 +92,8 @@ pub enum HarnessError {
         reason: String,
     },
     /// A [`PrefixRegistry`](crate::PrefixRegistry) was created with a
-    /// shape it cannot operate under (zero dimension, zero rows per page,
-    /// or a zero page budget that could never cache a prefix).
+    /// shape it cannot operate under (zero dimension, or a zero page
+    /// budget that could never cache a prefix).
     InvalidPrefixConfig {
         /// Human-readable description of the bad parameter.
         reason: String,
@@ -119,13 +113,6 @@ pub enum HarnessError {
     /// mismatched decode lengths, a global budget too small to give every
     /// layer its policy's minimum viable share, …).
     InvalidLayerConfig {
-        /// Human-readable description of the bad parameter.
-        reason: String,
-    },
-    /// An [`AllocatorSpec`](crate::AllocatorSpec) carries a parameter no
-    /// budget allocator can be built from (a decay factor outside `(0, 1]`,
-    /// a zero reallocation period, a negative hysteresis margin, …).
-    InvalidAllocator {
         /// Human-readable description of the bad parameter.
         reason: String,
     },
@@ -164,9 +151,6 @@ impl core::fmt::Display for HarnessError {
                 f,
                 "inserting token {token} at step {step} collided with an already-resident token"
             ),
-            HarnessError::NonResidentToken { token } => {
-                write!(f, "token {token} is not resident in the store")
-            }
             HarnessError::SessionExhausted { steps } => {
                 write!(f, "all {steps} decode steps of this session are already done")
             }
@@ -195,9 +179,6 @@ impl core::fmt::Display for HarnessError {
             ),
             HarnessError::InvalidLayerConfig { reason } => {
                 write!(f, "invalid layer-stack config: {reason}")
-            }
-            HarnessError::InvalidAllocator { reason } => {
-                write!(f, "invalid allocator spec: {reason}")
             }
             HarnessError::UnknownAllocator { name } => write!(
                 f,
@@ -258,9 +239,6 @@ mod tests {
             },
             HarnessError::InvalidLayerConfig {
                 reason: "0 layers".into(),
-            },
-            HarnessError::InvalidAllocator {
-                reason: "decay of 0".into(),
             },
             HarnessError::UnknownAllocator { name: "x".into() },
         ];

@@ -43,10 +43,9 @@
 //!   it, bit-identically (copy-on-write isolates later mutation);
 //! * [`LayerStackSession`] — the multi-layer decode stack: K per-layer
 //!   [`DecodeSession`]s driven in lockstep under one *global* KV budget,
-//!   split across depths by a pluggable [`BudgetAllocator`]
-//!   ([`Uniform`], [`DepthDecayed`], or the entropy-driven
-//!   [`EntropyDynamic`] which re-balances budgets mid-decode), each
-//!   allocator buildable from a serializable [`AllocatorSpec`];
+//!   which [`LayerBudgets`] splits across depths under the allocator an
+//!   [`AllocatorSpec`] names: uniform, depth-decayed, or entropy-driven
+//!   (re-balancing budgets mid-decode);
 //! * [`simulate_decode`] — a thin run-to-completion wrapper over one
 //!   [`DecodeSession`] for the single-sequence scientific call sites.
 //!
@@ -57,7 +56,7 @@
 //! use unicaim_kvcache::{simulate_decode, HybridStaticDynamic, SimConfig};
 //!
 //! let workload = needle_task(128, 16, 7);
-//! let mut policy = HybridStaticDynamic::new(48, 16, 8);
+//! let mut policy = HybridStaticDynamic::new(48, 8);
 //! let result = simulate_decode(&workload, &mut policy, &SimConfig::new(64, 8)).unwrap();
 //! assert!(result.salient_recall > 0.5);
 //! ```
@@ -96,7 +95,7 @@ mod stack;
 
 pub mod policies;
 
-pub use allocator::{AllocatorSpec, BudgetAllocator, DepthDecayed, EntropyDynamic, Uniform};
+pub use allocator::{AllocatorSpec, LayerBudgets};
 pub use engine::{BatchConfig, BatchResult, DecodeEngine, EngineConfig, SchedulerSpec, WorkerPool};
 pub use error::HarnessError;
 pub use metrics::{MetricsSummary, ServerMetrics, OCCUPANCY_BUCKETS};
@@ -107,8 +106,7 @@ pub use score::ScoreTable;
 pub use serve::{CompletedRequest, Priority, ServeConfig, ServeCore, ServeReport, SubmitOutcome};
 pub use session::{DecodeSession, ReuseReport, StepOutcome};
 pub use sim::{
-    attention_over, prefill_attention_matrix, ratio_capacity, simulate_decode, DecodeMetrics,
-    SimConfig, SimResult,
+    prefill_attention_matrix, ratio_capacity, simulate_decode, DecodeMetrics, SimConfig, SimResult,
 };
 pub use spec::PolicySpec;
 pub use stack::{simulate_stack, LayerStackSession, StackConfig, StackResult};

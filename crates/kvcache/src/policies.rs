@@ -307,7 +307,7 @@ impl Policy for OracleTopK {
 /// use unicaim_kvcache::{simulate_decode, HybridStaticDynamic, SimConfig};
 ///
 /// let workload = needle_task(128, 16, 1);
-/// let mut policy = HybridStaticDynamic::new(48, 16, 16); // H, M, k
+/// let mut policy = HybridStaticDynamic::new(48, 16); // H, k
 /// let result = simulate_decode(
 ///     &workload,
 ///     &mut policy,
@@ -319,7 +319,6 @@ impl Policy for OracleTopK {
 #[derive(Debug, Clone)]
 pub struct HybridStaticDynamic {
     h: usize,
-    m: usize,
     k: usize,
     table: ScoreTable,
     /// The last inserted token, protected from eviction.
@@ -329,44 +328,19 @@ pub struct HybridStaticDynamic {
 }
 
 impl HybridStaticDynamic {
-    /// Creates the policy with `h` heavy prefill tokens, `m` reserved decode
-    /// slots, and top-`k` dynamic selection. Scores accumulate as a plain
-    /// running sum, and the one most recently inserted token is protected
-    /// from eviction.
+    /// Creates the policy with `h` heavy prefill tokens and top-`k`
+    /// dynamic selection. The `M` reserved decode slots are the session's
+    /// capacity beyond `h`. Scores accumulate as a plain running sum, and
+    /// the one most recently inserted token is protected from eviction.
     #[must_use]
-    pub fn new(h: usize, m: usize, k: usize) -> Self {
+    pub fn new(h: usize, k: usize) -> Self {
         Self {
             h,
-            m,
             k,
             table: ScoreTable::accumulating(),
             newest: None,
             topk_keys: Vec::new(),
         }
-    }
-
-    /// The prefill heavy-token budget `H`.
-    #[must_use]
-    pub fn h(&self) -> usize {
-        self.h
-    }
-
-    /// The reserved decode budget `M`.
-    #[must_use]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// The dynamic top-k width.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Read access to the accumulated-score table.
-    #[must_use]
-    pub fn score_table(&self) -> &ScoreTable {
-        &self.table
     }
 }
 
@@ -511,7 +485,7 @@ mod tests {
 
     #[test]
     fn hybrid_prefill_keeps_top_h() {
-        let mut p = HybridStaticDynamic::new(3, 2, 2);
+        let mut p = HybridStaticDynamic::new(3, 2);
         let keep = p.prefill_keep(&sinky_attn(10), 100);
         assert_eq!(keep.len(), 3);
         assert!(keep.contains(&0), "sink has the highest accumulated score");
@@ -519,24 +493,24 @@ mod tests {
 
     #[test]
     fn hybrid_selects_top_k_by_score() {
-        let mut p = HybridStaticDynamic::new(4, 2, 2);
+        let mut p = HybridStaticDynamic::new(4, 2);
         let d = p.select(0, &[(0, 0.3), (1, 0.9), (2, 0.8), (3, 0.1)], 2);
         assert_eq!(d.selected, vec![1, 2]);
     }
 
     #[test]
     fn hybrid_evicts_lowest_accumulated() {
-        let mut p = HybridStaticDynamic::new(4, 2, 2);
+        let mut p = HybridStaticDynamic::new(4, 2);
         p.observe(0, &[(0, 0.7), (1, 0.1), (2, 0.2)]);
         p.observe(1, &[(0, 0.6), (1, 0.05), (2, 0.35)]);
         assert_eq!(p.evict(2, &[0, 1, 2]), Some(1));
         // Evicted token's score is forgotten.
-        assert_eq!(p.score_table().get(1), None);
+        assert_eq!(p.table.get(1), None);
     }
 
     #[test]
     fn hybrid_protects_newest_token() {
-        let mut p = HybridStaticDynamic::new(4, 2, 2);
+        let mut p = HybridStaticDynamic::new(4, 2);
         p.observe(0, &[(0, 0.9), (1, 0.1)]);
         p.note_inserted(5); // newest token, accumulated score 0
                             // Without protection 5 would be evicted (score 0); with protection

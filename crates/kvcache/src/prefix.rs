@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::DecodeWorkload;
-use unicaim_attention::{Matrix, PageArena, PageHandle, Precision, DEFAULT_PAGE_ROWS};
+use unicaim_attention::{Matrix, PageArena, PageHandle, Precision};
 
 use crate::error::HarnessError;
 
@@ -139,41 +139,19 @@ pub struct PrefixRegistry {
 
 impl PrefixRegistry {
     /// A registry for prefixes of `dim`-wide rows, pinning at most
-    /// `max_pages` pages ([`DEFAULT_PAGE_ROWS`] rows each). The budget
-    /// counts variant pages only: each entry's attention matrix and
-    /// flattened content sit outside it (see "Eviction story" in the
-    /// module docs).
+    /// `max_pages` pages ([`PAGE_ROWS`](unicaim_attention::PAGE_ROWS) rows
+    /// each). The budget counts variant pages only: each entry's attention
+    /// matrix and flattened content sit outside it (see "Eviction story"
+    /// in the module docs).
     ///
     /// # Errors
     ///
     /// Returns [`HarnessError::InvalidPrefixConfig`] when `dim == 0` or
     /// `max_pages == 0` (a registry that could never cache anything).
     pub fn new(dim: usize, max_pages: usize) -> Result<Self, HarnessError> {
-        Self::with_shape(dim, DEFAULT_PAGE_ROWS, max_pages)
-    }
-
-    /// A registry with an explicit page geometry (`page_rows` rows per
-    /// page) — useful for forcing page-boundary and eviction behaviour in
-    /// tests. As with [`PrefixRegistry::new`], `max_pages` bounds variant
-    /// pages only, not the entries' matrices and content.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError::InvalidPrefixConfig`] when `dim == 0`,
-    /// `page_rows == 0`, or `max_pages == 0`.
-    pub fn with_shape(
-        dim: usize,
-        page_rows: usize,
-        max_pages: usize,
-    ) -> Result<Self, HarnessError> {
         if dim == 0 {
             return Err(HarnessError::InvalidPrefixConfig {
                 reason: "row dimension of 0".into(),
-            });
-        }
-        if page_rows == 0 {
-            return Err(HarnessError::InvalidPrefixConfig {
-                reason: "0 rows per page".into(),
             });
         }
         if max_pages == 0 {
@@ -183,7 +161,7 @@ impl PrefixRegistry {
         }
         Ok(Self {
             inner: Arc::new(Mutex::new(Inner::default())),
-            arena: PageArena::new(dim, page_rows),
+            arena: PageArena::new(dim),
             max_pages,
         })
     }
@@ -523,6 +501,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use unicaim_attention::workloads::needle_task;
+    use unicaim_attention::PAGE_ROWS;
 
     fn matrix() -> Arc<Matrix> {
         Arc::new(Matrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5]]))
@@ -576,10 +555,6 @@ mod tests {
         ));
         assert!(matches!(
             PrefixRegistry::new(8, 0),
-            Err(HarnessError::InvalidPrefixConfig { .. })
-        ));
-        assert!(matches!(
-            PrefixRegistry::with_shape(8, 0, 4),
             Err(HarnessError::InvalidPrefixConfig { .. })
         ));
     }
@@ -677,60 +652,68 @@ mod tests {
         assert!(matches!(reg.lookup_matrix(7, &base), MatrixLookup::Hit(_)));
     }
 
+    /// A prompt four rows longer than one page, and the keep set and two
+    /// fresh pages of its full-prompt variant.
+    fn two_page_variant(
+        reg: &PrefixRegistry,
+        seed: u16,
+    ) -> (DecodeWorkload, Vec<usize>, Vec<PageHandle>) {
+        let w = sized_prefix(seed, 2, PAGE_ROWS as u16 + 4);
+        let kept: Vec<usize> = (0..w.prefill_keys.len()).collect();
+        let pages = vec![reg.arena().alloc(), reg.arena().alloc()];
+        (w, kept, pages)
+    }
+
     #[test]
     fn variant_lookup_bumps_refcounts() {
-        let reg = PrefixRegistry::with_shape(2, 2, 8).unwrap();
-        reg.insert_matrix(1, &prefix(1), matrix());
-        let pages = vec![reg.arena().alloc(), reg.arena().alloc()];
-        reg.register_variant(1, Precision::F32, &[0, 1, 2], &pages);
+        let reg = PrefixRegistry::new(2, 8).unwrap();
+        let (w, kept, pages) = two_page_variant(&reg, 1);
+        reg.insert_matrix(1, &w, matrix());
+        reg.register_variant(1, Precision::F32, &kept, &pages);
         assert_eq!(reg.cached_pages(), 2);
         let spliced = reg
-            .lookup_variant(1, Precision::F32, &[0, 1, 2])
+            .lookup_variant(1, Precision::F32, &kept)
             .expect("variant was registered");
         // caller's handle + registry's + the fresh clone
         assert_eq!(std::sync::Arc::strong_count(&pages[0]), 3);
         assert_eq!(spliced.len(), 2);
         // A different keep set or precision is a distinct variant.
-        assert!(reg.lookup_variant(1, Precision::F32, &[0, 1]).is_none());
-        assert!(reg.lookup_variant(1, Precision::Int8, &[0, 1, 2]).is_none());
+        assert!(reg.lookup_variant(1, Precision::F32, &kept[1..]).is_none());
+        assert!(reg.lookup_variant(1, Precision::Int8, &kept).is_none());
     }
 
     #[test]
     fn lru_eviction_recycles_cold_pages() {
-        let reg = PrefixRegistry::with_shape(2, 2, 2).unwrap();
-        reg.insert_matrix(1, &prefix(1), matrix());
-        reg.register_variant(1, Precision::F32, &[0], &[reg.arena().alloc()]);
-        reg.insert_matrix(2, &prefix(2), matrix());
-        reg.register_variant(2, Precision::F32, &[0], &[reg.arena().alloc()]);
-        assert_eq!(reg.cached_pages(), 2);
+        // Room for two of the three two-page variants.
+        let reg = PrefixRegistry::new(2, 4).unwrap();
+        let register = |seed: u16| {
+            let (w, kept, pages) = two_page_variant(&reg, seed);
+            let fingerprint = u64::from(seed);
+            reg.insert_matrix(fingerprint, &w, matrix());
+            reg.register_variant(fingerprint, Precision::F32, &kept, &pages);
+            w
+        };
+        let first = register(1);
+        let second = register(2);
+        assert_eq!(reg.cached_pages(), 4);
         // Touch prefix 1 so prefix 2 is the LRU victim.
-        assert!(matches!(
-            reg.lookup_matrix(1, &prefix(1)),
-            MatrixLookup::Hit(_)
-        ));
-        reg.insert_matrix(3, &prefix(3), matrix());
-        reg.register_variant(3, Precision::F32, &[0], &[reg.arena().alloc()]);
-        assert_eq!(reg.cached_pages(), 2);
+        assert!(matches!(reg.lookup_matrix(1, &first), MatrixLookup::Hit(_)));
+        register(3);
+        assert_eq!(reg.cached_pages(), 4);
         assert_eq!(reg.entries(), 2);
         assert_eq!(reg.stats().evictions, 1);
-        // Prefix 2's page had no other holders: it went back zeroed.
-        assert_eq!(reg.arena().free_pages(), 1);
-        assert!(matches!(
-            reg.lookup_matrix(2, &prefix(2)),
-            MatrixLookup::Miss
-        ));
-        assert!(matches!(
-            reg.lookup_matrix(1, &prefix(1)),
-            MatrixLookup::Hit(_)
-        ));
+        // Prefix 2's pages had no other holders: they went back zeroed.
+        assert_eq!(reg.arena().free_pages(), 2);
+        assert!(matches!(reg.lookup_matrix(2, &second), MatrixLookup::Miss));
+        assert!(matches!(reg.lookup_matrix(1, &first), MatrixLookup::Hit(_)));
     }
 
     #[test]
     fn oversized_protected_entry_is_not_evicted() {
-        let reg = PrefixRegistry::with_shape(2, 2, 1).unwrap();
-        reg.insert_matrix(1, &prefix(1), matrix());
-        let pages = vec![reg.arena().alloc(), reg.arena().alloc()];
-        reg.register_variant(1, Precision::F32, &[0, 1, 2], &pages);
+        let reg = PrefixRegistry::new(2, 1).unwrap();
+        let (w, kept, pages) = two_page_variant(&reg, 1);
+        reg.insert_matrix(1, &w, matrix());
+        reg.register_variant(1, Precision::F32, &kept, &pages);
         // Two pages pinned against a budget of one, but the entry that
         // was just touched is protected: it stays rather than thrashing.
         assert_eq!(reg.cached_pages(), 2);

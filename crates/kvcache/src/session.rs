@@ -21,7 +21,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use unicaim_attention::kernels;
 use unicaim_attention::workloads::DecodeWorkload;
-use unicaim_attention::{softmax_in_place, AttentionError, KvStore};
+use unicaim_attention::{softmax_in_place, AttentionError, KvStore, PAGE_ROWS};
 
 use crate::error::HarnessError;
 use crate::policy::Policy;
@@ -296,7 +296,7 @@ impl<'w> DecodeSession<'w, 'static> {
             populate_store(&mut store, workload, &keep);
             // Snapshot the prefix pages *before* any decode write: the
             // session's own later writes copy-on-write away from them.
-            let prefix_pages = keep.len().div_ceil(store.page_rows());
+            let prefix_pages = keep.len().div_ceil(PAGE_ROWS);
             registry.register_variant(
                 fingerprint,
                 config.precision,
@@ -792,14 +792,12 @@ fn populate_store(store: &mut KvStore, workload: &DecodeWorkload, keep: &[usize]
     }
 }
 
-/// Resolves a policy's selection to physical slots (shared by the per-step
-/// core and [`attention_over`](crate::attention_over), so the residency
-/// contract is enforced — and worded — in exactly one place).
+/// Resolves a policy's selection to physical slots.
 ///
 /// # Errors
 ///
 /// Returns the first non-resident token (the caller attaches step context).
-pub(crate) fn gather_selected_slots(
+fn gather_selected_slots(
     store: &KvStore,
     selected: &[usize],
     slots: &mut Vec<usize>,
@@ -882,12 +880,11 @@ mod tests {
     fn session_steps_match_run_to_completion_wrapper() {
         let w = needle_task(96, 12, 1);
         let cfg = SimConfig::new(48, 16).with_prefill_budget(40);
-        let mut reference_policy = HybridStaticDynamic::new(40, 8, 16);
+        let mut reference_policy = HybridStaticDynamic::new(40, 16);
         let expected = simulate_decode(&w, &mut reference_policy, &cfg).unwrap();
 
         let mut session =
-            DecodeSession::prefill(&w, Box::new(HybridStaticDynamic::new(40, 8, 16)), &cfg)
-                .unwrap();
+            DecodeSession::prefill(&w, Box::new(HybridStaticDynamic::new(40, 16)), &cfg).unwrap();
         assert_eq!(session.steps(), 12);
         assert!(!session.is_done());
         let mut outcomes = Vec::new();
@@ -1013,7 +1010,7 @@ mod tests {
         let w = needle_task(64, 8, 12);
         let cfg = SimConfig::new(48, 8).with_prefill_budget(40);
         let mut session =
-            DecodeSession::prefill(&w, Box::new(HybridStaticDynamic::new(40, 8, 8)), &cfg).unwrap();
+            DecodeSession::prefill(&w, Box::new(HybridStaticDynamic::new(40, 8)), &cfg).unwrap();
         assert_eq!(session.capacity_limit(), 48);
         session.set_capacity_limit(10_000);
         assert_eq!(session.capacity_limit(), 48, "clamped to physical capacity");
@@ -1029,7 +1026,7 @@ mod tests {
         let w = needle_task(64, 12, 8);
         let cfg = SimConfig::new(48, 8).with_prefill_budget(40);
         let mut session =
-            DecodeSession::prefill(&w, Box::new(HybridStaticDynamic::new(40, 8, 8)), &cfg).unwrap();
+            DecodeSession::prefill(&w, Box::new(HybridStaticDynamic::new(40, 8)), &cfg).unwrap();
         let before = session.resident();
         assert_eq!(before, 40);
         // Lowering the limit evicts nothing by itself...
@@ -1048,8 +1045,7 @@ mod tests {
         // Raising the limit re-opens the free slots.
         let w2 = needle_task(64, 12, 8);
         let mut grown =
-            DecodeSession::prefill(&w2, Box::new(HybridStaticDynamic::new(40, 8, 8)), &cfg)
-                .unwrap();
+            DecodeSession::prefill(&w2, Box::new(HybridStaticDynamic::new(40, 8)), &cfg).unwrap();
         grown.set_capacity_limit(32);
         grown.shrink_to_limit().unwrap();
         grown.set_capacity_limit(44);

@@ -8,11 +8,11 @@ use serde::{Deserialize, Serialize};
 use unicaim_attention::kernels::{self, RowView};
 use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1, Mean};
 use unicaim_attention::workloads::{DecodeWorkload, TokenRows};
-use unicaim_attention::{KvStore, Matrix, Precision};
+use unicaim_attention::{Matrix, Precision};
 
 use crate::error::HarnessError;
 use crate::policy::Policy;
-use crate::session::{gather_selected_slots, DecodeSession};
+use crate::session::DecodeSession;
 
 /// Harness configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,11 +27,12 @@ pub struct SimConfig {
     /// [`SimConfig::with_prefill_budget`] to hold back decode slots the
     /// prefill stage must not fill.
     pub prefill_budget: usize,
-    /// Key-arena storage precision of the session's [`KvStore`]: every
-    /// per-step score (resident scan, selection attention, observed
-    /// weights) is computed against keys at this precision, while values
-    /// and the exact-attention reference stay `f32` — the software twin
-    /// of the array's reduced-precision cells. Defaults to
+    /// Key-arena storage precision of the session's
+    /// [`KvStore`](unicaim_attention::KvStore): every per-step score
+    /// (resident scan, selection attention, observed weights) is computed
+    /// against keys at this precision, while values and the
+    /// exact-attention reference stay `f32` — the software twin of the
+    /// array's reduced-precision cells. Defaults to
     /// [`Precision::F32`].
     pub precision: Precision,
 }
@@ -277,66 +278,6 @@ pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
     probs
 }
 
-/// Exact attention over the `selected` resident tokens of `store`.
-///
-/// An empty selection returns a deterministic zero vector of the store's
-/// dimension (the pruned model attends to nothing, so it contributes
-/// nothing). Runs the fused
-/// [`KernelBackend::attend_gather`](kernels::KernelBackend::attend_gather)
-/// kernel over the store's flat key/value arenas — or its quantized form
-/// [`KernelBackend::attend_gather_q`](kernels::KernelBackend::attend_gather_q)
-/// when the store keeps a quantized key arena, so the convenience API
-/// scores at the same precision the decode hot path does.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::NonResidentToken`] when a selected token is not
-/// resident. The harness↔policy contract (see [`Policy`]) requires
-/// selections to be a subset of the scored resident set; silently skipping
-/// a non-resident token would mask a broken policy behind quietly degraded
-/// fidelity metrics.
-pub fn attention_over(
-    store: &KvStore,
-    selected: &[usize],
-    query: &[f32],
-) -> Result<Vec<f32>, HarnessError> {
-    let mut out = vec![0.0; store.dim()];
-    if selected.is_empty() {
-        return Ok(out);
-    }
-    let mut slots = Vec::with_capacity(selected.len());
-    gather_selected_slots(store, selected, &mut slots)
-        .map_err(|token| HarnessError::NonResidentToken { token })?;
-    let scale = 1.0 / (query.len() as f32).sqrt();
-    let mut weights = Vec::with_capacity(slots.len());
-    let backend = kernels::active_backend();
-    if let Some(qkeys) = store.quant_keys_view() {
-        let mut query_q = vec![0i8; query.len()];
-        let query_scale = backend.quantize_row_i8(query, &mut query_q);
-        backend.attend_gather_q(
-            &query_q,
-            query_scale,
-            qkeys,
-            store.values_view(),
-            &slots,
-            scale,
-            &mut weights,
-            &mut out,
-        );
-    } else {
-        backend.attend_gather(
-            query,
-            store.keys_view(),
-            store.values_view(),
-            &slots,
-            scale,
-            &mut weights,
-            &mut out,
-        );
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,7 +312,7 @@ mod tests {
     fn hybrid_beats_streaming_on_mid_context_needle() {
         let w = needle_task(256, 32, 3);
         let capacity = 96;
-        let mut hybrid = HybridStaticDynamic::new(capacity - 16, 16, 24);
+        let mut hybrid = HybridStaticDynamic::new(capacity - 16, 24);
         let r_h = simulate_decode(
             &w,
             &mut hybrid,
@@ -397,7 +338,7 @@ mod tests {
     fn hybrid_matches_or_beats_snapkv_on_multihop() {
         let w = multi_hop_task(384, 48, 4);
         let capacity = 128;
-        let mut hybrid = HybridStaticDynamic::new(capacity - 16, 16, 32);
+        let mut hybrid = HybridStaticDynamic::new(capacity - 16, 32);
         let r_h = simulate_decode(
             &w,
             &mut hybrid,
@@ -432,7 +373,7 @@ mod tests {
     #[test]
     fn capacity_is_never_exceeded() {
         let w = needle_task(128, 32, 6);
-        let mut p = HybridStaticDynamic::new(40, 8, 16);
+        let mut p = HybridStaticDynamic::new(40, 16);
         let cfg = SimConfig::new(48, 16).with_prefill_budget(40);
         let r = simulate_decode(&w, &mut p, &cfg).unwrap();
         assert!(r.mean_resident <= 48.0 + 1e-9, "{r:?}");
@@ -444,7 +385,7 @@ mod tests {
         let w = distractor_task(256, 32, 5, 10);
         // Generous capacity: the true needle survives static pruning even
         // next to heavily mentioned distractors, and top-k finds it.
-        let mut p = HybridStaticDynamic::new(112, 16, 32);
+        let mut p = HybridStaticDynamic::new(112, 32);
         let r =
             simulate_decode(&w, &mut p, &SimConfig::reserved_decode_slots(128, 32, 16)).unwrap();
         assert!(
@@ -588,7 +529,7 @@ mod tests {
         // int8 / cell3 key arenas still retrieves the needle.
         let w = needle_task(256, 32, 3);
         for precision in [Precision::Int8, Precision::Cell3Bit] {
-            let mut p = HybridStaticDynamic::new(80, 16, 32);
+            let mut p = HybridStaticDynamic::new(80, 32);
             let cfg = SimConfig::reserved_decode_slots(96, 32, 16).with_precision(precision);
             let r = simulate_decode(&w, &mut p, &cfg).unwrap();
             assert!(
@@ -602,47 +543,9 @@ mod tests {
     }
 
     #[test]
-    fn attention_over_scores_at_the_store_precision() {
-        use unicaim_attention::Precision;
-        let mut qstore = KvStore::with_precision(4, 3, Precision::Int8);
-        let mut fstore = KvStore::new(4, 3);
-        for (t, fill) in [(0usize, 0.3f32), (1, -0.7), (2, 0.9)] {
-            let key = [fill, -fill, fill * 0.5];
-            let value = [fill + 1.0, fill, -fill];
-            qstore.append_parts(t, &key, &value).unwrap();
-            fstore.append_parts(t, &key, &value).unwrap();
-        }
-        let q = [0.6f32, -0.2, 0.4];
-        let quantized = attention_over(&qstore, &[0, 2], &q).unwrap();
-        let exact = attention_over(&fstore, &[0, 2], &q).unwrap();
-        for (a, b) in quantized.iter().zip(&exact) {
-            assert!(a.is_finite());
-            assert!((a - b).abs() < 0.05, "{quantized:?} vs {exact:?}");
-        }
-    }
-
-    #[test]
-    fn attention_over_rejects_non_resident_token() {
-        let store = KvStore::new(4, 2);
-        assert_eq!(
-            attention_over(&store, &[7], &[1.0, 0.0]),
-            Err(HarnessError::NonResidentToken { token: 7 })
-        );
-    }
-
-    #[test]
     fn empty_selection_is_deterministic_zero_vector() {
-        let mut store = KvStore::new(4, 3);
-        store
-            .append_parts(0, &[1.0, 0.0, 0.0], &[0.5, 0.5, 0.5])
-            .unwrap();
-        assert_eq!(
-            attention_over(&store, &[], &[1.0, 0.0, 0.0]).unwrap(),
-            vec![0.0; 3]
-        );
-
-        // Through the harness: a policy that selects nothing produces zero
-        // outputs (cosine 0 against any nonzero reference), not a crash.
+        // A policy that selects nothing produces zero outputs (cosine 0
+        // against any nonzero reference), not a crash.
         let w = needle_task(32, 4, 21);
         let mut p = SelectsNothing;
         let r = simulate_decode(&w, &mut p, &SimConfig::new(w.total_tokens(), 4)).unwrap();

@@ -102,8 +102,8 @@ impl PolicySpec {
     }
 
     /// The smallest per-layer slot share this policy can meaningfully run
-    /// under — the floor a [`BudgetAllocator`](crate::BudgetAllocator)
-    /// must never push a layer's budget below.
+    /// under — the floor [`LayerBudgets`](crate::LayerBudgets) never
+    /// pushes a layer's budget below.
     ///
     /// The hybrid scheme needs its `M` reserved decode slots plus at least
     /// one static token (`m + 1`); StreamingLLM needs its sinks plus one
@@ -207,8 +207,8 @@ impl PolicySpec {
             PolicySpec::H2O { recent_budget } => Box::new(H2O::new(recent_budget)),
             PolicySpec::SnapKv { obs_window } => Box::new(SnapKv::new(obs_window)),
             PolicySpec::OracleTopK => Box::new(OracleTopK::new()),
-            PolicySpec::HybridStaticDynamic { h, m, k } => {
-                Box::new(HybridStaticDynamic::new(h, m, k))
+            PolicySpec::HybridStaticDynamic { h, k, .. } => {
+                Box::new(HybridStaticDynamic::new(h, k))
             }
         }
     }

@@ -7,27 +7,28 @@
 //! observation). [`LayerStackSession`] reproduces that setting in the
 //! harness — each layer gets its own [`DecodeSession`] (own [`KvStore`],
 //! own policy instance built from one shared
-//! [`PolicySpec`](crate::PolicySpec)), and a [`BudgetAllocator`] splits
-//! the global slot budget across depths:
+//! [`PolicySpec`](crate::PolicySpec)), and an [`AllocatorSpec`] splits the
+//! global slot budget across depths:
 //!
-//! * **static allocators** ([`Uniform`](crate::Uniform),
-//!   [`DepthDecayed`](crate::DepthDecayed)) fix the split at admission —
-//!   each layer's physical store is exactly its budget, so a K=1 stack
-//!   under `Uniform` is *bit-identical* to a plain [`DecodeSession`]
-//!   (property-tested across every policy × precision);
-//! * **dynamic allocators** ([`EntropyDynamic`](crate::EntropyDynamic))
-//!   build each layer's store at the allocator's over-provisioned
-//!   *envelope* and move a **logical capacity limit**
-//!   ([`DecodeSession::set_capacity_limit`]) inside it: growing a layer is
-//!   free (the slack slots already exist), shrinking one evicts through
-//!   the layer's own policy ([`DecodeSession::shrink_to_limit`]), so no
-//!   stored row ever migrates between arenas.
+//! * **static allocators** (`Uniform`, `DepthDecayed`) fix the split at
+//!   admission — each layer's physical store is exactly its budget;
+//! * **the dynamic allocator** (`EntropyDynamic`) builds each layer's
+//!   store at an over-provisioned ceiling and moves a **logical capacity
+//!   limit** ([`DecodeSession::set_capacity_limit`]) inside it: growing a
+//!   layer is free (the slack slots already exist), shrinking one evicts
+//!   through the layer's own policy ([`DecodeSession::shrink_to_limit`]),
+//!   so no stored row ever migrates between arenas.
+//!
+//! At K = 1 every allocator gives the one layer the whole budget and never
+//! reallocates, so a one-layer stack is *bit-identical* to a plain
+//! [`DecodeSession`] (property-tested across every allocator × policy ×
+//! precision).
 //!
 //! The reallocation signal is the per-layer **normalized attention
 //! entropy** of the step's observed weights (`−Σ p ln p / ln n` over
 //! [`DecodeSession::last_observed`]) — a byproduct of the decode step the
-//! stack reads for free. Budgets always conserve the global sum and
-//! respect every layer's policy floor
+//! stack reads for free. Budgets always conserve the global sum and never
+//! go below the policy's floor
 //! ([`PolicySpec::min_viable_share`](crate::PolicySpec::min_viable_share)).
 //!
 //! The stack counts each layer's resident tokens and evictions itself and
@@ -39,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::DecodeWorkload;
 use unicaim_attention::Precision;
 
-use crate::allocator::{AllocatorSpec, BudgetAllocator};
+use crate::allocator::{AllocatorSpec, LayerBudgets};
 use crate::error::HarnessError;
 use crate::session::{DecodeSession, StepOutcome};
 use crate::sim::{SimConfig, SimResult};
@@ -127,7 +128,7 @@ pub struct StackResult {
 }
 
 /// K per-layer [`DecodeSession`]s advanced in lockstep under one global
-/// KV budget, split across depths by a [`BudgetAllocator`].
+/// KV budget, split across depths by [`LayerBudgets`].
 ///
 /// Lifecycle mirrors the single-layer session:
 /// [`prefill`](LayerStackSession::prefill) admits every layer and applies the
@@ -138,15 +139,9 @@ pub struct StackResult {
 /// [`StackResult`].
 pub struct LayerStackSession<'w> {
     sessions: Vec<DecodeSession<'w, 'static>>,
-    allocator: Box<dyn BudgetAllocator>,
+    /// Current logical per-layer budgets and physical ceilings.
+    allocator: LayerBudgets,
     policy_name: &'static str,
-    /// Current logical per-layer budgets; `Σ == global_budget` always.
-    budgets: Vec<usize>,
-    /// Per-layer policy floors the allocator must never go below.
-    floors: Vec<usize>,
-    /// Per-layer physical capacities (the allocator's envelope).
-    ceilings: Vec<usize>,
-    global_budget: usize,
     /// Decode steps shared by every layer's workload.
     steps: usize,
     next_step: usize,
@@ -163,32 +158,33 @@ pub struct LayerStackSession<'w> {
 impl<'w> LayerStackSession<'w> {
     /// Admits one workload per layer: validates the stack shape, splits
     /// the global budget with the allocator, and prefills every layer's
-    /// [`DecodeSession`] at its physical envelope with the shared policy
+    /// [`DecodeSession`] at its physical ceiling with the shared policy
     /// spec re-sized to that layer's share
     /// ([`PolicySpec::for_share`](crate::PolicySpec::for_share)).
     ///
-    /// Layers whose envelope exceeds their initial budget (dynamic
-    /// allocators) are shrunk to the budget straight after prefill,
+    /// Layers whose ceiling exceeds their initial budget (the dynamic
+    /// allocator) are shrunk to the budget straight after prefill,
     /// evicting through their own policy.
     ///
     /// # Errors
     ///
     /// [`HarnessError::InvalidLayerConfig`] for an empty stack, layers
-    /// with mismatched decode lengths, or a global budget below the sum of
-    /// the per-layer policy floors; [`HarnessError::InvalidAllocator`]
-    /// from [`AllocatorSpec::validate`]; otherwise the per-layer
+    /// with mismatched decode lengths, or a global budget below the
+    /// policy floor times the layer count; otherwise the per-layer
     /// [`DecodeSession::prefill_spec`] contract.
     pub fn prefill(
         workloads: &'w [DecodeWorkload],
         policy: &PolicySpec,
-        allocator_spec: &AllocatorSpec,
+        allocator_spec: AllocatorSpec,
         config: &StackConfig,
     ) -> Result<Self, HarnessError> {
-        if workloads.is_empty() {
-            return Err(HarnessError::InvalidLayerConfig {
-                reason: "a layer stack needs at least one layer (zero layers given)".to_owned(),
-            });
-        }
+        let allocator = LayerBudgets::new(
+            allocator_spec,
+            workloads.len(),
+            policy.min_viable_share(),
+            config.global_budget,
+        )?;
+        // `LayerBudgets::new` rejected an empty stack.
         let steps = workloads[0].decode_queries.len();
         for (l, w) in workloads.iter().enumerate() {
             if w.decode_queries.len() != steps {
@@ -201,45 +197,23 @@ impl<'w> LayerStackSession<'w> {
                 });
             }
         }
-        allocator_spec.validate()?;
-
-        let floors: Vec<usize> = vec![policy.min_viable_share(); workloads.len()];
-        let total_floor: usize = floors.iter().sum();
-        if config.global_budget < total_floor {
-            return Err(HarnessError::InvalidLayerConfig {
-                reason: format!(
-                    "global budget of {} slots cannot give all {} layers the \
-                     `{}` policy's minimum viable share of {} slots each \
-                     (needs at least {total_floor})",
-                    config.global_budget,
-                    workloads.len(),
-                    policy.name(),
-                    floors[0]
-                ),
-            });
-        }
-
-        let allocator = allocator_spec.build();
-        let budgets = allocator.initial_split(config.global_budget, &floors);
-        let ceilings = allocator.envelope(config.global_budget, &floors);
-        debug_assert_eq!(budgets.iter().sum::<usize>(), config.global_budget);
-        debug_assert!(ceilings.iter().zip(&budgets).all(|(c, b)| c >= b));
 
         let mut sessions = Vec::with_capacity(workloads.len());
         let mut resident_sums = Vec::with_capacity(workloads.len());
         let mut evictions = Vec::with_capacity(workloads.len());
-        for (l, workload) in workloads.iter().enumerate() {
-            let spec_l = policy.for_share(ceilings[l]);
-            let cfg_l = SimConfig::reserved_decode_slots(
-                ceilings[l],
-                config.k,
-                config.reserved_decode_slots,
-            )
-            .with_precision(config.precision);
+        for ((workload, &ceiling), &budget) in workloads
+            .iter()
+            .zip(allocator.ceilings())
+            .zip(allocator.budgets())
+        {
+            let spec_l = policy.for_share(ceiling);
+            let cfg_l =
+                SimConfig::reserved_decode_slots(ceiling, config.k, config.reserved_decode_slots)
+                    .with_precision(config.precision);
             let mut session = DecodeSession::prefill_spec(workload, &spec_l, &cfg_l)?;
-            // Dynamic allocators prefill at the envelope, then settle to
-            // the initial budget through the layer's own policy.
-            session.set_capacity_limit(budgets[l]);
+            // The dynamic allocator prefills at the ceiling, then settles
+            // to the initial budget through the layer's own policy.
+            session.set_capacity_limit(budget);
             let forced = session.shrink_to_limit()?;
             resident_sums.push(session.resident() as u64);
             evictions.push(forced as u64);
@@ -250,10 +224,6 @@ impl<'w> LayerStackSession<'w> {
             sessions,
             allocator,
             policy_name: policy.name(),
-            budgets,
-            floors,
-            ceilings,
-            global_budget: config.global_budget,
             steps,
             next_step: 0,
             reallocations: 0,
@@ -284,19 +254,19 @@ impl<'w> LayerStackSession<'w> {
     /// Current per-layer logical budgets (`Σ == global_budget` always).
     #[must_use]
     pub fn budgets(&self) -> &[usize] {
-        &self.budgets
+        self.allocator.budgets()
     }
 
-    /// Per-layer policy floors the allocator never goes below.
+    /// The policy floor no layer's budget goes below.
     #[must_use]
-    pub fn floors(&self) -> &[usize] {
-        &self.floors
+    pub fn floor(&self) -> usize {
+        self.allocator.floor()
     }
 
-    /// Per-layer physical capacities (the allocator's envelope).
+    /// Per-layer physical capacities.
     #[must_use]
     pub fn ceilings(&self) -> &[usize] {
-        &self.ceilings
+        self.allocator.ceilings()
     }
 
     /// Reallocation events that moved budget so far.
@@ -319,7 +289,6 @@ impl<'w> LayerStackSession<'w> {
         if self.is_done() {
             return Err(HarnessError::SessionExhausted { steps: self.steps });
         }
-        let step = self.next_step;
         let mut outcomes = Vec::with_capacity(self.sessions.len());
         let mut evicted = vec![0usize; self.sessions.len()];
         self.entropy_scratch.clear();
@@ -334,17 +303,16 @@ impl<'w> LayerStackSession<'w> {
             outcomes.push(outcome);
         }
 
-        self.allocator.observe(step, &self.entropy_scratch);
-        if let Some(next) =
-            self.allocator
-                .reallocate(step, &self.budgets, &self.floors, &self.ceilings)
-        {
-            debug_assert_eq!(next.iter().sum::<usize>(), self.global_budget);
-            for (l, session) in self.sessions.iter_mut().enumerate() {
-                session.set_capacity_limit(next[l]);
-                evicted[l] += session.shrink_to_limit()?;
+        if self.allocator.observe(&self.entropy_scratch) {
+            for ((session, &budget), evicted) in self
+                .sessions
+                .iter_mut()
+                .zip(self.allocator.budgets())
+                .zip(&mut evicted)
+            {
+                session.set_capacity_limit(budget);
+                *evicted += session.shrink_to_limit()?;
             }
-            self.budgets = next;
             self.reallocations += 1;
         }
 
@@ -373,7 +341,7 @@ impl<'w> LayerStackSession<'w> {
     /// that ran.
     #[must_use]
     pub fn finish(self) -> StackResult {
-        let budgets = self.budgets;
+        let budgets = self.allocator.budgets().to_vec();
         let reallocations = self.reallocations;
         let samples = (self.next_step + 1) as f64;
         let layer_mean_occupancy = self
@@ -389,7 +357,7 @@ impl<'w> LayerStackSession<'w> {
         let n = per_layer.len() as f64;
         let mean = |f: fn(&SimResult) -> f64| per_layer.iter().map(f).sum::<f64>() / n;
         StackResult {
-            allocator: self.allocator.name().to_owned(),
+            allocator: self.allocator.spec().name().to_owned(),
             policy: self.policy_name.to_owned(),
             budgets,
             reallocations,
@@ -414,7 +382,7 @@ impl<'w> LayerStackSession<'w> {
 pub fn simulate_stack(
     workloads: &[DecodeWorkload],
     policy: &PolicySpec,
-    allocator: &AllocatorSpec,
+    allocator: AllocatorSpec,
     config: &StackConfig,
 ) -> Result<StackResult, HarnessError> {
     let mut stack = LayerStackSession::prefill(workloads, policy, allocator, config)?;
@@ -460,7 +428,7 @@ mod tests {
         let workloads = vec![needle_task(96, 12, 11)];
         let spec = hybrid_for(48);
         let config = StackConfig::new(48, 8).with_reserved_decode_slots(8);
-        let stacked = simulate_stack(&workloads, &spec, &AllocatorSpec::Uniform, &config).unwrap();
+        let stacked = simulate_stack(&workloads, &spec, AllocatorSpec::Uniform, &config).unwrap();
 
         let solo_cfg = SimConfig::reserved_decode_slots(48, 8, 8);
         let mut solo_policy = spec.for_share(48).build();
@@ -476,36 +444,25 @@ mod tests {
         let config = StackConfig::new(48, 8).with_reserved_decode_slots(8);
         let empty: Vec<unicaim_attention::workloads::DecodeWorkload> = Vec::new();
         assert!(matches!(
-            LayerStackSession::prefill(&empty, &spec, &AllocatorSpec::Uniform, &config),
+            LayerStackSession::prefill(&empty, &spec, AllocatorSpec::Uniform, &config),
             Err(HarnessError::InvalidLayerConfig { .. })
         ));
 
         // Mismatched decode lengths across layers.
         let uneven = vec![needle_task(64, 8, 1), needle_task(64, 12, 1)];
         assert!(matches!(
-            LayerStackSession::prefill(&uneven, &spec, &AllocatorSpec::Uniform, &config),
+            LayerStackSession::prefill(&uneven, &spec, AllocatorSpec::Uniform, &config),
             Err(HarnessError::InvalidLayerConfig { .. })
         ));
 
-        // A global budget below the per-layer floors (hybrid floor is
-        // m + 1 = 9 per layer).
+        // A global budget below the policy floor times the layer count
+        // (hybrid floor is m + 1 = 9 per layer).
         let layers = layer_stack_tasks(4, 64, 8, 3);
         let starved = StackConfig::new(20, 8).with_reserved_decode_slots(8);
-        let err = LayerStackSession::prefill(&layers, &spec, &AllocatorSpec::Uniform, &starved)
+        let err = LayerStackSession::prefill(&layers, &spec, AllocatorSpec::Uniform, &starved)
             .map(|_| ())
             .unwrap_err();
         assert!(err.to_string().contains("minimum viable share"), "{err}");
-
-        // Allocator validation runs before any prefill work.
-        assert!(matches!(
-            LayerStackSession::prefill(
-                &layers,
-                &spec,
-                &AllocatorSpec::DepthDecayed { decay: 0.0 },
-                &config
-            ),
-            Err(HarnessError::InvalidAllocator { .. })
-        ));
     }
 
     #[test]
@@ -513,13 +470,9 @@ mod tests {
         let layers = layer_stack_tasks(4, 64, 8, 5);
         let spec = hybrid_for(32);
         let config = StackConfig::new(128, 8).with_reserved_decode_slots(8);
-        let stack = LayerStackSession::prefill(
-            &layers,
-            &spec,
-            &AllocatorSpec::DepthDecayed { decay: 0.6 },
-            &config,
-        )
-        .unwrap();
+        let stack =
+            LayerStackSession::prefill(&layers, &spec, AllocatorSpec::DepthDecayed, &config)
+                .unwrap();
         assert_eq!(stack.budgets().iter().sum::<usize>(), 128);
         for w in stack.budgets().windows(2) {
             assert!(
@@ -528,7 +481,7 @@ mod tests {
                 stack.budgets()
             );
         }
-        // Static allocator: physical == logical, no envelope slack.
+        // Static allocator: physical == logical, no slack.
         assert_eq!(stack.budgets(), stack.ceilings());
     }
 
@@ -537,21 +490,14 @@ mod tests {
         let layers = layer_stack_tasks(3, 64, 16, 7);
         let spec = hybrid_for(32);
         let config = StackConfig::new(96, 8).with_reserved_decode_slots(8);
-        let mut stack = LayerStackSession::prefill(
-            &layers,
-            &spec,
-            &AllocatorSpec::EntropyDynamic {
-                period: 4,
-                hysteresis: 0.0,
-            },
-            &config,
-        )
-        .unwrap();
+        let mut stack =
+            LayerStackSession::prefill(&layers, &spec, AllocatorSpec::EntropyDynamic, &config)
+                .unwrap();
         while !stack.is_done() {
             stack.step().unwrap();
             assert_eq!(stack.budgets().iter().sum::<usize>(), 96);
             for l in 0..stack.layers() {
-                assert!(stack.budgets()[l] >= stack.floors()[l]);
+                assert!(stack.budgets()[l] >= stack.floor());
                 assert!(stack.budgets()[l] <= stack.ceilings()[l]);
             }
         }
@@ -568,7 +514,7 @@ mod tests {
         let spec = hybrid_for(24);
         let config = StackConfig::new(72, 8).with_reserved_decode_slots(8);
         let mut stack =
-            LayerStackSession::prefill(&layers, &spec, &AllocatorSpec::Uniform, &config).unwrap();
+            LayerStackSession::prefill(&layers, &spec, AllocatorSpec::Uniform, &config).unwrap();
         let prefilled: Vec<usize> = stack.sessions.iter().map(DecodeSession::resident).collect();
         let mut sums: Vec<usize> = prefilled.clone();
         let mut inserted = [0usize; 3];
@@ -597,7 +543,7 @@ mod tests {
         let spec = hybrid_for(24);
         let config = StackConfig::new(48, 8).with_reserved_decode_slots(8);
         let mut stack =
-            LayerStackSession::prefill(&layers, &spec, &AllocatorSpec::Uniform, &config).unwrap();
+            LayerStackSession::prefill(&layers, &spec, AllocatorSpec::Uniform, &config).unwrap();
         stack.run_to_completion().unwrap();
         assert!(matches!(
             stack.step(),
@@ -610,7 +556,7 @@ mod tests {
         let layers = layer_stack_tasks(2, 48, 4, 13);
         let spec = hybrid_for(24);
         let config = StackConfig::new(48, 8).with_reserved_decode_slots(8);
-        let result = simulate_stack(&layers, &spec, &AllocatorSpec::Uniform, &config).unwrap();
+        let result = simulate_stack(&layers, &spec, AllocatorSpec::Uniform, &config).unwrap();
         let text = serde_json::to_string(&result).unwrap();
         let back: StackResult = serde_json::from_str(&text).unwrap();
         assert_eq!(back, result);

@@ -7,7 +7,7 @@ use unicaim_attention::workloads::{
 use unicaim_attention::Matrix;
 use unicaim_kvcache::{
     simulate_decode, simulate_stack, AllocatorSpec, BatchConfig, DecodeEngine, DecodeSession,
-    EngineConfig, HybridStaticDynamic, Policy, PolicySpec, Precision, PrefixRegistry,
+    EngineConfig, HybridStaticDynamic, LayerBudgets, Policy, PolicySpec, Precision, PrefixRegistry,
     SchedulerSpec, ScoreTable, ServeConfig, ServeCore, SimConfig, StackConfig, StepDecision,
     StreamingLlm,
 };
@@ -250,7 +250,7 @@ proptest! {
     #[test]
     fn simulation_deterministic(seed in 0u64..100) {
         let run = || {
-            let mut p = HybridStaticDynamic::new(24, 8, 12);
+            let mut p = HybridStaticDynamic::new(24, 12);
             run_policy(&mut p, seed, 32, 12)
         };
         prop_assert_eq!(run(), run());
@@ -335,7 +335,7 @@ proptest! {
             let got = oracle.select(0, &scored, k).selected;
             prop_assert!(got == expected, "oracle k {k}: {got:?} vs {expected:?}");
             // Hybrid's own k is set to the test k so the cap does not bind.
-            let mut hybrid = HybridStaticDynamic::new(8, 4, k);
+            let mut hybrid = HybridStaticDynamic::new(8, k);
             let got = hybrid.select(0, &scored, k).selected;
             prop_assert!(got == expected, "hybrid k {k}: {got:?} vs {expected:?}");
         }
@@ -585,14 +585,15 @@ proptest! {
         prop_assert_eq!(registry.stats().hits, 1);
     }
 
-    /// A one-layer stack under the `Uniform` allocator is the identity
-    /// wrapper: for every shipped policy and every key-arena precision,
-    /// its single per-layer `SimResult` is bit-identical to driving the
-    /// same workload through a plain `DecodeSession` — the stack's
+    /// A one-layer stack is the identity wrapper under every allocator:
+    /// each gives the one layer the whole budget and never reallocates,
+    /// so for every shipped policy and every key-arena precision its
+    /// single per-layer `SimResult` is bit-identical to driving the same
+    /// workload through a plain `DecodeSession` — the stack's
     /// capacity-limit gating, entropy taps, and allocator plumbing are
     /// all invisible at K = 1.
     #[test]
-    fn k1_uniform_stack_is_bit_identical_for_every_policy_and_precision(
+    fn k1_stack_is_bit_identical_for_every_policy_and_precision(
         seed in 0u64..200,
         precision_idx in 0usize..3,
     ) {
@@ -608,23 +609,23 @@ proptest! {
             solo.run_to_completion().expect("solo run");
             let expected = solo.finish();
 
-            let stacked = simulate_stack(
-                std::slice::from_ref(&w),
-                &spec,
-                &AllocatorSpec::Uniform,
-                &stack_cfg,
-            )
-            .expect("stacked run");
-            prop_assert_eq!(stacked.budgets.as_slice(), &[capacity][..]);
-            prop_assert_eq!(stacked.reallocations, 0);
-            prop_assert_eq!(&stacked.per_layer[0], &expected);
+            for name in AllocatorSpec::NAMES {
+                let allocator = AllocatorSpec::from_name(name).expect("registry name");
+                let stacked =
+                    simulate_stack(std::slice::from_ref(&w), &spec, allocator, &stack_cfg)
+                        .expect("stacked run");
+                prop_assert_eq!(stacked.budgets.as_slice(), &[capacity][..]);
+                prop_assert_eq!(stacked.reallocations, 0);
+                prop_assert!(stacked.per_layer[0] == expected,
+                    "{name}: the stacked layer differs from the solo session");
+            }
         }
     }
 
     /// Every registered allocator conserves the global budget exactly and
     /// never pushes a layer below its policy's minimum viable share (or
     /// above its physical ceiling), from the initial split through an
-    /// arbitrary sequence of observe/reallocate events.
+    /// arbitrary sequence of observed entropies.
     #[test]
     fn allocators_conserve_budget_and_respect_policy_floors(
         layers in 1usize..6,
@@ -634,26 +635,23 @@ proptest! {
         for name in AllocatorSpec::NAMES {
             let alloc_spec = AllocatorSpec::from_name(name).expect("registry name");
             for policy in policy_menu(24, 8) {
-                let floors = vec![policy.min_viable_share(); layers];
-                let global = floors.iter().sum::<usize>() + spare;
-                let mut alloc = alloc_spec.build();
-                let mut budgets = alloc.initial_split(global, &floors);
-                let ceilings = alloc.envelope(global, &floors);
-                prop_assert_eq!(budgets.iter().sum::<usize>(), global);
+                let floor = policy.min_viable_share();
+                let global = floor * layers + spare;
+                let mut alloc = LayerBudgets::new(alloc_spec, layers, floor, global)
+                    .expect("the global budget covers every floor");
+                prop_assert_eq!(alloc.budgets().iter().sum::<usize>(), global);
                 for l in 0..layers {
-                    prop_assert!(ceilings[l] >= budgets[l]);
+                    prop_assert!(alloc.ceilings()[l] >= alloc.budgets()[l]);
                 }
                 for step in 0..32usize {
                     let entropies: Vec<f64> = (0..layers)
                         .map(|l| entropy_raw[(step * layers + l) % entropy_raw.len()])
                         .collect();
-                    alloc.observe(step, &entropies);
-                    if let Some(next) = alloc.reallocate(step, &budgets, &floors, &ceilings) {
-                        budgets = next;
-                    }
+                    alloc.observe(&entropies);
+                    let (budgets, ceilings) = (alloc.budgets(), alloc.ceilings());
                     prop_assert_eq!(budgets.iter().sum::<usize>(), global);
                     for l in 0..layers {
-                        prop_assert!(budgets[l] >= floors[l],
+                        prop_assert!(budgets[l] >= floor,
                             "{name}/{}: layer {l} below its policy floor", policy.name());
                         prop_assert!(budgets[l] <= ceilings[l],
                             "{name}/{}: layer {l} above its ceiling", policy.name());

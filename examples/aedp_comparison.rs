@@ -1,6 +1,7 @@
 //! Accelerator comparison scenario: evaluate UniCAIM against the baseline
 //! CIM accelerators on a custom workload and print a full cost breakdown —
 //! the analysis a deployment study would run before choosing a design.
+//! It asserts that the 3-bit UniCAIM design has the lowest AEDP.
 //!
 //! Run with: `cargo run --example aedp_comparison`
 
@@ -58,8 +59,9 @@ fn main() {
         );
     }
 
-    println!("\nenergy breakdown of the winner (nJ/step):");
     let uni = &reports[0];
+    assert_eq!(uni.aedp(), best, "{} must have the lowest AEDP", uni.design);
+    println!("\nenergy breakdown of the winner (nJ/step):");
     println!(
         "  array {:.3} | adc {:.3} | topk {:.3} | write {:.4}",
         uni.breakdown.array * 1e9,

@@ -1,6 +1,10 @@
 //! Circuit characterization scenario: exercise the device and analog layers
 //! directly — FeFET programming, cell truth tables, discharge races, and
 //! ADC quantization — the way a circuit designer would sweep a testbench.
+//! It asserts the trends it prints: V_TH falls as polarization rises, the
+//! cell's sense current falls as the stored weight rises, the race finishes
+//! strongest current first, ADC codes never decrease with the input, and
+//! the sampled variation σ is within 3% of 54 mV.
 //!
 //! Run with: `cargo run --example circuit_characterization`
 
@@ -14,13 +18,19 @@ fn main() {
     // 1) Multilevel programming: hit five VTH targets across the window.
     println!("-- multilevel V_TH programming --");
     let mut dev = FeFet::fresh();
+    let mut vths = Vec::new();
     for target in [-1.0, -0.5, 0.0, 0.5, 1.0] {
         model.program_polarization(&mut dev, target);
+        vths.push(model.vth(&dev));
         println!(
             "polarization {target:+.1} -> V_TH = {:.3} V",
-            model.vth(&dev)
+            vths[vths.len() - 1]
         );
     }
+    assert!(
+        vths.windows(2).all(|w| w[1] < w[0]),
+        "V_TH must fall as polarization rises: {vths:?}"
+    );
 
     // 2) Hysteresis: nested minor loops.
     println!("\n-- P-V minor loops --");
@@ -47,6 +57,7 @@ fn main() {
 
     // 4) Cell truth table: current decreases with similarity.
     println!("\n-- UniCAIM cell: I_SL vs stored weight (query +1) --");
+    let mut currents = Vec::new();
     for level in [
         KeyLevel::NegOne,
         KeyLevel::NegHalf,
@@ -56,12 +67,17 @@ fn main() {
     ] {
         let mut cell = UniCaimCell::new(&model, FeFet::fresh(), FeFet::fresh());
         cell.program(&model, level);
+        currents.push(cell.sl_current(&model, CellDrive::Plus));
         println!(
             "w = {:+.1}: I_SL = {:.2} µA",
             level.weight(),
-            cell.sl_current(&model, CellDrive::Plus) * 1e6
+            currents[currents.len() - 1] * 1e6
         );
     }
+    assert!(
+        currents.windows(2).all(|w| w[1] < w[0]),
+        "I_SL must fall as the stored weight rises: {currents:?}"
+    );
 
     // 5) A 4-line discharge race (the CAM primitive).
     println!("\n-- discharge race (currents 1/2/4/8 µA) --");
@@ -72,15 +88,27 @@ fn main() {
             race.crossing_time(node, 0.5).unwrap() * 1e9
         );
     }
-    println!("order (fastest first): {:?}", race.order_by_crossing(0.5));
+    let order = race.order_by_crossing(0.5);
+    println!("order (fastest first): {order:?}");
+    assert_eq!(
+        order,
+        [3, 2, 1, 0],
+        "the strongest current must cross first"
+    );
 
     // 6) ADC quantization staircase.
     println!("\n-- 10-bit SAR ADC staircase (inputs in µA) --");
     let adc = SarAdc::paper_default();
+    let mut codes = Vec::new();
     for i in 0..5 {
         let x = 20e-6 + 0.04e-6 * f64::from(i);
-        println!("in {:.3} µA -> code {}", x * 1e6, adc.quantize(x).code);
+        codes.push(adc.quantize(x).code);
+        println!("in {:.3} µA -> code {}", x * 1e6, codes[codes.len() - 1]);
     }
+    assert!(
+        codes.windows(2).all(|w| w[1] >= w[0]),
+        "ADC codes must never decrease: {codes:?}"
+    );
 
     // 7) Variation statistics (σ = 54 mV target).
     let variation = VariationModel::paper_default(1);
@@ -92,5 +120,9 @@ fn main() {
     println!(
         "\ndevice variation sample σ = {:.1} mV (target 54 mV)",
         sd * 1e3
+    );
+    assert!(
+        (sd - 0.054).abs() <= 0.03 * 0.054,
+        "sampled σ {sd} is not within 3% of 54 mV"
     );
 }

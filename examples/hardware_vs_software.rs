@@ -2,6 +2,8 @@
 //! through the software hybrid policy (exact arithmetic) and through the
 //! full UniCAIM hardware engine (quantized keys, analog CAM race, ADC
 //! readout, charge-domain eviction) and compare decisions and quality.
+//! It asserts that every run retrieves every salient token, and that the
+//! engine makes one CAM search and `k` ADC conversions per decode step.
 //!
 //! Run with: `cargo run --release --example hardware_vs_software`
 
@@ -14,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (h, m, k) = (144, 16, 48);
 
     // Software reference: the paper's algorithm in exact float arithmetic.
-    let mut policy = HybridStaticDynamic::new(h, m, k);
+    let mut policy = HybridStaticDynamic::new(h, k);
     let sw = simulate_decode(
         &workload,
         &mut policy,
@@ -59,9 +61,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.output_cosine,
             r.output_rel_error
         );
+        assert_eq!(r.salient_recall, 1.0, "{name} lost a salient token");
     }
 
     let stats = &hw_noisy.stats;
+    assert_eq!(
+        stats.cam_searches, stats.decode_steps,
+        "one CAM search per step"
+    );
+    assert_eq!(
+        stats.adc_conversions,
+        stats.decode_steps * k as u64,
+        "one ADC conversion per selected row per step"
+    );
     println!("\nhardware op counts over {} steps:", stats.decode_steps);
     println!("  CAM searches:      {}", stats.cam_searches);
     println!("  SL precharges:     {}", stats.sl_precharges);

@@ -1,6 +1,6 @@
 //! Multi-layer decode tour: a [`LayerStackSession`] driving a K-layer
-//! decode stack under **one global KV budget**, with a pluggable
-//! `BudgetAllocator` deciding how that budget splits across layers —
+//! decode stack under **one global KV budget**, with an `AllocatorSpec`
+//! deciding how that budget splits across layers —
 //! the software analog of giving attention-heavy transformer layers a
 //! larger share of a fixed CAM/CIM array.
 //!
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stack = simulate_stack(
         &solo_task,
         &spec,
-        &AllocatorSpec::Uniform,
+        AllocatorSpec::Uniform,
         &StackConfig::new(48, 8).with_reserved_decode_slots(8),
     )?;
     let mut solo = DecodeSession::prefill_spec(
@@ -56,13 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workloads = layer_stack_tasks(4, 96, 16, 0x1A7E);
     let spec = PolicySpec::hybrid_for_share(24, 8, 8);
     let config = StackConfig::new(96, 8).with_reserved_decode_slots(8);
-    let uniform = simulate_stack(&workloads, &spec, &AllocatorSpec::Uniform, &config)?;
-    let decayed = simulate_stack(
-        &workloads,
-        &spec,
-        &AllocatorSpec::from_name("depth_decayed")?,
-        &config,
-    )?;
+    let uniform = simulate_stack(&workloads, &spec, AllocatorSpec::Uniform, &config)?;
+    let decayed = simulate_stack(&workloads, &spec, AllocatorSpec::DepthDecayed, &config)?;
     for r in [&uniform, &decayed] {
         println!(
             "  {:<14} budgets {:?}  retrieval {:.3}  f1 {:.3}",
@@ -78,12 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    slots from concentrated layers to diffuse ones; the sum of the
     //    per-layer budgets never leaves the global envelope.
     println!("-- entropy-driven reallocation live ----------------------------");
-    let mut session = LayerStackSession::prefill(
-        &workloads,
-        &spec,
-        &AllocatorSpec::from_name("entropy_dynamic")?,
-        &config,
-    )?;
+    let mut session =
+        LayerStackSession::prefill(&workloads, &spec, AllocatorSpec::EntropyDynamic, &config)?;
     println!("  initial split {:?}", session.budgets());
     let mut last = session.budgets().to_vec();
     while !session.is_done() {

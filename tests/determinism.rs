@@ -16,7 +16,7 @@ fn workloads_are_reproducible() {
 fn software_simulation_is_reproducible() {
     let w = needle_task(192, 24, 9);
     let run = || {
-        let mut p = HybridStaticDynamic::new(64, 8, 24);
+        let mut p = HybridStaticDynamic::new(64, 24);
         simulate_decode(&w, &mut p, &SimConfig::new(72, 24).with_prefill_budget(64))
     };
     assert_eq!(run(), run());

@@ -9,7 +9,7 @@ use unicaim_repro::kvcache::{simulate_decode, HybridStaticDynamic, SimConfig};
 fn software_pipeline_end_to_end() {
     let workload = needle_task(256, 32, 21);
     let (h, m, k) = (96, 16, 32);
-    let mut policy = HybridStaticDynamic::new(h, m, k);
+    let mut policy = HybridStaticDynamic::new(h, k);
     let result = simulate_decode(
         &workload,
         &mut policy,
@@ -90,7 +90,7 @@ fn hardware_matches_software_policy_quality() {
     let workload = multi_hop_task(384, 48, 24);
     let (h, m, k) = (144, 16, 64);
 
-    let mut policy = HybridStaticDynamic::new(h, m, k);
+    let mut policy = HybridStaticDynamic::new(h, k);
     let sw = simulate_decode(
         &workload,
         &mut policy,

@@ -46,7 +46,7 @@ fn hybrid_beats_snapkv_and_streaming_on_multihop() {
     let task = |seed| multi_hop_task(512, 48, seed);
     let hybrid = mean_recall(
         task,
-        |c, m, k| Box::new(HybridStaticDynamic::new(c - m, m, k)),
+        |c, m, k| Box::new(HybridStaticDynamic::new(c - m, k)),
         false,
         ratio,
         &seeds,
@@ -81,7 +81,7 @@ fn hybrid_approaches_full_cache_on_summary() {
     let task = |seed| summary_task(768, 64, seed);
     let hybrid = mean_recall(
         task,
-        |c, m, k| Box::new(HybridStaticDynamic::new(c - m, m, k)),
+        |c, m, k| Box::new(HybridStaticDynamic::new(c - m, k)),
         false,
         0.25,
         &seeds,
@@ -101,7 +101,7 @@ fn accuracy_degrades_gracefully_with_ratio() {
     for ratio in [0.4, 0.2, 0.1] {
         let recall = mean_recall(
             task,
-            |c, m, k| Box::new(HybridStaticDynamic::new(c - m, m, k)),
+            |c, m, k| Box::new(HybridStaticDynamic::new(c - m, k)),
             false,
             ratio,
             &seeds,

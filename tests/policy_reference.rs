@@ -313,7 +313,7 @@ fn hybrid_decides_like_the_map_based_reference() {
                     &label,
                     workload,
                     &cfg,
-                    HybridStaticDynamic::new(h, m, K),
+                    HybridStaticDynamic::new(h, K),
                     ReferenceHybrid {
                         h,
                         k: K,

@@ -42,7 +42,7 @@ fn attention_defaults_construct() {
 #[test]
 fn kvcache_policies_construct_and_simulate() {
     let workload = attention::workloads::needle_task(96, 12, 11);
-    let mut policy = kvcache::HybridStaticDynamic::new(40, 8, 8);
+    let mut policy = kvcache::HybridStaticDynamic::new(40, 8);
     let result = kvcache::simulate_decode(&workload, &mut policy, &kvcache::SimConfig::new(48, 8))
         .expect("shipped policies uphold the harness contract");
     assert!(result.steps > 0, "simulation must run decode steps");
