@@ -103,12 +103,6 @@ impl ServerMetrics {
         self.wasted_steps += steps_lost as u64;
     }
 
-    /// Records a request's first generated token, `ttft` ticks after it
-    /// arrived.
-    pub fn note_first_token(&mut self, ttft: u64) {
-        self.ttft_ticks.push(ttft);
-    }
-
     /// Records what an admission through the shared
     /// [`PrefixRegistry`](crate::PrefixRegistry) reused: whether the
     /// prefix was a verified hit, how many cached pages the session's
@@ -122,10 +116,13 @@ impl ServerMetrics {
         self.prefix_bytes_saved += bytes_saved as u64;
     }
 
-    /// Records a retirement: `latency` ticks end to end, `tokens` decode
-    /// steps delivered.
-    pub fn note_completed(&mut self, latency: u64, tokens: usize) {
+    /// Records a retirement: first token `ttft` ticks after arrival (the
+    /// first token after the request's final admission), `latency` ticks
+    /// end to end, `tokens` decode steps delivered. One TTFT sample per
+    /// request, however often it was preempted.
+    pub fn note_completed(&mut self, ttft: u64, latency: u64, tokens: usize) {
         self.completed += 1;
+        self.ttft_ticks.push(ttft);
         self.latency_ticks.push(latency);
         self.tokens_completed += tokens as u64;
     }
@@ -311,7 +308,11 @@ pub struct MetricsSummary {
     pub p50_wait_ticks: f64,
     /// 95th-percentile queue wait, in ticks.
     pub p95_wait_ticks: f64,
-    /// Median time to first token (arrival → first decode step), ticks.
+    /// Median time to first token (arrival → first decode step after the
+    /// final admission), ticks. The TTFT percentiles take one sample per
+    /// completed request, `first_token_tick − arrival_tick`, so they are
+    /// the nearest-rank percentiles of
+    /// [`ServeReport::completed`](crate::ServeReport::completed).
     pub p50_ttft_ticks: f64,
     /// 95th-percentile time to first token, ticks.
     pub p95_ttft_ticks: f64,
@@ -391,10 +392,9 @@ mod tests {
         let mut m = ServerMetrics::new(64);
         m.note_submitted(0);
         m.note_admitted(0, false);
-        m.note_first_token(1);
         m.note_preempted(3);
         m.note_admitted(2, true);
-        m.note_completed(9, 8);
+        m.note_completed(2, 9, 8);
         m.sample_tick(1, 32, 11, 40);
         let s = m.summary();
         assert_eq!(s.preemptions, 1);
@@ -405,6 +405,8 @@ mod tests {
         assert_eq!(s.tokens_per_tick, 8.0);
         assert_eq!(s.peak_resident_tokens, 40);
         assert_eq!(s.p50_latency_ticks, 9.0);
+        // One TTFT sample for the preempted request, from its retirement.
+        assert_eq!(s.p99_ttft_ticks, 2.0);
     }
 
     #[test]
@@ -424,8 +426,7 @@ mod tests {
         let mut m = ServerMetrics::new(32);
         m.note_submitted(0);
         m.note_admitted(0, false);
-        m.note_first_token(1);
-        m.note_completed(5, 4);
+        m.note_completed(1, 5, 4);
         m.sample_tick(0, 16, 1, 20);
         let s = m.summary();
         let text = serde_json::to_string(&s).unwrap();

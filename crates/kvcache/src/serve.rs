@@ -19,9 +19,11 @@
 //! * **Priority preemption** — a queued [`Priority::High`] request that
 //!   cannot fit evicts the most recently admitted `Normal` session; the
 //!   victim's decoded tokens are discarded and the request is requeued at
-//!   the *front* of its tenant queue for a fresh re-prefill (the
-//!   re-prefill makes its eventual output bit-identical to an undisturbed
-//!   run — pinned by a property test).
+//!   the head of its tenant's `Normal`s, behind that tenant's `High`s, for
+//!   a fresh re-prefill (the re-prefill makes its eventual output
+//!   bit-identical to an undisturbed run — pinned by a property test).
+//!   The `High` is seated in the tick that preempts for it, so each `High`
+//!   costs at most one preemption.
 //! * **Virtual time** — one [`ServeCore::tick`] advances every running
 //!   session by one decode step. All latency metrics
 //!   ([`ServerMetrics`](crate::ServerMetrics)) are measured in ticks, so a
@@ -197,10 +199,15 @@ pub struct CompletedRequest {
     pub arrival_tick: u64,
     /// Tick its first token was generated at (after its *final*
     /// admission, so a preempted request's TTFT includes the re-prefill).
+    /// `first_token_tick − arrival_tick` is the request's one sample in
+    /// the summary's TTFT percentiles.
     pub first_token_tick: u64,
     /// Tick it retired at.
     pub completion_tick: u64,
-    /// Times it was preempted before completing.
+    /// Times it was preempted before completing. Each preemption discarded
+    /// its decoded tokens and requeued it at the head of its tenant's
+    /// `Normal`s, so each one cost a re-prefill; a run preempts at most
+    /// once per `High` request it seats.
     pub preemptions: u32,
     /// The decode result — bit-identical to running the sequence alone
     /// under [`ServeConfig::session_config`], whatever happened around it.
@@ -230,11 +237,34 @@ struct Pending<'w> {
     spec: PolicySpec,
 }
 
+/// One tenant's waiting requests, a deque per class, so every queued
+/// `High` precedes every queued `Normal` by construction.
+#[derive(Default)]
+struct TenantQueue<'w> {
+    high: VecDeque<Pending<'w>>,
+    normal: VecDeque<Pending<'w>>,
+}
+
+impl<'w> TenantQueue<'w> {
+    fn len(&self) -> usize {
+        self.high.len() + self.normal.len()
+    }
+
+    fn class(&mut self, priority: Priority) -> &mut VecDeque<Pending<'w>> {
+        match priority {
+            Priority::High => &mut self.high,
+            Priority::Normal => &mut self.normal,
+        }
+    }
+}
+
 /// Bookkeeping for one running session (kept in a vec parallel to the
 /// sessions so the pool can borrow the bare `&mut [DecodeSession]`).
 struct RunningMeta<'w> {
     request: Pending<'w>,
-    first_token_tick: Option<u64>,
+    /// The admission tick: a session decodes its first token in the tick
+    /// that admits it.
+    first_token_tick: u64,
 }
 
 /// The continuous-batching serving core. See the module docs for
@@ -259,7 +289,7 @@ pub struct ServeCore<'w> {
     config: ServeConfig,
     session_config: SimConfig,
     pool: WorkerPool,
-    queues: Vec<VecDeque<Pending<'w>>>,
+    queues: Vec<TenantQueue<'w>>,
     rr_cursor: usize,
     running: Vec<RunningMeta<'w>>,
     sessions: Vec<DecodeSession<'w, 'static>>,
@@ -329,7 +359,7 @@ impl<'w> ServeCore<'w> {
     /// Requests currently waiting across all tenant queues.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queues.iter().map(TenantQueue::len).sum()
     }
 
     /// Sessions currently decoding.
@@ -359,8 +389,9 @@ impl<'w> ServeCore<'w> {
     /// Submits a request for `tenant` at the current tick.
     ///
     /// High-priority requests enter their tenant queue ahead of every
-    /// queued `Normal` request (but behind earlier `High` ones). A full
-    /// queue rejects the submission — the caller sees
+    /// queued `Normal` request, preemption victims included (but behind
+    /// earlier `High` ones). A full queue rejects the submission — the
+    /// caller sees
     /// [`SubmitOutcome::Rejected`] and the rejection counter moves, but
     /// nothing is silently dropped.
     ///
@@ -379,7 +410,7 @@ impl<'w> ServeCore<'w> {
         spec.validate_for(&self.session_config)?;
         self.metrics.note_submitted(self.tick);
         if self.queues.len() <= tenant {
-            self.queues.resize_with(tenant + 1, VecDeque::new);
+            self.queues.resize_with(tenant + 1, TenantQueue::default);
         }
         if self.queues[tenant].len() >= self.config.queue_limit {
             self.metrics.note_rejected();
@@ -396,30 +427,20 @@ impl<'w> ServeCore<'w> {
             workload,
             spec,
         };
-        let queue = &mut self.queues[tenant];
-        match priority {
-            Priority::Normal => queue.push_back(pending),
-            Priority::High => {
-                // Ahead of queued Normals, behind earlier Highs (and behind
-                // any preemption requeue holding the head).
-                let at = queue
-                    .iter()
-                    .position(|p| p.priority == Priority::Normal && p.preemptions == 0)
-                    .unwrap_or(queue.len());
-                queue.insert(at, pending);
-            }
-        }
+        self.queues[tenant].class(priority).push_back(pending);
         Ok(SubmitOutcome::Queued { id })
     }
 
     /// Runs one virtual time step: preempt → admit → decode → retire.
     ///
     /// 1. queued `High` requests that cannot fit evict the most recently
-    ///    admitted `Normal` sessions (victims requeue at the front of
-    ///    their tenant queue, decoded tokens discarded);
+    ///    admitted `Normal` sessions, as many as they need (victims requeue
+    ///    at the head of their tenant's `Normal`s, behind its `High`s,
+    ///    decoded tokens discarded);
     /// 2. the admission cursor cycles the tenant queues round-robin —
-    ///    `High` queue heads first, then `Normal` — admitting while slots
-    ///    remain (admission runs the prefill);
+    ///    `High`s first, then `Normal`s — admitting while slots remain
+    ///    (admission runs the prefill), so every `High` that preempted
+    ///    is seated now and each `High` costs at most one preemption;
     /// 3. every running session advances one decode step (through the
     ///    configured [`WorkerPool`]);
     /// 4. finished sessions retire into [`CompletedRequest`]s.
@@ -437,14 +458,6 @@ impl<'w> ServeCore<'w> {
         // at the end of the tick they finish in).
         let steps = self.sessions.len();
         self.pool.step_once(&mut self.sessions)?;
-        for (meta, session) in self.running.iter_mut().zip(&self.sessions) {
-            debug_assert!(session.tokens_generated() > 0);
-            if meta.first_token_tick.is_none() {
-                meta.first_token_tick = Some(self.tick);
-                self.metrics
-                    .note_first_token(self.tick - meta.request.arrival_tick);
-            }
-        }
 
         let resident_tokens: usize = self.sessions.iter().map(DecodeSession::resident).sum();
         self.metrics.sample_tick(
@@ -460,16 +473,18 @@ impl<'w> ServeCore<'w> {
                 let session = self.sessions.remove(i);
                 let meta = self.running.remove(i);
                 let result = session.finish();
-                self.metrics
-                    .note_completed(self.tick - meta.request.arrival_tick, result.steps);
-                // lint:allow(no-panic-in-lib): is_done() requires at least one generated token, and the first step always records first_token_tick
-                let first_token_tick = meta.first_token_tick.expect("finished implies a token");
+                let arrival = meta.request.arrival_tick;
+                self.metrics.note_completed(
+                    meta.first_token_tick - arrival,
+                    self.tick - arrival,
+                    result.steps,
+                );
                 self.completed.push(CompletedRequest {
                     id: meta.request.id,
                     tenant: meta.request.tenant,
                     priority: meta.request.priority,
-                    arrival_tick: meta.request.arrival_tick,
-                    first_token_tick,
+                    arrival_tick: arrival,
+                    first_token_tick: meta.first_token_tick,
                     completion_tick: self.tick,
                     preemptions: meta.request.preemptions,
                     result,
@@ -482,14 +497,12 @@ impl<'w> ServeCore<'w> {
     }
 
     /// Evicts `Normal` sessions (most recently admitted first) until every
-    /// queued `High` request could fit, or no victim remains.
+    /// queued `High` request fits, or no victim remains. Each eviction
+    /// frees one session share, which this tick's admission gives to a
+    /// `High`: a `High` never waits behind a victim, so each costs at most
+    /// one preemption.
     fn preempt_for_queued_high(&mut self) {
-        let mut queued_high = self
-            .queues
-            .iter()
-            .flatten()
-            .filter(|p| p.priority == Priority::High)
-            .count();
+        let queued_high: usize = self.queues.iter().map(|q| q.high.len()).sum();
         while queued_high * self.config.session_slots > self.free_slots() {
             let Some(victim) = self
                 .running
@@ -502,35 +515,26 @@ impl<'w> ServeCore<'w> {
             let mut meta = self.running.remove(victim);
             self.metrics.note_preempted(session.tokens_generated());
             meta.request.preemptions += 1;
-            // Head-of-line requeue: the victim re-prefills as soon as slots
-            // free up again, keeping its original arrival tick (the queue
-            // bound does not apply — a preempted request never bounces).
-            self.queues[meta.request.tenant].push_front(meta.request);
-            queued_high = queued_high.saturating_sub(1);
+            // Head of the tenant's Normals: the victim re-prefills as soon
+            // as no High waits and slots free up, keeping its original
+            // arrival tick (the queue bound does not apply — a preempted
+            // request never bounces).
+            self.queues[meta.request.tenant]
+                .normal
+                .push_front(meta.request);
         }
     }
 
-    /// Round-robin admission over the tenant queues: `High` queue heads
-    /// first, then any head, while free slots remain.
+    /// Round-robin admission over the tenant queues: `High`s first, then
+    /// `Normal`s, while free slots remain.
     fn admit_from_queues(&mut self) -> Result<(), HarnessError> {
-        if self.queues.is_empty() {
-            return Ok(());
-        }
-        for high_only in [true, false] {
-            loop {
-                if self.free_slots() < self.config.session_slots {
-                    return Ok(());
-                }
+        for priority in [Priority::High, Priority::Normal] {
+            while self.free_slots() >= self.config.session_slots {
                 let n = self.queues.len();
-                let claimed = (0..n).map(|o| (self.rr_cursor + o) % n).find(|&t| {
-                    self.queues[t]
-                        .front()
-                        .is_some_and(|p| !high_only || p.priority == Priority::High)
-                });
-                let Some(tenant) = claimed else { break };
-                // `claimed` saw a front element; a vanished one means the
-                // cursor scan raced itself, so just stop admitting.
-                let Some(pending) = self.queues[tenant].pop_front() else {
+                let Some((tenant, pending)) = (0..n)
+                    .map(|o| (self.rr_cursor + o) % n)
+                    .find_map(|t| Some((t, self.queues[t].class(priority).pop_front()?)))
+                else {
                     break;
                 };
                 self.rr_cursor = (tenant + 1) % n;
@@ -568,7 +572,7 @@ impl<'w> ServeCore<'w> {
             .note_admitted(self.tick - pending.arrival_tick, pending.preemptions > 0);
         self.running.push(RunningMeta {
             request: pending,
-            first_token_tick: None,
+            first_token_tick: self.tick,
         });
         self.sessions.push(session);
         Ok(())
@@ -821,50 +825,63 @@ mod tests {
 
     #[test]
     fn high_priority_preempts_and_victim_reprefills_identically() {
-        // Fill the core with two long Normal sessions, then submit a High
-        // request: one Normal is evicted, re-queued, and eventually
-        // completes with a result identical to an undisturbed solo run.
+        // Fill the core with two long Normal sessions of tenant 0, then
+        // submit one High, from another tenant or from the victims' own,
+        // or two Highs at once: one Normal is evicted per High, every High
+        // is seated in the tick it arrives, and each victim (requeued
+        // behind the Highs, not ahead of them) completes after them with a
+        // result identical to an undisturbed solo run.
         let long = mixed_batch(2, 48, 12, 6);
-        let urgent = needle_task(32, 6, 7);
+        let urgent = [needle_task(32, 6, 7), needle_task(32, 6, 8)];
         let config = small_config();
-        let mut core = ServeCore::new(config).unwrap();
-        for w in &long {
-            core.submit(w, spec_for_share(), 0, Priority::Normal)
+        for (urgent_tenant, highs) in [(1, 1), (0, 1), (1, 2)] {
+            let mut core = ServeCore::new(config).unwrap();
+            for w in &long {
+                core.submit(w, spec_for_share(), 0, Priority::Normal)
+                    .unwrap();
+            }
+            core.tick().unwrap();
+            assert_eq!(core.running(), 2);
+            for w in &urgent[..highs] {
+                core.submit(w, spec_for_share(), urgent_tenant, Priority::High)
+                    .unwrap();
+            }
+            core.drain().unwrap();
+            let report = core.report();
+            let case = format!("{highs} High(s) from tenant {urgent_tenant}");
+            assert_eq!(report.summary.preemptions, highs as u64, "{case}");
+            assert_eq!(report.summary.re_prefills, highs as u64, "{case}");
+            assert!(report.summary.wasted_steps > 0);
+            assert_eq!(report.completed.len(), 2 + highs);
+            let (urgent_done, normals): (Vec<_>, Vec<_>) = report
+                .completed
+                .iter()
+                .partition(|c| c.priority == Priority::High);
+            let victims: Vec<_> = normals.iter().filter(|c| c.preemptions == 1).collect();
+            assert_eq!(victims.len(), highs, "{case}");
+            let last_urgent = urgent_done.iter().map(|c| c.completion_tick).max();
+            for done in &urgent_done {
+                assert_eq!(done.first_token_tick, done.arrival_tick, "{case}: {done:?}");
+            }
+            for victim in victims {
+                assert!(Some(victim.completion_tick) > last_urgent, "{case}");
+                // Bit-identical to a solo run despite the mid-flight
+                // eviction.
+                let mut solo = DecodeSession::prefill_spec(
+                    &long[victim.id],
+                    &spec_for_share(),
+                    &config.session_config(),
+                )
                 .unwrap();
+                solo.run_to_completion().unwrap();
+                assert_eq!(victim.result, solo.finish(), "{case}");
+            }
+            // The ledger balances once drained.
+            assert_eq!(
+                report.summary.steps_executed,
+                report.summary.tokens_completed + report.summary.wasted_steps
+            );
         }
-        core.tick().unwrap();
-        assert_eq!(core.running(), 2);
-        core.submit(&urgent, spec_for_share(), 1, Priority::High)
-            .unwrap();
-        core.drain().unwrap();
-        let report = core.report();
-        assert_eq!(report.summary.preemptions, 1);
-        assert_eq!(report.summary.re_prefills, 1);
-        assert!(report.summary.wasted_steps > 0);
-        assert_eq!(report.completed.len(), 3);
-        // The urgent request finished before the preempted victim.
-        let urgent_done = report.completed.iter().find(|c| c.id == 2).unwrap();
-        let victim = report
-            .completed
-            .iter()
-            .find(|c| c.preemptions == 1)
-            .expect("one request was preempted");
-        assert!(urgent_done.completion_tick < victim.completion_tick);
-        // Bit-identical to a solo run despite the mid-flight eviction.
-        let victim_workload = &long[victim.id];
-        let mut solo = DecodeSession::prefill_spec(
-            victim_workload,
-            &spec_for_share(),
-            &config.session_config(),
-        )
-        .unwrap();
-        solo.run_to_completion().unwrap();
-        assert_eq!(victim.result, solo.finish());
-        // The ledger balances once drained.
-        assert_eq!(
-            report.summary.steps_executed,
-            report.summary.tokens_completed + report.summary.wasted_steps
-        );
     }
 
     #[test]

@@ -73,6 +73,15 @@ fn prefix_word(w: &mut DecodeWorkload, plane: usize, row: usize, col: usize) -> 
     &mut plane[row][col]
 }
 
+/// Nearest-rank percentile of a non-empty tick sample, as the serving
+/// summary takes it.
+fn nearest_rank(samples: &[u64], p: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1] as f64
+}
+
 /// The registry specs of every shipped policy, sized so each fits the
 /// per-sequence share — the menu the single/batched/scheduler equivalence
 /// checks iterate (a fresh, identically configured instance is minted per
@@ -387,7 +396,10 @@ proptest! {
     /// each completed request's per-sequence result is bit-identical to
     /// running that sequence alone at the same precision and policy. The
     /// PR 2/4 equivalence ladder (single = batch-of-one = any scheduler)
-    /// extended to mid-flight join/leave.
+    /// extended to mid-flight join/leave. Preemption costs at most one
+    /// eviction per `High` request, each eviction one re-prefill, and the
+    /// summary's TTFT percentiles are those of the completed requests (one
+    /// sample each).
     #[test]
     fn continuous_batching_matches_solo_sessions_bit_for_bit(
         seed in 0u64..200,
@@ -420,8 +432,21 @@ proptest! {
         let report = core
             .run(&events, &mut |_| spec.clone())
             .expect("contract upheld");
-        prop_assert_eq!(report.summary.rejected, 0);
+        let s = &report.summary;
+        prop_assert_eq!(s.rejected, 0);
         prop_assert_eq!(report.completed.len(), n_requests);
+        let highs = events.iter().filter(|e| e.high_priority).count() as u64;
+        prop_assert!(s.preemptions <= highs, "{} preemptions for {highs} Highs", s.preemptions);
+        prop_assert_eq!(s.re_prefills, s.preemptions);
+        let ttfts: Vec<u64> = report
+            .completed
+            .iter()
+            .map(|c| c.first_token_tick - c.arrival_tick)
+            .collect();
+        prop_assert_eq!(
+            [s.p50_ttft_ticks, s.p95_ttft_ticks, s.p99_ttft_ticks],
+            [50.0, 95.0, 99.0].map(|p| nearest_rank(&ttfts, p))
+        );
         for completed in &report.completed {
             let mut solo = DecodeSession::prefill_spec(
                 &events[completed.id].workload,
