@@ -601,7 +601,10 @@ impl KernelBackend {
     /// # Panics
     ///
     /// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "hot-path kernels take caller-owned scratch"
+    )]
     pub fn attend_gather<K: Rows, V: Rows>(
         self,
         query: &[f32],
@@ -631,7 +634,10 @@ impl KernelBackend {
     /// # Panics
     ///
     /// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "hot-path kernels take caller-owned scratch"
+    )]
     pub fn attend_prefix<K: Rows, V: Rows>(
         self,
         query: &[f32],
@@ -669,7 +675,10 @@ impl KernelBackend {
     ///
     /// Panics if `queries.dim() != keys.dim()`, if a row is longer than
     /// `out_stride`, or if `out` or the views are too short.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "hot-path kernels take caller-owned scratch"
+    )]
     pub fn probs_staircase<Q: Rows, K: Rows>(
         self,
         queries: Q,
@@ -714,7 +723,10 @@ impl KernelBackend {
     ///
     /// Panics if `queries.dim() != keys.dim()`,
     /// `out.len() != n · values.dim()`, or a view is too short.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "hot-path kernels take caller-owned scratch"
+    )]
     pub fn attend_staircase<Q: Rows, K: Rows, V: Rows>(
         self,
         queries: Q,
@@ -1056,7 +1068,10 @@ impl KernelBackend {
     /// # Panics
     ///
     /// Panics if `query_q.len() != keys.dim()` or `out.len() != values.dim()`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "hot-path kernels take caller-owned scratch"
+    )]
     pub fn attend_gather_q<Q: QuantRows, V: Rows>(
         self,
         query_q: &[i8],
@@ -1134,7 +1149,10 @@ pub fn attend_gather<K: Rows, V: Rows>(
 /// # Panics
 ///
 /// Panics if `query_q.len() != keys.dim()` or `out.len() != values.dim()`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "hot-path kernels take caller-owned scratch"
+)]
 pub fn attend_gather_q<Q: QuantRows, V: Rows>(
     query_q: &[i8],
     query_scale: f32,

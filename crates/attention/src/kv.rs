@@ -277,16 +277,6 @@ impl KvStore {
         &self.pages
     }
 
-    /// The refcount of page-table entry `idx` (1 = exclusively owned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is past the page table.
-    #[must_use]
-    pub fn page_refcount(&self, idx: usize) -> usize {
-        Arc::strong_count(&self.pages[idx])
-    }
-
     /// The arena this store draws pages from.
     #[must_use]
     pub fn arena(&self) -> &PageArena {
@@ -349,13 +339,16 @@ impl KvStore {
     /// when it is shared (refcount > 1) so no other holder observes the
     /// mutation. The displaced shared handle is offered back to the arena
     /// (a no-op unless the other holders vanished in the meantime).
+    #[expect(
+        clippy::expect_used,
+        reason = "the branch above replaced any shared handle with a strong_count == 1 CoW copy, so get_mut cannot fail"
+    )]
     fn page_mut(&mut self, idx: usize) -> &mut Page {
         if Arc::strong_count(&self.pages[idx]) > 1 {
             let fresh = self.arena.cow_copy(&self.pages[idx]);
             let displaced = std::mem::replace(&mut self.pages[idx], fresh);
             self.arena.recycle(displaced);
         }
-        // lint:allow(no-panic-in-lib): the branch above replaced any shared handle with a strong_count == 1 CoW copy, so get_mut cannot fail
         Arc::get_mut(&mut self.pages[idx]).expect("page is exclusively owned after CoW")
     }
 
@@ -761,7 +754,11 @@ mod tests {
         append(&mut a, 1, 2, 0.1).unwrap();
         append(&mut a, 2, 2, 0.2).unwrap();
         let b = a.clone();
-        assert_eq!(a.page_refcount(0), 2, "clone must share pages");
+        assert_eq!(
+            Arc::strong_count(&a.pages()[0]),
+            2,
+            "clone must share pages"
+        );
         let before_cow = a.arena().stats().cow_copies;
         write(&mut a, 0, 9, 2, 0.9).unwrap();
         // The write copied the shared page; the clone is untouched.
@@ -769,8 +766,8 @@ mod tests {
         assert_eq!(a.token_at(0), Some(9));
         assert_eq!(b.token_at(0), Some(1));
         assert_eq!(b.keys_view().row(0), &[0.1, 0.1]);
-        assert_eq!(a.page_refcount(0), 1);
-        assert_eq!(b.page_refcount(0), 1);
+        assert_eq!(Arc::strong_count(&a.pages()[0]), 1);
+        assert_eq!(Arc::strong_count(&b.pages()[0]), 1);
     }
 
     #[test]
@@ -836,10 +833,10 @@ mod tests {
         }
         assert_eq!(spliced.slot_of_token(20), None);
         // Shared pages: cold + registry handle + spliced = refcount 3.
-        assert_eq!(spliced.page_refcount(0), 3);
-        assert_eq!(spliced.page_refcount(1), 3);
+        assert_eq!(Arc::strong_count(&spliced.pages()[0]), 3);
+        assert_eq!(Arc::strong_count(&spliced.pages()[1]), 3);
         // The tail page was freshly allocated, not shared.
-        assert_eq!(spliced.page_refcount(2), 1);
+        assert_eq!(Arc::strong_count(&spliced.pages()[2]), 1);
     }
 
     #[test]

@@ -31,6 +31,29 @@
 // other module stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Project invariants, gated by `cargo clippy -- -D warnings`. Library
+// code reports faults as typed errors instead of panicking (tests may
+// panic), reads no wall clock (the types are listed in this crate's
+// `clippy.toml`), documents every `unsafe` block and function, and gives
+// a reason for every lint escape. A true invariant that needs a panic says so with
+// `#[expect(clippy::…, reason = "…")]`, which fails once the panic is gone.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::missing_safety_doc,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod kernels;
 mod kv;

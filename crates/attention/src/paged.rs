@@ -256,7 +256,7 @@ impl<'a> PagedRows<'a> {
     ///
     /// Panics if `dim == 0`.
     #[must_use]
-    pub fn keys(pages: &'a [PageHandle], dim: usize) -> Self {
+    pub(crate) fn keys(pages: &'a [PageHandle], dim: usize) -> Self {
         Self::new(pages, Plane::Keys, dim)
     }
 
@@ -266,7 +266,7 @@ impl<'a> PagedRows<'a> {
     ///
     /// Panics if `dim == 0`.
     #[must_use]
-    pub fn values(pages: &'a [PageHandle], dim: usize) -> Self {
+    pub(crate) fn values(pages: &'a [PageHandle], dim: usize) -> Self {
         Self::new(pages, Plane::Values, dim)
     }
 
@@ -320,7 +320,7 @@ impl<'a> PagedQuantRows<'a> {
     ///
     /// Panics if `dim == 0`.
     #[must_use]
-    pub fn new(pages: &'a [PageHandle], dim: usize) -> Self {
+    pub(crate) fn new(pages: &'a [PageHandle], dim: usize) -> Self {
         assert!(dim > 0, "PagedQuantRows requires dim > 0");
         Self { pages, dim }
     }

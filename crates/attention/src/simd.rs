@@ -48,7 +48,10 @@
 //! * The quantizers' max-abs reduction has no SIMD form: every tier runs
 //!   the scalar fold, which skips NaN, so quantization is bit-exact on
 //!   every tier for every input.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "AVX2 intrinsics and calls into target-feature functions are unsafe; each block states its SAFETY obligation"
+)]
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::*;
@@ -74,6 +77,9 @@ mod x86 {
         unsafe { dot_f32_avx2_impl(a, b) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     fn dot_f32_avx2_impl(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
@@ -109,6 +115,9 @@ mod x86 {
         unsafe { dot_i8_avx2_impl(a, b) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     fn dot_i8_avx2_impl(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len().min(b.len());
@@ -152,6 +161,9 @@ mod x86 {
         unsafe { dot_f32_block_avx2_impl(a, rows) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     fn dot_f32_block_avx2_impl(a: &[f32], rows: [&[f32]; BLOCK]) -> [f32; BLOCK] {
         let n = rows.iter().fold(a.len(), |n, row| n.min(row.len()));
@@ -229,6 +241,9 @@ mod x86 {
         unsafe { axpy_rows_avx2_impl(w, xs, out) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     fn axpy_rows_avx2_impl<const R: usize>(w: &[f32; R], xs: &[&[f32]; R], out: &mut [f32]) {
         let n = xs.iter().fold(out.len(), |n, x| n.min(x.len()));
@@ -272,6 +287,9 @@ mod x86 {
         unsafe { axpy_queries_avx2_impl(ws, xs, outs) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     fn axpy_queries_avx2_impl(ws: &[[f32; BLOCK]], xs: &[&[f32]], outs: &mut [f32]) {
         let dim = outs.len() / BLOCK;

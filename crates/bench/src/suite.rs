@@ -11,7 +11,7 @@
 //!   per-case tolerance in *both* directions — drift either way is a
 //!   behavior change, not noise.
 //!
-//! Six suites:
+//! Seven suites:
 //!
 //! * `kernels` — the flat-layout kernels and the CAM search underneath
 //!   `UniCaimArray::cam_top_k`;
@@ -25,14 +25,17 @@
 //! * `simd_speedup` — scalar-vs-dispatched kernel throughput ratios plus
 //!   the detected dispatch tier (ratio cases short-circuit to exactly 1.0
 //!   on scalar-tier hosts; `bench_check` compares the suite only within
-//!   one tier).
+//!   one tier);
+//! * `layer_budget` — the stacked-decode gate: each layer-budget
+//!   allocator's retrieval, its margins over the uniform split, and its
+//!   eviction and reallocation counters.
 //!
 //! `bench_check --save` records each case's figure (and its per-case
 //! tolerance, when one is set) to `results/baselines/<suite>.json`; a
 //! plain `bench_check` run re-measures and fails when a case leaves its
 //! tolerance band. This suite is the workspace's one timing harness: its
-//! case names are the baseline keys, and `unicaim-lint` checks that the
-//! registry and `results/baselines/` stay in sync.
+//! case names are the baseline keys, and a unit test checks that the
+//! registry, `results/baselines/` and the `.gitignore` whitelist agree.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -175,10 +178,6 @@ pub struct BaselineRow {
 }
 
 /// One saved baseline file: the host that recorded it plus the rows.
-///
-/// Baselines recorded before host provenance existed are a bare
-/// `Vec<BaselineRow>`; `bench_check` still parses those (defaulting the
-/// backend to `"unknown"`), so `--save` is a refresh, not a migration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BaselineFile {
     /// The host that recorded the rows (kernel tier + core count).
@@ -855,6 +854,62 @@ mod tests {
             assert_eq!(name, registered);
         }
         assert!(SUITE_NAMES.contains(&"layer_budget"));
+    }
+
+    #[test]
+    fn registry_baselines_and_gitignore_whitelist_agree() {
+        // A suite without a baseline has no drift gate; a baseline without
+        // a suite is a stale recording.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut baselines: Vec<String> = std::fs::read_dir(root.join("results/baselines"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter_map(|name| Some(name.strip_suffix(".json")?.to_owned()))
+            .collect();
+        baselines.sort();
+        let mut suites = SUITE_NAMES.map(String::from);
+        suites.sort();
+        assert_eq!(baselines, suites);
+
+        // Every whitelisted results file exists, and every tracked one is
+        // whitelisted (a pattern holds at most one `*`, which stops at `/`).
+        let gitignore = std::fs::read_to_string(root.join(".gitignore")).unwrap();
+        let whitelist: Vec<&str> = gitignore
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('!'))
+            .filter(|p| p.starts_with("results/") && p.ends_with(".json"))
+            .collect();
+        for path in whitelist.iter().filter(|p| !p.contains('*')) {
+            assert!(
+                root.join(path).is_file(),
+                "whitelisted {path} does not exist"
+            );
+        }
+        let whitelisted = |path: &str| {
+            whitelist.iter().any(|p| match p.split_once('*') {
+                None => *p == path,
+                Some((head, tail)) => path
+                    .strip_prefix(head)
+                    .and_then(|rest| rest.strip_suffix(tail))
+                    .is_some_and(|mid| !mid.contains('/')),
+            })
+        };
+        // Outside a git checkout (an exported tree) nothing is tracked.
+        let tracked = std::process::Command::new("git")
+            .arg("-C")
+            .arg(&root)
+            .args(["ls-files", "--", "results"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8(o.stdout).unwrap())
+            .unwrap_or_default();
+        for path in tracked.lines().filter(|p| p.ends_with(".json")) {
+            assert!(
+                whitelisted(path),
+                "tracked {path} is not in the .gitignore whitelist"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! FeFET state and the model that evolves/reads it.
 //!
-//! The state of a device is deliberately tiny (16 bytes) so that arrays of
+//! The state of a device is deliberately tiny (8 bytes) so that arrays of
 //! hundreds of thousands of devices stay cheap; all parameters live in the
 //! shared [`FeFetModel`].
 
@@ -9,47 +9,27 @@ use serde::{Deserialize, Serialize};
 use crate::preisach::{switching_fraction, PulseSpec};
 use crate::FeFetParams;
 
-/// State of a single FeFET: normalized remanent polarization plus a static
-/// device-to-device threshold-voltage offset.
+/// State of a single FeFET: its normalized remanent polarization.
+/// Device-to-device `V_TH` variation is sampled per cell by the array
+/// (see [`crate::VariationModel`]), not stored here.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FeFet {
     /// Normalized remanent polarization in `[-1, 1]`. `+1` = fully switched
     /// toward the low-`V_TH` state, `-1` = fully erased (high `V_TH`).
     polarization: f64,
-    /// Static `V_TH` offset of this physical device, volts (process
-    /// variation; see [`crate::VariationModel`]).
-    vth_offset: f64,
 }
 
 impl FeFet {
-    /// A fresh, fully erased device with no variation offset.
+    /// A fresh, fully erased device.
     #[must_use]
     pub fn fresh() -> Self {
-        Self {
-            polarization: -1.0,
-            vth_offset: 0.0,
-        }
-    }
-
-    /// A device with the given static `V_TH` offset (volts), fully erased.
-    #[must_use]
-    pub fn with_vth_offset(vth_offset: f64) -> Self {
-        Self {
-            polarization: -1.0,
-            vth_offset,
-        }
+        Self { polarization: -1.0 }
     }
 
     /// Normalized remanent polarization in `[-1, 1]`.
     #[must_use]
     pub fn polarization(&self) -> f64 {
         self.polarization
-    }
-
-    /// Static device `V_TH` offset, volts.
-    #[must_use]
-    pub fn vth_offset(&self) -> f64 {
-        self.vth_offset
     }
 }
 
@@ -143,16 +123,16 @@ impl FeFetModel {
         self.apply_pulse(dev, PulseSpec { amplitude, width });
         // The kinetics inversion is exact up to floating point; snap to the
         // target so multilevel grids are noiseless (variation is modeled
-        // separately via vth offsets).
+        // separately, per cell, by the array).
         dev.polarization = target;
     }
 
     /// Threshold voltage of the device: linear map of polarization across the
-    /// memory window, plus the device's static variation offset.
+    /// memory window.
     #[must_use]
     pub fn vth(&self, dev: &FeFet) -> f64 {
         let p = &self.params;
-        p.vth_mid() - 0.5 * p.memory_window() * dev.polarization + dev.vth_offset
+        p.vth_mid() - 0.5 * p.memory_window() * dev.polarization
     }
 
     /// Drain current at the given gate and drain-source voltage, amps.
@@ -336,13 +316,6 @@ mod tests {
     fn high_on_off_ratio() {
         let m = model();
         assert!(m.on_off_ratio() > 1e4, "on/off ratio {}", m.on_off_ratio());
-    }
-
-    #[test]
-    fn variation_offset_shifts_vth() {
-        let m = model();
-        let dev = FeFet::with_vth_offset(0.054);
-        assert!((m.vth(&dev) - (m.params().vth_high + 0.054)).abs() < 1e-12);
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub struct ServerMetrics {
     queue_depth_samples: Vec<usize>,
     occupancy_samples: Vec<usize>,
     peak_resident_tokens: usize,
-    wait_ticks: Vec<u64>,
     ttft_ticks: Vec<u64>,
     latency_ticks: Vec<u64>,
     prefix_hits: u64,
@@ -65,7 +64,6 @@ impl ServerMetrics {
             queue_depth_samples: Vec::new(),
             occupancy_samples: Vec::new(),
             peak_resident_tokens: 0,
-            wait_ticks: Vec::new(),
             ttft_ticks: Vec::new(),
             latency_ticks: Vec::new(),
             prefix_hits: 0,
@@ -85,12 +83,12 @@ impl ServerMetrics {
         self.rejected += 1;
     }
 
-    /// Records an admission that waited `wait` ticks in the queue;
-    /// `re_prefill` marks the re-admission of a previously preempted
-    /// request (its prompt is prefilled again from scratch).
-    pub fn note_admitted(&mut self, wait: u64, re_prefill: bool) {
+    /// Records an admission; `re_prefill` marks the re-admission of a
+    /// previously preempted request (its prompt is prefilled again from
+    /// scratch). A request's wait up to its final admission is its TTFT,
+    /// sampled once at retirement ([`ServerMetrics::note_completed`]).
+    pub fn note_admitted(&mut self, re_prefill: bool) {
         self.admitted += 1;
-        self.wait_ticks.push(wait);
         if re_prefill {
             self.re_prefills += 1;
         }
@@ -232,8 +230,6 @@ impl ServerMetrics {
             min_occupancy_between_arrivals: self.min_occupancy_between_arrivals(),
             peak_resident_tokens: self.peak_resident_tokens,
             occupancy_histogram: histogram,
-            p50_wait_ticks: percentile(&self.wait_ticks, 50.0),
-            p95_wait_ticks: percentile(&self.wait_ticks, 95.0),
             p50_ttft_ticks: percentile(&self.ttft_ticks, 50.0),
             p95_ttft_ticks: percentile(&self.ttft_ticks, 95.0),
             p99_ttft_ticks: percentile(&self.ttft_ticks, 99.0),
@@ -304,10 +300,6 @@ pub struct MetricsSummary {
     /// Ticks spent in each occupancy decile (`[0, 10%)`, …, `[90%, 100%]`
     /// of `total_capacity`).
     pub occupancy_histogram: Vec<u64>,
-    /// Median queue wait (arrival → admission), in ticks.
-    pub p50_wait_ticks: f64,
-    /// 95th-percentile queue wait, in ticks.
-    pub p95_wait_ticks: f64,
     /// Median time to first token (arrival → first decode step after the
     /// final admission), ticks. The TTFT percentiles take one sample per
     /// completed request, `first_token_tick − arrival_tick`, so they are
@@ -391,9 +383,9 @@ mod tests {
     fn summary_balances_the_token_ledger() {
         let mut m = ServerMetrics::new(64);
         m.note_submitted(0);
-        m.note_admitted(0, false);
+        m.note_admitted(false);
         m.note_preempted(3);
-        m.note_admitted(2, true);
+        m.note_admitted(true);
         m.note_completed(2, 9, 8);
         m.sample_tick(1, 32, 11, 40);
         let s = m.summary();
@@ -425,7 +417,7 @@ mod tests {
     fn summary_roundtrips_through_json() {
         let mut m = ServerMetrics::new(32);
         m.note_submitted(0);
-        m.note_admitted(0, false);
+        m.note_admitted(false);
         m.note_completed(1, 5, 4);
         m.sample_tick(0, 16, 1, 20);
         let s = m.summary();

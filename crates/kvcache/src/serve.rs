@@ -179,7 +179,9 @@ pub enum SubmitOutcome {
     /// Accepted into its tenant's queue; the id keys the eventual
     /// [`CompletedRequest`].
     Queued {
-        /// Request id (assigned in submission order).
+        /// Request id: the submission's index among every submission to
+        /// this core, rejected ones included, so it indexes the arrival
+        /// trace of a [`ServeCore::run`].
         id: usize,
     },
     /// Bounced: the tenant's queue was at [`ServeConfig::queue_limit`].
@@ -219,8 +221,10 @@ pub struct CompletedRequest {
 pub struct ServeReport {
     /// Every retired request, in completion order.
     pub completed: Vec<CompletedRequest>,
-    /// The completed requests folded into the batch aggregate (same
-    /// step-weighted means as a [`DecodeEngine`](crate::DecodeEngine) run).
+    /// The completed requests folded, in id order, into the batch
+    /// aggregate (same step-weighted means as a
+    /// [`DecodeEngine`](crate::DecodeEngine) run). Id order makes the
+    /// means independent of the schedule, to the last bit.
     pub batch: BatchResult,
     /// The serving metrics summary.
     pub summary: MetricsSummary,
@@ -409,6 +413,8 @@ impl<'w> ServeCore<'w> {
     ) -> Result<SubmitOutcome, HarnessError> {
         spec.validate_for(&self.session_config)?;
         self.metrics.note_submitted(self.tick);
+        let id = self.next_id;
+        self.next_id += 1;
         if self.queues.len() <= tenant {
             self.queues.resize_with(tenant + 1, TenantQueue::default);
         }
@@ -416,8 +422,6 @@ impl<'w> ServeCore<'w> {
             self.metrics.note_rejected();
             return Ok(SubmitOutcome::Rejected);
         }
-        let id = self.next_id;
-        self.next_id += 1;
         let pending = Pending {
             id,
             tenant,
@@ -568,8 +572,7 @@ impl<'w> ServeCore<'w> {
                 &self.session_config,
             )?,
         };
-        self.metrics
-            .note_admitted(self.tick - pending.arrival_tick, pending.preemptions > 0);
+        self.metrics.note_admitted(pending.preemptions > 0);
         self.running.push(RunningMeta {
             request: pending,
             first_token_tick: self.tick,
@@ -630,8 +633,9 @@ impl<'w> ServeCore<'w> {
     /// batch-style aggregate, and the metrics summary.
     #[must_use]
     pub fn report(&self) -> ServeReport {
-        let per_sequence: Vec<SimResult> =
-            self.completed.iter().map(|c| c.result.clone()).collect();
+        let mut by_id: Vec<&CompletedRequest> = self.completed.iter().collect();
+        by_id.sort_unstable_by_key(|c| c.id);
+        let per_sequence: Vec<SimResult> = by_id.iter().map(|c| c.result.clone()).collect();
         ServeReport {
             batch: aggregate(
                 per_sequence,
@@ -913,23 +917,62 @@ mod tests {
             seed: 11,
         });
         let spec = spec_for_share();
-        let run_once = || {
-            let mut core = ServeCore::new(small_config()).unwrap();
-            core.run(&events, &mut |_| spec.clone()).unwrap()
-        };
-        let a = run_once();
-        let b = run_once();
-        assert_eq!(a, b);
-        assert_eq!(a.summary.submitted, 10);
-        assert_eq!(
-            a.summary.completed + a.summary.rejected,
-            a.summary.submitted
-        );
-        assert_eq!(a.batch.n_sequences, a.completed.len());
-        // ids key back into the event trace.
-        for c in &a.completed {
-            assert_eq!(c.arrival_tick, events[c.id].at_tick);
+        // The second core's one-request queues bounce some arrivals.
+        for (config, rejects) in [
+            (small_config(), false),
+            (small_config().with_queue_limit(1), true),
+        ] {
+            let run_once = || {
+                let mut core = ServeCore::new(config).unwrap();
+                core.run(&events, &mut |_| spec.clone()).unwrap()
+            };
+            let a = run_once();
+            let b = run_once();
+            assert_eq!(a, b);
+            assert_eq!(a.summary.submitted, 10);
+            assert_eq!(a.summary.rejected > 0, rejects);
+            assert_eq!(
+                a.summary.completed + a.summary.rejected,
+                a.summary.submitted
+            );
+            assert_eq!(a.batch.n_sequences, a.completed.len());
+            // ids key back into the event trace, rejections or not.
+            for c in &a.completed {
+                assert_eq!(events[c.id].at_tick, c.arrival_tick);
+            }
         }
+    }
+
+    #[test]
+    fn batch_means_do_not_depend_on_the_schedule() {
+        // Two and four concurrent sessions retire the same requests in
+        // different orders (the two longest are submitted first); folded
+        // in id order, their batch aggregates agree to the bit.
+        let mut workloads = mixed_batch(6, 32, 6, 6);
+        workloads.rotate_left(2);
+        let run = |sessions: usize| {
+            let config = ServeConfig::new(sessions * 40, 40, 8).with_reserved_decode_slots(8);
+            let mut core = ServeCore::new(config).unwrap();
+            for w in &workloads {
+                core.submit(w, spec_for_share(), 0, Priority::Normal)
+                    .unwrap();
+            }
+            core.drain().unwrap();
+            core.report()
+        };
+        let (two, four) = (run(2), run(4));
+        let ids = |r: &ServeReport| r.completed.iter().map(|c| c.id).collect::<Vec<_>>();
+        assert_ne!(ids(&two), ids(&four));
+        assert_eq!(two.summary.rejected + four.summary.rejected, 0);
+        let means = |r: &ServeReport| {
+            [
+                r.batch.output_cosine,
+                r.batch.salient_recall,
+                r.batch.retrieval_accuracy,
+            ]
+        };
+        assert_eq!(means(&two), means(&four));
+        assert_eq!(two.batch.per_sequence, four.batch.per_sequence);
     }
 
     #[test]

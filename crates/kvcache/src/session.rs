@@ -504,7 +504,10 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
                     )?;
                     match self.store.evict_slot(slot) {
                         Ok(_) => evicted += 1,
-                        // lint:allow(no-panic-in-lib): slot came from slot_of_token two lines up, so it is in range and occupied
+                        #[expect(
+                            clippy::unreachable,
+                            reason = "slot came from slot_of_token two lines up, so it is in range and occupied"
+                        )]
                         Err(e) => unreachable!("in-range slot evict failed: {e}"),
                     }
                 }
@@ -747,7 +750,10 @@ fn write_new_token(
         Err(AttentionError::DuplicateToken { token, .. }) => {
             Err(HarnessError::DuplicateToken { step, token })
         }
-        // lint:allow(no-panic-in-lib): callers pass a slot below capacity and dim-matched rows, leaving DuplicateToken as the only reachable error
+        #[expect(
+            clippy::unreachable,
+            reason = "callers pass a slot below capacity and dim-matched rows, leaving DuplicateToken as the only reachable error"
+        )]
         Err(e) => unreachable!("in-range slot write failed: {e}"),
     }
 }
@@ -786,7 +792,10 @@ fn populate_store(store: &mut KvStore, workload: &DecodeWorkload, keep: &[usize]
     for &t in keep {
         match store.append_parts(t, &workload.prefill_keys[t], &workload.prefill_values[t]) {
             Ok(_) => {}
-            // lint:allow(no-panic-in-lib): the keep set was validated in-budget, in-range, and duplicate-free before this call
+            #[expect(
+                clippy::unreachable,
+                reason = "the keep set was validated in-budget, in-range, and duplicate-free before this call"
+            )]
             Err(e) => unreachable!("validated prefill insert failed: {e}"),
         }
     }
