@@ -23,7 +23,12 @@
 //! For every end-to-end metric in `BENCHMARK.json` (name, direction and
 //! bound), it prints both sides' median with its quartiles, how many pairs
 //! the change won (ties count for neither side), and whether the change's
-//! median is worse than the parent's by more than the bound. `--claim
+//! median is worse than the parent's by more than the bound. A metric that
+//! held its bound reads `unresolved` rather than `within bound` when
+//! either side's interquartile range is wider than the bound (times the
+//! parent's median), unless every change run beats every parent run: runs
+//! that spread that widely cannot show that the metric did not move by
+//! the bound. `--claim
 //! <metric>` also checks the gain rule: the change wins at least 9 of 10
 //! pairs, and its median beats the parent's by more than the parent's
 //! interquartile range. A claim names one metric on one workload, so
@@ -259,6 +264,27 @@ fn regressed(parent_median: f64, change_median: f64, spec: &MetricSpec) -> bool 
     }
 }
 
+/// Whether every change run is strictly better than every parent run.
+fn every_run_beats(parent: &[f64], change: &[f64], higher_is_better: bool) -> bool {
+    change.iter().all(|&c| {
+        parent
+            .iter()
+            .all(|&p| if higher_is_better { c > p } else { c < p })
+    })
+}
+
+/// Whether the runs spread too widely to judge the bound: either side's
+/// interquartile range exceeds the bound times the parent's median, and
+/// not every change run beats every parent run.
+fn unresolved(parent: &[f64], change: &[f64], spec: &MetricSpec) -> bool {
+    let (Some(p), Some(c)) = (quartiles(parent), quartiles(change)) else {
+        return false;
+    };
+    let limit = spec.bound * p[1].abs();
+    (p[2] - p[0] > limit || c[2] - c[0] > limit)
+        && !every_run_beats(parent, change, spec.higher_is_better)
+}
+
 /// The gain rule: the change wins at least 9 of 10 pairs, and its median
 /// beats the parent's by more than the parent's interquartile range.
 fn gain_holds(
@@ -336,6 +362,8 @@ fn compare(
         ok &= !worse;
         let mut verdict = if worse {
             format!("REGRESSION beyond {:.0}%", spec.bound * 100.0)
+        } else if unresolved(&parent, &change, spec) {
+            format!("unresolved: runs spread beyond {:.0}%", spec.bound * 100.0)
         } else {
             "within bound".to_owned()
         };
@@ -455,6 +483,31 @@ mod tests {
         assert!(!regressed(1.0, 0.9, &higher));
         assert!(regressed(1.0, 0.89, &higher));
         assert!(!regressed(1.0, 2.0, &higher));
+    }
+
+    #[test]
+    fn a_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins() {
+        let lower = spec(false, 0.1);
+        // Parent IQR 10 of a median 100: exactly the bound, resolved.
+        let parent = [90.0, 95.0, 100.0, 105.0, 110.0];
+        assert!(!unresolved(&parent, &[99.0, 100.0, 101.0], &lower));
+        // The change's own IQR (12) exceeds the bound (10).
+        let wide = [88.0, 94.0, 100.0, 106.0, 112.0];
+        assert!(unresolved(&parent, &wide, &lower));
+        assert!(
+            unresolved(&wide, &parent, &lower),
+            "the parent's spread counts too"
+        );
+        // Every change run beats every parent run: resolved however wide.
+        assert!(!unresolved(&wide, &[50.0, 60.0, 86.0], &lower));
+        assert!(
+            unresolved(&wide, &[50.0, 60.0, 88.0], &lower),
+            "a tie is no win"
+        );
+        let higher = spec(true, 0.1);
+        assert!(!unresolved(&wide, &[113.0, 150.0], &higher));
+        assert!(unresolved(&wide, &[111.0, 150.0], &higher));
+        assert!(!unresolved(&[], &[1.0], &higher));
     }
 
     #[test]

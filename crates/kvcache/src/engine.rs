@@ -22,34 +22,55 @@ use unicaim_attention::Precision;
 
 use crate::error::HarnessError;
 use crate::policy::Policy;
+use crate::pool::Helpers;
 use crate::session::DecodeSession;
 use crate::sim::{SimConfig, SimResult};
 use crate::spec::PolicySpec;
 
 /// Drives admitted sessions: fans independent per-sequence decode across
-/// `workers` threads (the calling thread plus `workers − 1` scoped
-/// threads), each worker claiming the next session. This is the engine's
-/// only level of decode parallelism; a session's own resident scan always
-/// runs inline on the thread that claimed it.
+/// up to `workers` threads (the calling thread plus up to `workers − 1`
+/// helper threads the pool owns), each worker claiming the next session.
+/// This is the engine's only level of decode parallelism; a session's own
+/// resident scan always runs inline on the thread that claimed it.
 ///
 /// A pool decides *when* each session's next step runs but not *what* a
 /// step does — that is fixed by [`DecodeSession::step`] — and nothing is
 /// shared between sequences mid-run, so every worker count produces
-/// identical per-sequence results. A one-worker pool spawns no thread and
+/// identical per-sequence results. A call with one worker or one session
 /// steps the sessions in order on the calling thread. The throughput win
 /// is the ROADMAP's parallel-decode multiplier and scales with
 /// `min(workers, batch size)` up to the machine's cores.
-#[derive(Debug, Clone, Copy)]
+///
+/// The helpers live as long as the pool, so a serving tick pays no thread
+/// spawn: between calls each one polls briefly for the next call and then
+/// sleeps. They start on first use, when a call has work for them: a call
+/// over `n` sessions starts helpers until `min(workers, n) − 1` exist. A
+/// helper therefore inherits the CPU affinity of the thread that made that
+/// call, not of the thread that built the pool. If the OS refuses a
+/// thread, calls run with the helpers already started, or on the calling
+/// thread alone. Dropping the pool joins its helpers. Threads may share a
+/// pool; their calls then take turns.
 pub struct WorkerPool {
     workers: usize,
+    helpers: Helpers,
+}
+
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerPool")
+            .field("workers", &self.workers)
+            .finish_non_exhaustive()
+    }
 }
 
 impl WorkerPool {
-    /// A pool with exactly `workers` threads (floored at 1).
+    /// A pool of `workers` workers (floored at 1). It starts no thread
+    /// until a call has work for a second worker.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
+            helpers: Helpers::new(),
         }
     }
 
@@ -64,7 +85,7 @@ impl WorkerPool {
         )
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the calling thread included.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
@@ -84,7 +105,8 @@ impl WorkerPool {
     /// *serving tick*. The continuous-batching
     /// [`ServeCore`](crate::ServeCore) drives its running set through this
     /// instead of [`run`](WorkerPool::run), so admissions and preemptions
-    /// can interleave between ticks. Finished sessions are skipped.
+    /// can interleave between ticks; the pool's helpers wait between ticks
+    /// instead of starting anew for each. Finished sessions are skipped.
     ///
     /// # Errors
     ///
@@ -102,11 +124,12 @@ impl WorkerPool {
     /// shared skeleton under both [`run`](WorkerPool::run) (run to
     /// completion) and [`step_once`](WorkerPool::step_once) (advance one
     /// tick): workers claim the next session off a queue, and the first
-    /// error wins and stops the claimers. The calling thread is one of the
-    /// workers, so a call with one session (or one worker) spawns no
-    /// thread. Sessions are `Send` (policies are `Send` by trait bound), so
-    /// handing `&mut DecodeSession` to a scoped thread is safe. A
-    /// panicking `run_one` re-panics here once every worker has joined.
+    /// error wins and stops the claimers. The calling thread runs the
+    /// claim loop itself, and up to `min(workers, sessions) − 1` helpers
+    /// run it beside it; a call with one session (or one worker) involves
+    /// no helper. Sessions are `Send` (policies are `Send` by trait bound),
+    /// so helpers may step them. A panicking `run_one` re-panics here once
+    /// every worker has returned, and the pool stays usable.
     fn fan_out<'w, 'p>(
         &self,
         sessions: &mut [DecodeSession<'w, 'p>],
@@ -117,7 +140,7 @@ impl WorkerPool {
         // `next`, an `Option` insert), so a worker panicking elsewhere
         // cannot leave them mid-update: recover from poisoning rather
         // than cascading a panic through every worker (the original panic
-        // still propagates when the scope joins).
+        // still propagates once every worker has returned).
         let queue = Mutex::new(sessions.iter_mut());
         let first_error: Mutex<Option<HarnessError>> = Mutex::new(None);
         let claim_loop = || loop {
@@ -138,12 +161,7 @@ impl WorkerPool {
                 break;
             }
         };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(claim_loop);
-            }
-            claim_loop();
-        });
+        self.helpers.run(workers.saturating_sub(1), &claim_loop);
         match first_error
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -810,10 +828,12 @@ mod tests {
         }
 
         // Four sessions over two workers: the calling thread and one
-        // spawned thread share the queue. Whichever of them claims the
-        // broken session, the call must panic — not hang, not return.
+        // helper share the queue. Whichever of them claims the broken
+        // session, the call must panic — not hang, not return — and the
+        // pool must then run a healthy batch as a one-worker pool would.
         let workloads = mixed_batch(4, 64, 8, 13);
         let engine = DecodeEngine::new(EngineConfig::new(4 * 24, 8));
+        let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
         let pool = WorkerPool::new(2);
         for broken in [0, 3] {
             for tick in [false, true] {
@@ -837,8 +857,75 @@ mod tests {
                     outcome.is_err(),
                     "session {broken} (step_once: {tick}) must panic"
                 );
+                let mut healthy = engine.admit(&workloads, &mut |_| spec.build()).unwrap();
+                pool.run(&mut healthy).unwrap();
+                assert_eq!(
+                    engine.collect(healthy),
+                    engine.run(&workloads, &spec).unwrap()
+                );
             }
         }
+    }
+
+    #[test]
+    fn worker_pool_starts_only_the_helpers_a_call_can_use() {
+        let workloads = mixed_batch(3, 64, 8, 13);
+        let engine = DecodeEngine::new(EngineConfig::new(3 * 24, 8));
+        let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
+        let pool = WorkerPool::new(64);
+        let mut sessions = engine.admit(&workloads, &mut |_| spec.build()).unwrap();
+        pool.step_once(&mut sessions[..1]).unwrap();
+        assert_eq!(pool.helpers.started(), 0, "one session needs no helper");
+        pool.step_once(&mut sessions).unwrap();
+        pool.run(&mut sessions).unwrap();
+        assert_eq!(
+            pool.helpers.started(),
+            2,
+            "3 sessions use at most 2 helpers"
+        );
+        assert_eq!(
+            engine.collect(sessions),
+            engine.run(&workloads, &spec).unwrap()
+        );
+    }
+
+    #[test]
+    fn worker_pool_serves_two_threads_at_once_and_joins_on_drop() {
+        // Two threads tick their own batches through one shared pool, their
+        // first calls released together; each batch must still equal its
+        // one-worker run.
+        let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
+        let engine = DecodeEngine::new(EngineConfig::new(5 * 24, 8));
+        let batches = [sample_batch(), mixed_batch(5, 64, 8, 29)];
+        let pool = WorkerPool::new(3);
+        let start = std::sync::Barrier::new(2);
+        let results: Vec<BatchResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = batches
+                .iter()
+                .map(|workloads| {
+                    let (engine, pool, start, spec) = (&engine, &pool, &start, &spec);
+                    scope.spawn(move || {
+                        let mut sessions = engine.admit(workloads, &mut |_| spec.build()).unwrap();
+                        start.wait();
+                        while sessions.iter().any(|s| !s.is_done()) {
+                            pool.step_once(&mut sessions).unwrap();
+                        }
+                        engine.collect(sessions)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (workloads, result) in batches.iter().zip(results) {
+            assert_eq!(result, engine.run(workloads, &spec).unwrap());
+        }
+        assert_eq!(pool.helpers.started(), 2);
+        let liveness = pool.helpers.liveness();
+        drop(pool);
+        assert!(
+            liveness.upgrade().is_none(),
+            "dropping the pool joins its helpers"
+        );
     }
 
     #[test]

@@ -77,7 +77,10 @@
 //! assert_eq!(result.n_sequences, 4);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the worker pool's helper module scopes a
+// single `expect(unsafe_code)` around the one block that hands a borrowed
+// job to its long-lived threads.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Project invariants, gated by `cargo clippy -- -D warnings`. Library
 // code reports faults as typed errors instead of panicking (tests may
@@ -108,6 +111,7 @@ mod engine;
 mod error;
 mod metrics;
 mod policy;
+mod pool;
 mod prefix;
 mod score;
 mod serve;

@@ -33,7 +33,11 @@
 //! Per-tick stepping goes through the same [`WorkerPool`] the engine runs
 //! on ([`WorkerPool::step_once`]): sessions are independent, so every
 //! worker count produces the same report, to the bit. A one-worker pool
-//! steps the sessions in order on the calling thread.
+//! steps the sessions in order on the calling thread. The core holds one
+//! pool for its whole life, so the pool's helper threads wait between
+//! ticks instead of starting anew for each: they start at the first tick
+//! with two or more running sessions, on the thread that ticks, and
+//! inherit its CPU affinity.
 
 use std::collections::VecDeque;
 

@@ -399,7 +399,9 @@ proptest! {
     /// extended to mid-flight join/leave. Preemption costs at most one
     /// eviction per `High` request, each eviction one re-prefill, and the
     /// summary's TTFT percentiles are those of the completed requests (one
-    /// sample each).
+    /// sample each). A pooled core keeps one pool for the whole trace, so
+    /// its helpers step tick after tick with admissions and preemptions
+    /// between them.
     #[test]
     fn continuous_batching_matches_solo_sessions_bit_for_bit(
         seed in 0u64..200,
@@ -407,10 +409,15 @@ proptest! {
         n_requests in 3usize..9,
         high_every in 0usize..4,
         precision_idx in 0usize..3,
+        workers in 1usize..5,
     ) {
         let share = 28;
         let k = 8;
         let precision = [Precision::F32, Precision::Int8, Precision::Cell3Bit][precision_idx];
+        let scheduler = match workers {
+            1 => SchedulerSpec::Sequential,
+            workers => SchedulerSpec::WorkerPool { workers },
+        };
         let events = poisson_arrivals(&ArrivalSpec {
             n_requests,
             mean_interarrival_ticks: mean,
@@ -427,7 +434,8 @@ proptest! {
         let config = ServeConfig::new(2 * share, share, k)
             .with_reserved_decode_slots(4)
             .with_precision(precision)
-            .with_queue_limit(n_requests);
+            .with_queue_limit(n_requests)
+            .with_scheduler(scheduler);
         let mut core = ServeCore::new(config).expect("valid config");
         let report = core
             .run(&events, &mut |_| spec.clone())

@@ -5,13 +5,20 @@
 //! crate's `clippy.toml`), `unsafe` blocks without a `// SAFETY:` comment,
 //! unsafe functions without a `# Safety` doc, and lint escapes without a
 //! reason. These tests keep those denials in place, bound the escapes from
-//! them, and confine `unsafe` code to the AVX2 kernels.
+//! them, and confine `unsafe` code to the AVX2 kernels and the worker
+//! pool's helper threads.
 
 use std::fs;
 use std::path::Path;
 
-/// The one module that may hold `unsafe` code and target-feature functions.
+/// The one module that may hold target-feature functions, and one of the
+/// two that may hold `unsafe` code.
 const SIMD_MODULE: &str = "crates/attention/src/simd.rs";
+
+/// The worker pool's helper threads: the other module that may hold
+/// `unsafe` code, and then only one block, which erases a borrowed job's
+/// lifetime.
+const POOL_MODULE: &str = "crates/kvcache/src/pool.rs";
 
 /// The library crates held to [`RULE_LINTS`].
 const RULE_CRATES: [&str; 2] = ["crates/kvcache", "crates/attention"];
@@ -103,24 +110,39 @@ fn fn_name(line: &str) -> Option<&str> {
 }
 
 #[test]
-fn unsafe_code_is_allowed_only_in_the_simd_module() {
-    let mut simd_allows = 0;
+fn unsafe_code_is_allowed_only_in_the_simd_and_pool_modules() {
+    let mut escapes = [0; 2];
+    let modules = [SIMD_MODULE, POOL_MODULE];
     for src in workspace_sources() {
         for level in ["allow", "expect", "warn"] {
             for list in lint_lists(&src.code, level) {
                 if list.contains(&"unsafe_code") {
-                    assert_eq!(
-                        src.rel, SIMD_MODULE,
-                        "`{level}(unsafe_code)` outside the SIMD module"
-                    );
-                    simd_allows += 1;
+                    let module = modules.iter().position(|m| *m == src.rel);
+                    let module = module.unwrap_or_else(|| {
+                        panic!("{}: `{level}(unsafe_code)` outside {modules:?}", src.rel)
+                    });
+                    escapes[module] += 1;
                 }
             }
         }
     }
     assert_eq!(
-        simd_allows, 1,
-        "the SIMD module scopes exactly one `allow(unsafe_code)`"
+        escapes,
+        [1, 1],
+        "{modules:?} each scope exactly one `unsafe_code` escape"
+    );
+
+    // The pool's escape covers one block and nothing else: no unsafe
+    // function, trait or impl.
+    let pool = code_of(&root().join(POOL_MODULE));
+    let uses: Vec<&str> = pool
+        .match_indices("unsafe")
+        .map(|(at, _)| &pool[at..])
+        .filter(|rest| !rest.starts_with("unsafe_code"))
+        .collect();
+    assert!(
+        uses.len() == 1 && uses[0].starts_with("unsafe {"),
+        "{POOL_MODULE} must hold exactly one `unsafe` block and no other unsafe item"
     );
 
     // Every other module is held by a manifest: the workspace forbids
